@@ -75,22 +75,6 @@ echo "==> trac_verify examples/plans/ + examples/queries/"
 ./build/tools/trac_verify --golden examples/plans/golden/bad \
   --dump-ir --expect-findings examples/plans/bad/bad_*.ir
 
-echo "==> trac_verify --cache-deps (cache-admissibility goldens)"
-# The relevance plan of every corpus query must be admissible with a
-# byte-pinned verdict/footprint/fingerprint block, and the par-4
-# lowering must pin the *same* fingerprint (the canonical quotient
-# collapses shard decompositions). The seeded-bad cache corpus pins one
-# fixture per rule TRAC-V013..V016.
-./build/tools/trac_verify --schema examples/plans/schema.sql \
-  --golden examples/plans/golden/cache --cache-deps --dump-ir \
-  examples/queries/q*.sql
-./build/tools/trac_verify --schema examples/plans/schema.sql \
-  --golden examples/plans/golden/cache/par4 --cache-deps --parallelism 4 \
-  examples/queries/q*.sql
-./build/tools/trac_verify --golden examples/plans/golden/bad/cache \
-  --cache-deps --dump-ir --expect-findings \
-  examples/plans/bad/cache/bad_*.ir
-
 echo "==> trac_verify --absint (abstract-interpretation goldens)"
 ./build/tools/trac_verify --schema examples/plans/schema.sql \
   --golden examples/plans/golden/absint --dump-absint \
@@ -170,12 +154,10 @@ mkdir -p bench-json
     --threads=2 --json >/dev/null
   TRAC_BENCH_ROWS=2000 ../build/bench/bench_fpr_table --json >/dev/null
   TRAC_BENCH_ROWS=2000 ../build/bench/bench_optimizer --json >/dev/null
-  TRAC_BENCH_ROWS=2000 ../build/bench/bench_relevance_cache --json >/dev/null
 )
 for f in bench-json/BENCH_parallel_relevance.json \
          bench-json/BENCH_fpr_table.json \
-         bench-json/BENCH_optimizer.json \
-         bench-json/BENCH_relevance_cache.json; do
+         bench-json/BENCH_optimizer.json; do
   [[ -s "$f" ]] || { echo "missing bench record $f" >&2; exit 1; }
 done
 
@@ -193,7 +175,6 @@ cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target scenario_scenario_property_test scenario_scenario_test \
   --target telemetry_fault_telemetry_test monitor_failure_test \
-  --target concurrency_relevance_cache_stress_test \
   --target property_profile_property_test
 mkdir -p scenario-repro
 TRAC_SCENARIO_SCRIPTS=12 \
@@ -201,7 +182,7 @@ TRAC_SCENARIO_MIN_SOURCES=1000 \
 TRAC_SCENARIO_SOURCES=1000 \
 TRAC_SCENARIO_REPRO_DIR="$PWD/scenario-repro" \
 ctest --preset tsan -R \
-  'scenario_scenario_property_test|scenario_scenario_test|telemetry_fault_telemetry_test|monitor_failure_test|concurrency_relevance_cache_stress_test|property_profile_property_test' \
+  'scenario_scenario_property_test|scenario_scenario_test|telemetry_fault_telemetry_test|monitor_failure_test|property_profile_property_test' \
   --output-on-failure
 
 echo "==> absint unit + property suites under UBSan"

@@ -14,11 +14,6 @@ Result<TableId> Catalog::CreateTable(TableSchema schema) {
                                  "' already exists");
   }
   entries_.push_back(Entry{std::move(schema), /*live=*/true});
-  // Session temp tables (sys_temp_*) are session-local state, not
-  // durable structure: TRAC-V013 rejects any cache-admissible plan that
-  // touches one, so their creation cannot change a cached result and
-  // must not churn the epoch (a report session creates two per run).
-  if (entries_.back().schema.name().rfind("sys_temp_", 0) != 0) BumpEpoch();
   return entries_.size() - 1;
 }
 
@@ -41,7 +36,6 @@ Status Catalog::DropTable(std::string_view name) {
   WriterMutexLock lock(&mu_);
   TRAC_ASSIGN_OR_RETURN(TableId id, GetTableIdLocked(name));
   entries_[id].live = false;
-  if (entries_[id].schema.name().rfind("sys_temp_", 0) != 0) BumpEpoch();
   return Status::OK();
 }
 

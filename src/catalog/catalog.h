@@ -1,7 +1,6 @@
 #ifndef TRAC_CATALOG_CATALOG_H_
 #define TRAC_CATALOG_CATALOG_H_
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <map>
@@ -58,28 +57,11 @@ class Catalog {
   }
   TableSchema& mutable_schema(TableId id) {
     ReaderMutexLock lock(&mu_);
-    BumpEpoch();  // Handing out a mutable schema is a structure change.
     return entries_[id].schema;
   }
 
   /// Drops `name`. The TableId becomes invalid. NotFound if absent.
   [[nodiscard]] Status DropTable(std::string_view name);
-
-  /// Monotonic structure epoch: bumped by every CreateTable, DropTable,
-  /// mutable_schema access (in-place schema mutation), and — via
-  /// Database::CreateIndex — index registration. Session temp tables
-  /// (sys_temp_*) are exempt: they are session-local state no
-  /// cache-admissible plan may touch (TRAC-V013), and a report session
-  /// creates two per run. The relevance cache (core/relevance.h) keys
-  /// its catalog dependency on this value: an unchanged epoch proves the
-  /// name->schema mapping and index set a cached plan was admitted under
-  /// are still in force.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// Records a structure change that bypasses CreateTable/DropTable
-  /// (index creation, constraint edits). Public so the Database can bump
-  /// it from its own mutation paths.
-  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
   bool IsLive(TableId id) const {
     ReaderMutexLock lock(&mu_);
@@ -134,9 +116,6 @@ class Catalog {
   /// Optimizer statistics cache, keyed by table id (catalog/stats.h).
   /// Mutable: populated from read-only planning paths.
   mutable std::map<TableId, TableStats> stats_ TRAC_GUARDED_BY(mu_);
-  /// Structure epoch (see epoch()); atomic so lock-free readers (the
-  /// relevance cache's validity probe) need no catalog lock.
-  std::atomic<uint64_t> epoch_{0};
 };
 
 }  // namespace trac

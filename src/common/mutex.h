@@ -40,13 +40,6 @@ constexpr int kTableRegistry = 30;
 constexpr int kTableIndexes = 40;
 /// OrderedIndex::mu_ — innermost storage lock (scans capture under it).
 constexpr int kOrderedIndex = 50;
-/// RelevanceCache::mu_ — the relevance-result cache's map lock. A leaf
-/// by design: Lookup/Insert capture every epoch they need *before*
-/// taking it, so no storage or catalog lock is ever acquired inside.
-/// Ranked above storage so a (never-intended) probe from under a
-/// storage lock would still order, but below the telemetry leaves the
-/// cache bumps its counters through.
-constexpr int kRelevanceCache = 85;
 /// ThreadPool::mu_ — task-queue leaf lock; tasks never run under it.
 constexpr int kThreadPool = 90;
 /// MetricRegistry::mu_ / Tracer::mu_ — telemetry leaf locks: metric

@@ -4,7 +4,6 @@
 #include "common/dcheck.h"
 #include "expr/binder.h"
 #include "ir/lower.h"
-#include "verify/admissible.h"
 #include "verify/verifier.h"
 
 namespace trac {
@@ -62,7 +61,6 @@ void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
                                          const RecencyReportOptions& options,
                                          const PlanningHints& hints,
                                          StaticBounds* bounds,
-                                         RelevanceCache::Probe* probe,
                                          PlanIr* session_ir,
                                          SessionLayout* layout) {
   TRAC_ASSIGN_OR_RETURN(QueryPlan user_plan,
@@ -111,16 +109,6 @@ void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
   TRAC_DCHECK(verified.ok(), verified.message().c_str());
   if (verified.ok() && bounds != nullptr) ReadStaticBounds(ir, bounds);
   if (verified.ok() && session_ir != nullptr) *session_ir = ir;
-  if (verified.ok() && probe != nullptr) {
-    // Cache gate: the cacheable unit is the relevance computation alone
-    // (parts + merge, no user query / temp writes), lowered separately
-    // so the fingerprint describes exactly what the cache would replay.
-    const PlanIr relevance_ir = LowerRelevancePlan(db, input, lower);
-    CacheAdmissibilityOptions cache_options;
-    cache_options.registry_table = options.relevance.heartbeat_table;
-    *probe = RelevanceCache::MakeProbe(
-        db, AnalyzeCacheAdmissibility(relevance_ir, cache_options));
-  }
   return verified;
 }
 
@@ -240,7 +228,6 @@ Result<RecencyReport> RecencyReporter::Finish(
   // hard error with invariants armed, Status in release.
   TraceSpan verify_span(tel.tracer, tel.clock, "verify", trace_id, root.id());
   StaticBounds static_bounds;
-  RelevanceCache::Probe cache_probe;
   // The profiler reuses the verify gate's session lowering: the IR the
   // runtime counters attach onto is byte-for-byte the graph the verifier
   // passed, so a drift finding can never be blamed on a second lowering.
@@ -250,10 +237,9 @@ Result<RecencyReport> RecencyReporter::Finish(
   const bool profiling = options.profile;
   const Status verified = VerifyFinishSession(
       *db_, session_, user_query, plan, snapshot, options, hints,
-      &static_bounds, options.cache != nullptr ? &cache_probe : nullptr,
-      profiling ? &session_ir : nullptr,
+      &static_bounds, profiling ? &session_ir : nullptr,
       profiling ? &session_layout : nullptr);
-  verify_span.End();
+  report.verify_micros = verify_span.End();
   report.static_bounds_computed = static_bounds.computed;
   report.static_staleness_width_micros = static_bounds.staleness_width_micros;
   report.static_sources_lo = static_bounds.sources_lo;
@@ -282,42 +268,22 @@ Result<RecencyReport> RecencyReporter::Finish(
   // tasks hang their "relevance-task" spans off this span.
   TraceSpan relevance_span(tel.tracer, tel.clock, "relevance", trace_id,
                            root.id());
-  std::vector<SourceRecency> sources;
-  std::optional<std::vector<SourceRecency>> cached;
-  if (options.cache != nullptr) {
-    cached = options.cache->Lookup(*db_, cache_probe, snapshot);
-  }
-  if (cached.has_value()) {
-    // Served from the verified relevance cache: the probe was admitted
-    // by the TRAC-V013..V016 analysis and validated against the entry's
-    // footprint at this snapshot, so this vector is byte-identical to
-    // what execution would produce.
-    t = tel.clock();
-    sources = std::move(*cached);
-    report.relevance_exec_micros = tel.clock() - t;
-    report.relevance_from_cache = true;
-    report.relevance_parallelism = 1;
-  } else {
-    RelevanceOptions relevance_options = options.relevance;
-    relevance_options.telemetry = options.telemetry;
-    relevance_options.trace_id = trace_id;
-    relevance_options.parent_span_id = relevance_span.id();
-    relevance_options.profile = profiling;
-    t = tel.clock();
-    TRAC_ASSIGN_OR_RETURN(
-        RecencyExecution exec,
-        ExecuteRecencyQueriesDetailed(*db_, plan, snapshot, relevance_options));
-    report.relevance_exec_micros = tel.clock() - t;
-    sources = std::move(exec.sources);
-    report.relevance_parallelism = exec.parallelism;
-    report.relevance_task_micros = std::move(exec.task_micros);
-    session_profile.tasks = std::move(exec.task_profiles);
-    session_profile.premerge_rows = exec.premerge_rows;
-    session_profile.merge_micros = exec.merge_micros;
-    if (options.cache != nullptr) {
-      options.cache->Insert(*db_, cache_probe, snapshot, sources);
-    }
-  }
+  RelevanceOptions relevance_options = options.relevance;
+  relevance_options.telemetry = options.telemetry;
+  relevance_options.trace_id = trace_id;
+  relevance_options.parent_span_id = relevance_span.id();
+  relevance_options.profile = profiling;
+  t = tel.clock();
+  TRAC_ASSIGN_OR_RETURN(
+      RecencyExecution exec,
+      ExecuteRecencyQueriesDetailed(*db_, plan, snapshot, relevance_options));
+  report.relevance_exec_micros = tel.clock() - t;
+  std::vector<SourceRecency> sources = std::move(exec.sources);
+  report.relevance_parallelism = exec.parallelism;
+  report.relevance_task_micros = std::move(exec.task_micros);
+  session_profile.tasks = std::move(exec.task_profiles);
+  session_profile.premerge_rows = exec.premerge_rows;
+  session_profile.merge_micros = exec.merge_micros;
   session_profile.merged_rows = sources.size();
   relevance_span.set_relevant_sources(static_cast<int64_t>(sources.size()));
   relevance_span.End();
@@ -353,6 +319,7 @@ Result<RecencyReport> RecencyReporter::Finish(
         "Wall time of one recency-report phase", {{"phase", name}});
   };
   phase("parse_generate")->Observe(report.parse_generate_micros);
+  phase("verify")->Observe(report.verify_micros);
   phase("user_query")->Observe(report.user_query_micros);
   phase("relevance")->Observe(report.relevance_exec_micros);
   phase("stats")->Observe(report.stats_micros);

@@ -37,14 +37,6 @@ struct RecencyReportOptions {
   /// relevance/stats) under RecencyReport::trace_id and feeds the
   /// trac_report_* histograms.
   const Telemetry* telemetry = nullptr;
-  /// Optional relevance-result cache. When set, the verify gate also
-  /// runs the cache-admissibility analysis (TRAC-V013..V016) over the
-  /// session's relevance plan; an admissible plan's SourceRecency vector
-  /// is then served from / inserted into the cache, skipping
-  /// ExecuteRecencyQueries on a hit. nullptr (the default) = every
-  /// report recomputes. The cache may be shared across reporters and
-  /// threads.
-  RelevanceCache* cache = nullptr;
   /// Collect a per-operator execution profile for the session
   /// (telemetry/profile.h), attach it onto the session IR as
   /// actual_rows=/actual_ns= annotations (RecencyReport::profiled_ir),
@@ -71,6 +63,9 @@ struct RecencyReport {
   int64_t relevance_exec_micros = 0;  ///< Execute the recency queries (wall).
   int64_t stats_micros = 0;           ///< Outlier detection + min/max.
   int64_t user_query_micros = 0;      ///< The user query alone.
+  /// Wall time of the verify gate (plan, lower and verify the session
+  /// IR, read the static bounds): the duration of the "verify" span.
+  int64_t verify_micros = 0;
 
   /// Parallel-execution detail, merged from the per-task timings of
   /// ExecuteRecencyQueriesDetailed. With parallelism 1 there is one task
@@ -99,13 +94,6 @@ struct RecencyReport {
   /// queries, stats) was evaluated against — Section 3.2's consistency
   /// requirement, exposed so oracles can recompute at the same epoch.
   Snapshot snapshot;
-
-  /// True when `relevance.sources` was served by the relevance-result
-  /// cache (options.cache) instead of executing the recency queries.
-  /// Cache admission is gated on the TRAC-V013..V016 static analysis,
-  /// so a served vector is byte-identical to what execution would have
-  /// produced at this snapshot.
-  bool relevance_from_cache = false;
 
   /// The report's span tree in the tracer
   /// (Tracer::DumpTraceJson(trace_id) renders it).

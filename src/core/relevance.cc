@@ -559,154 +559,4 @@ std::vector<std::string> RelevanceResult::SourceIds() const {
   return result;
 }
 
-RelevanceCache::RelevanceCache() {
-  MetricRegistry& registry = MetricRegistry::Default();
-  const char* help =
-      "Relevance-result cache probes by outcome (hit, miss, inadmissible).";
-  hits_total_ = registry.GetCounter("trac_relevance_cache_total", help,
-                                    {{"outcome", "hit"}});
-  misses_total_ = registry.GetCounter("trac_relevance_cache_total", help,
-                                      {{"outcome", "miss"}});
-  inadmissible_total_ = registry.GetCounter("trac_relevance_cache_total", help,
-                                            {{"outcome", "inadmissible"}});
-  invalidations_total_ = registry.GetCounter(
-      "trac_relevance_cache_invalidations_total",
-      "Cached relevance entries evicted because a footprint table mutated "
-      "or the catalog epoch moved.",
-      {});
-}
-
-RelevanceCache::Probe RelevanceCache::MakeProbe(
-    const Database& db, const CacheAdmissibility& admissibility) {
-  Probe probe;
-  probe.admissible = admissibility.admissible;
-  probe.fingerprint = admissibility.fingerprint;
-  probe.cache_key = admissibility.cache_key;
-  probe.tables = admissibility.deps.tables;
-  probe.catalog_epoch = db.catalog().epoch();
-  return probe;
-}
-
-bool RelevanceCache::ValidAt(const Database& db, const Entry& entry,
-                             Snapshot snapshot) {
-  // Schema/index/table churn since the entry was computed voids the plan
-  // wholesale — the same SQL may not even lower to the same IR anymore.
-  if (db.catalog().epoch() != entry.catalog_epoch) return false;
-  // The entry equals recomputation at `snapshot` iff every footprint
-  // table's visible row set is identical at entry.snapshot and at
-  // `snapshot`, which last_mutation_version() <= min of the two versions
-  // certifies (storage/table.h). Comparing against the min also covers
-  // lookups at snapshots *older* than the entry's.
-  const uint64_t horizon = std::min(entry.snapshot.version, snapshot.version);
-  for (const std::string& name : entry.tables) {
-    const Result<TableId> id = db.FindTable(name);
-    if (!id.ok()) return false;
-    const Table* table = db.GetTable(*id);
-    if (table == nullptr || table->last_mutation_version() > horizon) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::optional<std::vector<SourceRecency>> RelevanceCache::Lookup(
-    const Database& db, const Probe& probe, Snapshot snapshot) {
-  if (!probe.admissible) {
-    MutexLock lock(&mu_);
-    ++stats_.lookups;
-    ++stats_.inadmissible;
-    inadmissible_total_->Increment();
-    return std::nullopt;
-  }
-  // Copy the candidate out under the lock, validate against catalog and
-  // table state outside it (mu_ is a leaf; see lock_rank::kRelevanceCache).
-  std::optional<Entry> candidate;
-  {
-    MutexLock lock(&mu_);
-    ++stats_.lookups;
-    auto it = entries_.find(probe.fingerprint);
-    if (it != entries_.end() && it->second.cache_key == probe.cache_key) {
-      candidate = it->second;
-    }
-  }
-  if (candidate.has_value() && ValidAt(db, *candidate, snapshot)) {
-    MutexLock lock(&mu_);
-    ++stats_.hits;
-    hits_total_->Increment();
-    return std::move(candidate->sources);
-  }
-  const bool stale = candidate.has_value();
-  MutexLock lock(&mu_);
-  if (stale) {
-    // Evict only if the slot still holds the entry we judged stale — a
-    // concurrent Insert may have refreshed it meanwhile.
-    auto it = entries_.find(probe.fingerprint);
-    if (it != entries_.end() && it->second.cache_key == candidate->cache_key &&
-        it->second.snapshot.version == candidate->snapshot.version &&
-        it->second.catalog_epoch == candidate->catalog_epoch) {
-      entries_.erase(it);
-    }
-    ++stats_.invalidations;
-    invalidations_total_->Increment();
-  }
-  ++stats_.misses;
-  misses_total_->Increment();
-  return std::nullopt;
-}
-
-bool RelevanceCache::Insert(const Database& db, const Probe& probe,
-                            Snapshot snapshot,
-                            const std::vector<SourceRecency>& sources) {
-  if (!probe.admissible) return false;
-  // Race guard: the result is trustworthy only if nothing it depends on
-  // moved between the probe (pre-execution) and now. All storage reads
-  // happen before taking mu_.
-  bool safe = db.catalog().epoch() == probe.catalog_epoch;
-  for (const std::string& name : probe.tables) {
-    if (!safe) break;
-    const Result<TableId> id = db.FindTable(name);
-    const Table* table = id.ok() ? db.GetTable(*id) : nullptr;
-    safe = table != nullptr &&
-           table->last_mutation_version() <= snapshot.version;
-  }
-  MutexLock lock(&mu_);
-  if (!safe) {
-    ++stats_.insert_discards;
-    return false;
-  }
-  Entry& slot = entries_[probe.fingerprint];
-  if (!slot.cache_key.empty() && slot.cache_key != probe.cache_key) {
-    // True 64-bit fingerprint collision: keep the incumbent (first wins;
-    // the colliding plan simply never caches).
-    ++stats_.insert_discards;
-    return false;
-  }
-  if (!slot.cache_key.empty() && slot.snapshot.version > snapshot.version) {
-    // A fresher result already landed; keep it.
-    ++stats_.insert_discards;
-    return false;
-  }
-  slot.cache_key = probe.cache_key;
-  slot.tables = probe.tables;
-  slot.catalog_epoch = probe.catalog_epoch;
-  slot.snapshot = snapshot;
-  slot.sources = sources;
-  ++stats_.inserts;
-  stats_.entries = entries_.size();
-  return true;
-}
-
-void RelevanceCache::Clear() {
-  MutexLock lock(&mu_);
-  entries_.clear();
-  stats_.entries = 0;
-}
-
-RelevanceCache::Stats RelevanceCache::stats() const {
-  MutexLock lock(&mu_);
-  Stats out = stats_;
-  out.entries = entries_.size();
-  return out;
-}
-
 }  // namespace trac

@@ -2,27 +2,20 @@
 #define TRAC_CORE_RELEVANCE_H_
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/guarantee.h"
-#include "common/mutex.h"
 #include "common/result.h"
-#include "common/thread_annotations.h"
 #include "core/heartbeat.h"
 #include "expr/bound_expr.h"
 #include "predicate/normalize.h"
 #include "predicate/satisfiability.h"
 #include "storage/database.h"
 #include "telemetry/profile.h"
-#include "verify/admissible.h"
 
 namespace trac {
 
-class Counter;
-class Gauge;
 class ThreadPool;
 struct Telemetry;
 
@@ -207,123 +200,6 @@ struct RelevanceResult {
 /// fallback plan.
 [[nodiscard]] Result<RecencyQueryPlan> GenerateNaivePlan(
     const Database& db, const RelevanceOptions& options = RelevanceOptions());
-
-/// A verified relevance-result cache: maps the cache fingerprint of a
-/// report session's relevance plan (ir/fingerprint.h) to the
-/// SourceRecency vector that plan computed, so repeat traffic skips
-/// ExecuteRecencyQueries entirely. Three proofs make a served entry
-/// byte-identical to recomputation:
-///
-///   1. Admission — only plans the static admissibility analysis
-///      (verify/admissible.h, TRAC-V013..V016) proves to be pure
-///      functions of durable state with a complete footprint may enter.
-///   2. Keying — entries are bucketed by the 64-bit FNV-1a fingerprint
-///      of the canonical cache key and the full key string is compared
-///      on lookup, so even a fingerprint collision cannot alias plans.
-///   3. Invalidation — an entry computed at snapshot S0 is served at
-///      lookup snapshot S only if the catalog epoch is unchanged (no
-///      schema/index/table churn) and every table in its footprint
-///      still exists with last_mutation_version() <= min(S0, S): any
-///      commit in between (heartbeat arrivals included — the registry
-///      table is in every staleness-sensitive footprint by TRAC-V015)
-///      marks its table and evicts the entry on the next probe.
-///
-/// Thread safe. The internal mutex is a leaf (lock_rank::kRelevanceCache):
-/// Lookup/Insert resolve catalog epochs and table mutation versions
-/// *before* acquiring it, so it never nests inside storage locks.
-///
-/// Accounting invariant (relied on by the concurrency stress test):
-/// every Lookup resolves to exactly one of hit / miss / inadmissible,
-/// so stats().hits + misses + inadmissible == stats().lookups. A lookup
-/// that evicts a stale entry counts one invalidation *and* one miss.
-class RelevanceCache {
- public:
-  /// Everything the cache needs from one report session, captured at
-  /// verify time (before execution). Built by MakeProbe from the
-  /// admissibility verdict of the session's relevance plan.
-  struct Probe {
-    bool admissible = false;
-    uint64_t fingerprint = 0;
-    /// Canonical cache key; compared byte-for-byte on lookup.
-    std::string cache_key;
-    /// Durable tables of the extracted footprint (absint/deps.h) —
-    /// the entry's invalidation set.
-    std::vector<std::string> tables;
-    /// Catalog epoch observed when the probe was built. Insert discards
-    /// the result if the epoch moved during execution.
-    uint64_t catalog_epoch = 0;
-  };
-
-  /// Exact counters, mirrored (same increments) to the
-  /// `trac_relevance_cache_total{outcome=...}` and
-  /// `trac_relevance_cache_invalidations_total` metrics.
-  struct Stats {
-    uint64_t lookups = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t inadmissible = 0;
-    uint64_t invalidations = 0;
-    uint64_t inserts = 0;
-    /// Inserts discarded by the race guard (epoch moved, table dropped,
-    /// or a commit landed past the probe snapshot during execution).
-    uint64_t insert_discards = 0;
-    size_t entries = 0;
-  };
-
-  RelevanceCache();
-
-  /// Captures a probe from an admissibility verdict: copies the verdict,
-  /// fingerprint, cache key and footprint tables, and stamps the current
-  /// catalog epoch. Call before executing the plan.
-  static Probe MakeProbe(const Database& db,
-                         const CacheAdmissibility& admissibility);
-
-  /// Returns the cached sources for `probe` valid at `snapshot`, or
-  /// nullopt. Counts exactly one of hit / miss / inadmissible; a stale
-  /// entry is evicted and additionally counted as an invalidation.
-  std::optional<std::vector<SourceRecency>> Lookup(const Database& db,
-                                                   const Probe& probe,
-                                                   Snapshot snapshot);
-
-  /// Offers the result computed for `probe` at `snapshot`. Returns true
-  /// if the entry was stored; false when the probe is inadmissible or
-  /// the race guard proves the result may already be stale (catalog
-  /// epoch moved, a footprint table vanished, or a footprint table's
-  /// last mutation postdates `snapshot`).
-  bool Insert(const Database& db, const Probe& probe, Snapshot snapshot,
-              const std::vector<SourceRecency>& sources);
-
-  /// Drops every entry (test hook; counts nothing).
-  void Clear();
-
-  Stats stats() const;
-
- private:
-  struct Entry {
-    std::string cache_key;
-    std::vector<std::string> tables;
-    uint64_t catalog_epoch = 0;
-    /// Snapshot the entry was computed at (the S0 of the validity rule).
-    Snapshot snapshot;
-    std::vector<SourceRecency> sources;
-  };
-
-  /// True iff an entry with this footprint/epoch/S0 is provably valid at
-  /// `snapshot` *now*. Touches catalog and table state — must be called
-  /// with mu_ released (kRelevanceCache ranks above the storage locks).
-  static bool ValidAt(const Database& db, const Entry& entry,
-                      Snapshot snapshot);
-
-  mutable Mutex mu_{lock_rank::kRelevanceCache, "RelevanceCache::mu_"};
-  std::map<uint64_t, Entry> entries_ TRAC_GUARDED_BY(mu_);
-  Stats stats_ TRAC_GUARDED_BY(mu_);
-
-  // Process-wide metric handles (telemetry/metrics.h), resolved once.
-  Counter* hits_total_;
-  Counter* misses_total_;
-  Counter* inadmissible_total_;
-  Counter* invalidations_total_;
-};
 
 }  // namespace trac
 

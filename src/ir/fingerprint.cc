@@ -1,11 +1,5 @@
 #include "ir/fingerprint.h"
 
-#include <algorithm>
-#include <map>
-#include <vector>
-
-#include "ir/normalize.h"
-
 namespace trac {
 
 uint64_t Fnv1a64(std::string_view data) {
@@ -15,86 +9,6 @@ uint64_t Fnv1a64(std::string_view data) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-namespace {
-
-/// Hash-consing key of one node inside an already input-remapped graph:
-/// the structural signature plus the (representative) input ids. Two
-/// nodes with equal keys compute the same output, so one can stand for
-/// both — every IR node is a pure function of its inputs and the
-/// snapshot (which the canonical form has already stripped).
-std::string ConsKey(const IrNode& n) {
-  std::string key = IrNodeSignature(n);
-  key += "#in=";
-  for (size_t i = 0; i < n.inputs.size(); ++i) {
-    if (i != 0) key += ',';
-    key += std::to_string(n.inputs[i]);
-  }
-  return key;
-}
-
-}  // namespace
-
-PlanIr CacheCanonicalIr(const PlanIr& ir) {
-  size_t bad = 0;
-  if (!IrWellFormed(ir, &bad)) return ir;
-
-  PlanIr stripped = ir;
-  for (IrNode& n : stripped.nodes) {
-    n.snapshot = 0;
-    n.has_rows = false;
-    n.rows = 0;
-    n.has_age = false;
-    n.age_lo = 0;
-    n.age_hi = 0;
-    n.has_bound = false;
-    n.notice_bound_micros = 0;
-    // Runtime profile annotations are observations of one execution,
-    // never part of what the plan computes.
-    n.has_actual_rows = false;
-    n.actual_rows = 0;
-    n.has_actual_ns = false;
-    n.actual_ns = 0;
-    // Collapse shard decomposition: a shard scan reads one slice of the
-    // same rows the whole-table scan reads, so after this rewrite the k
-    // shard scans of one table are structurally identical and the
-    // hash-consing below folds them into a single node.
-    n.shard = 0;
-    n.num_shards = 1;
-  }
-
-  std::map<std::string, size_t> repr;
-  std::vector<size_t> remap(stripped.nodes.size(), 0);
-  PlanIr consed;
-  consed.label = stripped.label;
-  for (size_t i = 0; i < stripped.nodes.size(); ++i) {
-    IrNode node = stripped.nodes[i];
-    for (size_t& in : node.inputs) in = remap[in];
-    if (node.kind == IrNodeKind::kMerge && node.set_merge) {
-      // Set-merge semantics: duplicate strands contribute nothing.
-      std::sort(node.inputs.begin(), node.inputs.end());
-      node.inputs.erase(std::unique(node.inputs.begin(), node.inputs.end()),
-                        node.inputs.end());
-    }
-    const std::string key = ConsKey(node);
-    auto it = repr.find(key);
-    if (it != repr.end()) {
-      remap[i] = it->second;
-      continue;
-    }
-    node.id = consed.nodes.size();
-    remap[i] = node.id;
-    repr.emplace(key, node.id);
-    consed.nodes.push_back(std::move(node));
-  }
-  return NormalizeIr(consed);
-}
-
-std::string IrCacheKey(const PlanIr& ir) { return CacheCanonicalIr(ir).Dump(); }
-
-uint64_t IrCacheFingerprint(const PlanIr& ir) {
-  return Fnv1a64(IrCacheKey(ir));
 }
 
 }  // namespace trac

@@ -2,46 +2,17 @@
 #define TRAC_IR_FINGERPRINT_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-
-#include "ir/plan_ir.h"
 
 namespace trac {
 
 /// 64-bit FNV-1a over `data`. The single fingerprint primitive of the
-/// codebase: predicate fingerprints (ir/lower.h) and the relevance-cache
-/// key (below) both go through here, and trac_lint's
-/// fingerprint-confinement rule keeps the constants from leaking into
-/// other layers. 64 bits matter: the classic 32-bit FNV-1a collision
-/// pairs ("costarring"/"liquid") separate at this width, and the cache
-/// additionally compares canonical dumps so even a 64-bit collision
-/// cannot alias two plans.
+/// codebase: the predicate fingerprints (pred= in ir/lower.h) go through
+/// here, and trac_lint's fingerprint-confinement rule keeps the
+/// constants from leaking into other layers. 64 bits matter: the classic
+/// 32-bit FNV-1a collision pairs ("costarring"/"liquid") separate at
+/// this width.
 uint64_t Fnv1a64(std::string_view data);
-
-/// The cache-canonical form of a plan IR: the quotient of NormalizeIr
-/// under everything the cached *result* does not depend on —
-///   - volatile annotations are stripped (snapshot epoch, row-count and
-///     age hints, the NOTICE bound): the cache re-validates recency via
-///     its footprint, not via numbers frozen into the key;
-///   - shard decomposition is collapsed (every scan becomes shard 0/1
-///     and structurally identical nodes are hash-consed together, set-
-///     merge inputs deduplicated), so the parallelism-1 and
-///     parallelism-4 lowerings of one plan canonicalize identically —
-///     sound because a set merge deduplicates and shard ranges cover
-///     [0, n) disjointly;
-///   - the result is re-normalized (ir/normalize.h).
-/// Malformed IRs are returned unmodified, like NormalizeIr.
-PlanIr CacheCanonicalIr(const PlanIr& ir);
-
-/// Dump of the cache-canonical form: the full (collision-proof) cache
-/// key. Entries store this string and compare it on lookup.
-std::string IrCacheKey(const PlanIr& ir);
-
-/// Fnv1a64(IrCacheKey(ir)) — the hash the cache buckets by and the
-/// stability witness TRAC-V016 re-derives across Dump/Parse and across
-/// parallelism levels.
-uint64_t IrCacheFingerprint(const PlanIr& ir);
 
 }  // namespace trac
 

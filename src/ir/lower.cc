@@ -284,14 +284,12 @@ size_t LowerQueryInto(PlanIr* ir, const Database& db, const BoundQuery& query,
 }
 
 /// Lowers every recency part of `input` plus their deterministic rejoin
-/// into `ir` and returns the merge's node id. Shared by the session
-/// lowering and by LowerRelevancePlan, so the cacheable relevance
-/// subgraph is *by construction* the same shape the session executes.
+/// into `ir` and returns the merge's node id. `layout`, when non-null,
+/// receives the parts' node-id extents and the merge id.
 size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
                               const ReportSessionInput& input,
                               const LowerOptions& options,
-                              const AgeRange& age,
-                              SessionLayout* layout = nullptr) {
+                              const AgeRange& age, SessionLayout* layout) {
   // Every recency part: sharded heartbeat scans, or the part's plan
   // subgraph, gated by its guard subgraphs.
   std::vector<size_t> part_tops;
@@ -447,15 +445,6 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
     report.notice_bound_micros = age.hi - age.lo;
   }
   if (layout != nullptr) layout->report_id = report.id;
-  return ir;
-}
-
-PlanIr LowerRelevancePlan(const Database& db, const ReportSessionInput& input,
-                          const LowerOptions& options) {
-  PlanIr ir;
-  ir.label = "relevance";
-  const AgeRange age = HeartbeatAgeRange(db, input.snapshot, options);
-  LowerPartsAndMergeInto(&ir, db, input, options, age);
   return ir;
 }
 

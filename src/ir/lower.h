@@ -95,19 +95,6 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
                           const LowerOptions& options = LowerOptions(),
                           SessionLayout* layout = nullptr);
 
-/// Lowers only the cacheable unit of a report session: the recency
-/// parts and their deterministic set merge (label "relevance"). The
-/// user query, temp-table writes, and report node are deliberately
-/// excluded — temp writes are session-local side effects no admissible
-/// cached plan may contain (TRAC-V013), and the user query varies per
-/// report while the relevance answer does not. Built from the same
-/// part-lowering code as LowerReportSession, so the fingerprint the
-/// relevance cache keys on (ir/fingerprint.h) describes exactly the
-/// subgraph the session executes. `user_query`/`user_plan`/
-/// `temp_writes`/`session` of `input` are ignored.
-PlanIr LowerRelevancePlan(const Database& db, const ReportSessionInput& input,
-                          const LowerOptions& options = LowerOptions());
-
 }  // namespace trac
 
 #endif  // TRAC_IR_LOWER_H_

@@ -69,9 +69,6 @@ std::string IrNodeSignature(const IrNode& n) {
   std::vector<std::string> srcs = n.declared_sources;
   std::sort(srcs.begin(), srcs.end());
   for (const std::string& src : srcs) s += "|src=" + src;
-  std::vector<std::string> deps = n.cache_deps;
-  std::sort(deps.begin(), deps.end());
-  for (const std::string& dep : deps) s += "|deps=" + dep;
   if (n.has_bound) s += "|bound=" + std::to_string(n.notice_bound_micros);
   if (n.generated) s += "|gen";
   for (const IrColumn& c : n.columns) {
@@ -143,10 +140,6 @@ PlanIr NormalizeIr(const PlanIr& ir, std::vector<size_t>* original_id) {
         std::unique(node.declared_sources.begin(),
                     node.declared_sources.end()),
         node.declared_sources.end());
-    std::sort(node.cache_deps.begin(), node.cache_deps.end());
-    node.cache_deps.erase(
-        std::unique(node.cache_deps.begin(), node.cache_deps.end()),
-        node.cache_deps.end());
     out.nodes.push_back(std::move(node));
     (*original_id)[k] = order[k];
   }

@@ -9,9 +9,8 @@
 namespace trac {
 
 /// Canonicalization of the plan IR, below the verifier in the layer
-/// stack so both the equivalence checker (verify/equiv.h) and the
-/// cache fingerprint (ir/fingerprint.h) can consume it without a
-/// dependency edge back up.
+/// stack so the equivalence checker (verify/equiv.h) and trac_verify
+/// --equiv can consume it without a dependency edge back up.
 
 /// Dense ids and strictly-backward input edges — the property TRAC-V000
 /// enforces and every canonicalization here relies on (node order is
@@ -22,8 +21,7 @@ bool IrWellFormed(const PlanIr& ir, size_t* bad_node);
 /// Structural signature of one node: every semantic attribute except
 /// the id and the input edge targets (the topology itself already
 /// constrains those). Used as the deterministic tie-break between
-/// simultaneously-ready nodes during normalization and as the
-/// hash-consing key of the cache-canonical form (ir/fingerprint.h).
+/// simultaneously-ready nodes during normalization.
 std::string IrNodeSignature(const IrNode& n);
 
 /// Canonicalizes an IR without changing its meaning:

@@ -167,13 +167,6 @@ std::string PlanIr::Dump() const {
         out += n.declared_sources[i];
       }
     }
-    if (!n.cache_deps.empty()) {
-      out += " deps=";
-      for (size_t i = 0; i < n.cache_deps.size(); ++i) {
-        if (i != 0) out += ',';
-        out += n.cache_deps[i];
-      }
-    }
     if (n.set_merge) out += " set";
     if (n.sorted) out += " sorted";
     if (n.session != 0) out += " session=" + std::to_string(n.session);
@@ -346,11 +339,6 @@ std::string PlanIr::Dump() const {
         for (std::string& piece : SplitOn(value, ',')) {
           if (piece.empty()) return err("want src=<table>,...");
           node.declared_sources.push_back(std::move(piece));
-        }
-      } else if (key == "deps") {
-        for (std::string& piece : SplitOn(value, ',')) {
-          if (piece.empty()) return err("want deps=<structure>,...");
-          node.cache_deps.push_back(std::move(piece));
         }
       } else if (key == "bound") {
         TRAC_ASSIGN_OR_RETURN(uint64_t bound, parse_u64("bound", value));

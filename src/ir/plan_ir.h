@@ -129,15 +129,6 @@ struct IrNode {
   /// provenance against this set (TRAC-V008); empty = undeclared.
   std::vector<std::string> declared_sources;
 
-  /// Declared cache-dependency footprint of this node: the tables,
-  /// indexes ("index:<table>.<column>") and registry structures whose
-  /// state the node's output depends on, as asserted by the producer of
-  /// the plan. The cache-admissibility pass checks the assertion against
-  /// the footprint the dependency domain extracts (TRAC-V014): a touched
-  /// structure missing from a non-empty declaration makes the plan
-  /// inadmissible. Empty = undeclared (extraction alone governs).
-  std::vector<std::string> cache_deps;
-
   /// kReport: the bound-of-inconsistency width (microseconds) the
   /// guarantee NOTICE promises. The static staleness interval reaching
   /// the report must fit inside it (TRAC-V005); absent = no promise.
@@ -152,8 +143,8 @@ struct IrNode {
   /// Runtime profile annotations (telemetry/profile.h): rows this node
   /// actually produced and busy time actually attributed to it, written
   /// back onto the session IR after execution. Absent on nodes that did
-  /// not execute (cache-served parts, guard-suppressed parts) — the
-  /// drift pass (TRAC-P001/P002) only judges annotated nodes.
+  /// not execute (guard-suppressed parts) — the drift pass
+  /// (TRAC-P001/P002) only judges annotated nodes.
   bool has_actual_rows = false;
   uint64_t actual_rows = 0;
   bool has_actual_ns = false;

@@ -66,7 +66,6 @@ Status Database::Insert(std::string_view table, Row row) {
   const uint64_t commit =
       version_counter_.load(std::memory_order_relaxed) + 1;
   t->AppendVersion(std::move(row), commit);
-  t->MarkMutated(commit);
   version_counter_.store(commit, std::memory_order_release);
   metric_commits_->Increment();
   metric_row_versions_->Increment();
@@ -88,7 +87,6 @@ Status Database::InsertMany(TableId table, std::vector<Row> rows) {
   for (Row& row : rows) {
     t->AppendVersion(std::move(row), commit);
   }
-  if (!rows.empty()) t->MarkMutated(commit);
   version_counter_.store(commit, std::memory_order_release);
   metric_commits_->Increment();
   metric_row_versions_->Add(static_cast<int64_t>(rows.size()));
@@ -119,7 +117,6 @@ Result<int> Database::UpdateWhere(std::string_view table,
     t->CloseVersion(vidx, commit);
     t->AppendVersion(std::move(updated), commit);
   }
-  if (!matches.empty()) t->MarkMutated(commit);
   version_counter_.store(commit, std::memory_order_release);
   metric_commits_->Increment();
   metric_row_versions_->Add(static_cast<int64_t>(matches.size()));
@@ -142,7 +139,6 @@ Result<int> Database::DeleteWhere(
       ++deleted;
     }
   });
-  if (deleted > 0) t->MarkMutated(commit);
   version_counter_.store(commit, std::memory_order_release);
   metric_commits_->Increment();
   metric_snapshot_epoch_->Set(static_cast<int64_t>(commit));
@@ -158,11 +154,7 @@ Status Database::CreateIndex(std::string_view table, std::string_view column) {
     return Status::NotFound("no column '" + std::string(column) +
                             "' in table '" + std::string(table) + "'");
   }
-  const Status status = t->CreateIndex(*col);
-  // An index changes the structures plans are admitted against, so it
-  // participates in the catalog epoch the relevance cache watches.
-  if (status.ok()) catalog_.BumpEpoch();
-  return status;
+  return t->CreateIndex(*col);
 }
 
 }  // namespace trac

@@ -109,24 +109,6 @@ class Table {
     Locate(vidx)->end.store(end_version, std::memory_order_release);
   }
 
-  /// Records that commit `commit_version` mutated this table (appends
-  /// AND closes — deletes close versions without appending, so
-  /// num_versions() alone cannot witness them). Writer-only (Database
-  /// mutex); the Database calls it once per mutating commit.
-  void MarkMutated(uint64_t commit_version) {
-    last_mutation_version_.store(commit_version, std::memory_order_release);
-  }
-
-  /// Commit version of the last mutation that touched this table (0 =
-  /// never mutated) — the table's data epoch. For snapshots s1 <= s2, if
-  /// last_mutation_version() <= s1 then the visible row set at s1 and s2
-  /// is identical: every version's begin/end is a commit that marked the
-  /// table, so none lies in (s1, s2]. The relevance cache's per-table
-  /// invalidation check (core/relevance.h) relies on exactly this.
-  uint64_t last_mutation_version() const {
-    return last_mutation_version_.load(std::memory_order_acquire);
-  }
-
   /// Calls fn(version_index, row) for every version visible in `snap`.
   template <typename Fn>
   void Scan(Snapshot snap, Fn fn) const {
@@ -202,9 +184,6 @@ class Table {
   /// Count of fully constructed versions (readers' bound), release-
   /// published by the single writer after each append.
   std::atomic<size_t> published_size_{0};
-  /// Commit version of the last mutation (append or close) that touched
-  /// this table; see MarkMutated / last_mutation_version().
-  std::atomic<uint64_t> last_mutation_version_{0};
   /// Writer-private mirror of published_size_ (avoids reloading).
   /// Accessed only under the Database write mutex, which the analysis
   /// cannot see from here; the single-writer contract covers it.

@@ -98,7 +98,6 @@ struct SessionProfile {
   bool ran_user = false;
   /// One entry per relevance execution task, in task-list order (which
   /// is plan-part order, shards in ascending version-range order).
-  /// Empty when the relevance answer was served from cache.
   std::vector<TaskProfile> tasks;
   uint64_t premerge_rows = 0;   ///< Task rows entering the set merge.
   uint64_t merged_rows = 0;     ///< Distinct sources after the merge.
@@ -111,10 +110,10 @@ struct SessionProfile {
 /// Writes `profile` back onto `ir` as actual_rows=/actual_ns= node
 /// annotations, using the subgraph extents `layout` recorded when the
 /// session was lowered. Only nodes that demonstrably executed are
-/// annotated: a cache-served relevance side, a guard-suppressed part
-/// main, or a subgraph whose recorded shape no longer matches the
-/// profile is silently left bare (the drift pass judges only annotated
-/// nodes). Returns the number of nodes annotated.
+/// annotated: a guard-suppressed part main, or a subgraph whose recorded
+/// shape no longer matches the profile, is silently left bare (the drift
+/// pass judges only annotated nodes). Returns the number of nodes
+/// annotated.
 size_t AttachSessionProfile(PlanIr* ir, const SessionLayout& layout,
                             const SessionProfile& profile);
 

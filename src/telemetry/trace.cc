@@ -129,11 +129,13 @@ TraceSpan& TraceSpan::operator=(TraceSpan&& other) noexcept {
   return *this;
 }
 
-void TraceSpan::End() {
-  if (tracer_ == nullptr) return;
+int64_t TraceSpan::End() {
+  if (tracer_ == nullptr) return 0;
   record_.end_micros = clock_();
+  const int64_t duration = record_.end_micros - record_.start_micros;
   tracer_->Record(std::move(record_));
   tracer_ = nullptr;
+  return duration;
 }
 
 }  // namespace trac

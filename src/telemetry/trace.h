@@ -90,8 +90,9 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan() { End(); }
 
-  /// Finishes the span and records it. Idempotent.
-  void End();
+  /// Finishes the span, records it and returns its duration in
+  /// microseconds. Idempotent: later calls (and inert spans) return 0.
+  int64_t End();
 
   [[nodiscard]] uint64_t id() const { return record_.span_id; }
   [[nodiscard]] uint64_t trace_id() const { return record_.trace_id; }

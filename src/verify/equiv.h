@@ -19,9 +19,9 @@ namespace trac {
 /// rewrite provably preserves the recency-reporting contract; a finding
 /// means the rewrite must be discarded, never that planning fails.
 ///
-/// NormalizeIr, the canonicalization both this checker and the cache
-/// fingerprint build on, lives in ir/normalize.h (re-exported via the
-/// include above so existing callers keep compiling).
+/// NormalizeIr, the canonicalization this checker builds on, lives in
+/// ir/normalize.h (re-exported via the include above so existing callers
+/// keep compiling).
 
 /// Discharges the four equivalence obligations over a (before, after)
 /// rewrite witness. Diagnostics are anchored at nodes of `after` (the

@@ -362,14 +362,6 @@ std::string_view VerifyCodeId(VerifyCode code) {
       return "TRAC-V011";
     case VerifyCode::kStalenessBoundWeakened:
       return "TRAC-V012";
-    case VerifyCode::kCacheInadmissibleNode:
-      return "TRAC-V013";
-    case VerifyCode::kCacheDepsIncomplete:
-      return "TRAC-V014";
-    case VerifyCode::kCacheRegistryEpochMissing:
-      return "TRAC-V015";
-    case VerifyCode::kCacheFingerprintUnstable:
-      return "TRAC-V016";
   }
   return "TRAC-V???";
 }

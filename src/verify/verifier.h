@@ -72,32 +72,7 @@ namespace trac {
 ///              plan promises less recency than the original (larger
 ///              report bound, dropped promise, or wider staleness hull).
 ///
-/// Rules V013..V016 are the cache-admissibility family (verify/
-/// admissible.h): the proof obligations a plan must discharge before
-/// its result may enter the relevance cache (core/relevance.h). They
-/// never fire from the single-IR execution gate; AnalyzeCacheAdmissibility
-/// runs them over the candidate plan plus its extracted dependency
-/// footprint (absint/deps.h):
-///
-///   TRAC-V013  inadmissible node: the plan contains a non-deterministic
-///              rejoin (a multi-input merge that is neither set nor
-///              sorted) or session-escaping state (a temp-table write,
-///              a temp-table scan, or any session-owned node) — its
-///              result is not a pure function of durable state.
-///   TRAC-V014  dependency set incomplete: a scan, filter, join, or
-///              write touches a table or data source absent from the
-///              plan's declared dependency set (`deps=`), so footprint-
-///              based invalidation would miss real changes.
-///   TRAC-V015  registry epoch missing: a staleness-sensitive plan
-///              (age-annotated reads) whose footprint does not include
-///              the source-registry table — cached recency answers
-///              could never be invalidated by new heartbeats.
-///   TRAC-V016  fingerprint unstable: the normalized-IR cache
-///              fingerprint (ir/fingerprint.h) changes across a
-///              Dump/Parse round trip, or the plan's shard groups are
-///              incoherent (shards of one scan that cannot collapse to
-///              the parallelism-1 form), so parallelism 1 and 4 would
-///              key different entries for one plan.
+/// TRAC-V013..V016 are retired and never reused.
 enum class VerifyCode {
   kMalformedGraph = 0,     ///< TRAC-V000
   kSnapshotMismatch,       ///< TRAC-V001
@@ -113,10 +88,6 @@ enum class VerifyCode {
   kProvenanceNotPreserved,    ///< TRAC-V010 (equivalence witness)
   kSnapshotContractChanged,   ///< TRAC-V011 (equivalence witness)
   kStalenessBoundWeakened,    ///< TRAC-V012 (equivalence witness)
-  kCacheInadmissibleNode,     ///< TRAC-V013 (cache admissibility)
-  kCacheDepsIncomplete,       ///< TRAC-V014 (cache admissibility)
-  kCacheRegistryEpochMissing, ///< TRAC-V015 (cache admissibility)
-  kCacheFingerprintUnstable,  ///< TRAC-V016 (cache admissibility)
 };
 
 /// Stable identifier, e.g. "TRAC-V001".

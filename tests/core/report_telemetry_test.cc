@@ -86,6 +86,8 @@ TEST_F(ReportTelemetryTest, SpanTreeIsCompleteAndNested) {
     EXPECT_LE(s->end_micros, root->end_micros) << phase;
     EXPECT_LE(s->start_micros, s->end_micros) << phase;
   }
+  const SpanRecord* verify = by_name["verify"];
+  EXPECT_EQ(report.verify_micros, verify->end_micros - verify->start_micros);
 
   // Every relevance task hangs off the relevance span and nests in it.
   const SpanRecord* relevance = by_name["relevance"];
@@ -133,12 +135,16 @@ TEST_F(ReportTelemetryTest, TaskSpansSumToBusyTime) {
 TEST_F(ReportTelemetryTest, PhaseHistogramsAndCountersPopulate) {
   RecencyReport report = RunReport(/*parallelism=*/1);
   for (const char* phase :
-       {"parse_generate", "user_query", "relevance", "stats"}) {
+       {"parse_generate", "verify", "user_query", "relevance", "stats"}) {
     Histogram* h = metrics_.GetHistogram(
         "trac_report_phase_micros", "Wall time of one recency-report phase",
         {{"phase", phase}});
     EXPECT_EQ(h->Count(), 1) << phase;
   }
+  Histogram* verify_phase = metrics_.GetHistogram(
+      "trac_report_phase_micros", "Wall time of one recency-report phase",
+      {{"phase", "verify"}});
+  EXPECT_EQ(verify_phase->Sum(), report.verify_micros);
   Histogram* relevance_phase = metrics_.GetHistogram(
       "trac_report_phase_micros", "Wall time of one recency-report phase",
       {{"phase", "relevance"}});

@@ -1,17 +1,9 @@
 // Tests for the centralized fingerprint primitive (ir/fingerprint.h):
-// the 64-bit FNV-1a hash, the cache-canonical IR quotient, and the
-// stability properties the relevance cache stakes correctness on —
-// idempotence, Dump/Parse invariance, and shard-decomposition collapse
-// (the parallelism-1 and parallelism-N lowerings of one plan must key
-// the same cache entry).
-
-#include <set>
-#include <string>
+// the 64-bit FNV-1a hash behind the plan IR's pred= fingerprints.
 
 #include <gtest/gtest.h>
 
 #include "ir/fingerprint.h"
-#include "ir/plan_ir.h"
 
 namespace trac {
 namespace {
@@ -26,82 +18,12 @@ TEST(Fnv1a64Test, MatchesPublishedVectors) {
 
 TEST(Fnv1a64Test, ClassicThirtyTwoBitCollisionsSeparate) {
   // "costarring"/"liquid" and "declinate"/"macallums" are the classic
-  // 32-bit FNV-1a collision pairs. The cache buckets by the 64-bit
+  // 32-bit FNV-1a collision pairs. Predicate fingerprints use the 64-bit
   // variant precisely so that these separate; this is the regression
   // test pinning that width.
   EXPECT_NE(Fnv1a64("costarring"), Fnv1a64("liquid"));
   EXPECT_NE(Fnv1a64("declinate"), Fnv1a64("macallums"));
   EXPECT_NE(Fnv1a64("altarage"), Fnv1a64("zinke"));
-}
-
-PlanIr MustParse(const std::string& text) {
-  auto ir = ParsePlanIr(text);
-  EXPECT_TRUE(ir.ok()) << ir.status().ToString();
-  return ir.ok() ? *ir : PlanIr{};
-}
-
-// The serial lowering of a heartbeat relevance scan...
-constexpr char kSerialPlan[] =
-    "ir relevance\n"
-    "node 0 scan table=heartbeat snap=7 rows=128 "
-    "cols=h.source_id:d,h.recency_timestamp:r\n"
-    "node 1 merge in=0 set sorted gen cols=source_id:d\n";
-
-// ...and the same plan at parallelism 2: the scan decomposed into two
-// version-range shards rejoined by the deduplicating set merge.
-constexpr char kShardedPlan[] =
-    "ir relevance\n"
-    "node 0 scan table=heartbeat snap=7 rows=64 shard=0/2 "
-    "cols=h.source_id:d,h.recency_timestamp:r\n"
-    "node 1 scan table=heartbeat snap=7 rows=64 shard=1/2 "
-    "cols=h.source_id:d,h.recency_timestamp:r\n"
-    "node 2 merge in=0,1 set sorted gen cols=source_id:d\n";
-
-TEST(CacheCanonicalIrTest, Idempotent) {
-  const PlanIr ir = MustParse(kShardedPlan);
-  const PlanIr once = CacheCanonicalIr(ir);
-  EXPECT_EQ(CacheCanonicalIr(once).Dump(), once.Dump());
-}
-
-TEST(CacheCanonicalIrTest, CollapsesShardDecomposition) {
-  const PlanIr serial = MustParse(kSerialPlan);
-  const PlanIr sharded = MustParse(kShardedPlan);
-  EXPECT_EQ(IrCacheKey(serial), IrCacheKey(sharded));
-  EXPECT_EQ(IrCacheFingerprint(serial), IrCacheFingerprint(sharded));
-}
-
-TEST(CacheCanonicalIrTest, StripsVolatileAnnotations) {
-  // Different snapshot epoch and row-count hints: the cached *result*
-  // does not depend on either (the footprint re-validates recency), so
-  // the key must not change.
-  PlanIr a = MustParse(kSerialPlan);
-  PlanIr b = MustParse(kSerialPlan);
-  b.nodes[0].snapshot = 99;
-  b.nodes[0].rows = 5;
-  EXPECT_EQ(IrCacheKey(a), IrCacheKey(b));
-}
-
-TEST(CacheCanonicalIrTest, DistinctPlansKeyDistinctEntries) {
-  const PlanIr heartbeat = MustParse(kSerialPlan);
-  const PlanIr other = MustParse(
-      "ir relevance\n"
-      "node 0 scan table=activity snap=7 cols=a.mach_id:d\n"
-      "node 1 merge in=0 set sorted gen cols=mach_id:d\n");
-  EXPECT_NE(IrCacheKey(heartbeat), IrCacheKey(other));
-  EXPECT_NE(IrCacheFingerprint(heartbeat), IrCacheFingerprint(other));
-}
-
-TEST(IrCacheFingerprintTest, StableAcrossDumpParse) {
-  for (const char* text : {kSerialPlan, kShardedPlan}) {
-    const PlanIr ir = MustParse(text);
-    const PlanIr reparsed = MustParse(ir.Dump());
-    EXPECT_EQ(IrCacheFingerprint(ir), IrCacheFingerprint(reparsed)) << text;
-  }
-}
-
-TEST(IrCacheFingerprintTest, IsFnvOfCacheKey) {
-  const PlanIr ir = MustParse(kSerialPlan);
-  EXPECT_EQ(IrCacheFingerprint(ir), Fnv1a64(IrCacheKey(ir)));
 }
 
 }  // namespace

@@ -146,6 +146,8 @@ TEST(PlanIrTest, ParseErrorsAreLineAnchored) {
        "line 2: fns: bad provenance class 'x'"},
       {"node id not a number", "ir x\nnode zero scan\n",
        "line 2: node id: bad number 'zero'"},
+      {"retired deps attribute", "ir x\nnode 0 scan deps=heartbeat\n",
+       "line 2: unknown attribute 'deps'"},
       {"anchor survives comments",
        "# leading commentary\n\nir x\n# more\nnode 0 scan rows=?\n",
        "line 5: rows: bad number '?'"},

@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "expr/binder.h"
 #include "ir/plan_ir.h"
 #include "telemetry/profile.h"
 
@@ -497,72 +496,6 @@ OracleOutcome CheckProfileSoundness(const RecencyReport& report) {
   for (const ProfileDiagnostic& d : report.profile_drift) {
     if (d.code == ProfileCode::kActualOutsideStaticBounds) {
       Violation(&out, "report carries a TRAC-P001 finding: " + d.Format());
-    }
-  }
-  return out;
-}
-
-OracleOutcome CheckCacheCoherence(const Database& db,
-                                  const std::string& user_sql,
-                                  const RecencyReport& report,
-                                  const RecencyReportOptions& options) {
-  OracleOutcome out;
-  if (!report.relevance_from_cache) {
-    ++out.exemptions;  // Nothing was served; the executed path is truth.
-    return out;
-  }
-  if (options.method == RecencyMethod::kFocusedHardcoded) {
-    ++out.exemptions;  // The hardcoded plan is not reconstructible here.
-    return out;
-  }
-  Result<BoundQuery> bound = BindSql(db, user_sql);
-  if (!bound.ok()) {
-    Violation(&out, "cache coherence: rebinding the user SQL failed: " +
-                        bound.status().ToString());
-    return out;
-  }
-  // Cold reference: regenerate and execute serially at the report's own
-  // snapshot, with no telemetry and no cache in the loop.
-  RelevanceOptions cold = options.relevance;
-  cold.telemetry = nullptr;
-  cold.trace_id = 0;
-  cold.parent_span_id = 0;
-  cold.parallelism = 1;
-  cold.pool = nullptr;
-  Result<RecencyQueryPlan> plan = options.method == RecencyMethod::kNaive
-                                      ? GenerateNaivePlan(db, cold)
-                                      : GenerateRecencyQueries(db, *bound,
-                                                               cold);
-  if (!plan.ok()) {
-    Violation(&out, "cache coherence: regenerating the recency plan "
-                    "failed: " + plan.status().ToString());
-    return out;
-  }
-  Result<std::vector<SourceRecency>> cold_sources =
-      ExecuteRecencyQueries(db, *plan, report.snapshot, cold);
-  if (!cold_sources.ok()) {
-    Violation(&out, "cache coherence: cold recomputation failed: " +
-                        cold_sources.status().ToString());
-    return out;
-  }
-  const std::vector<SourceRecency>& served = report.relevance.sources;
-  ++out.checks;
-  if (served.size() != cold_sources->size()) {
-    Violation(&out, "cache coherence: served " +
-                        std::to_string(served.size()) +
-                        " sources but cold recomputation at the same "
-                        "snapshot yields " +
-                        std::to_string(cold_sources->size()));
-    return out;
-  }
-  for (size_t i = 0; i < served.size(); ++i) {
-    ++out.checks;
-    if (!(served[i] == (*cold_sources)[i])) {
-      Violation(&out, "cache coherence: source " + std::to_string(i) +
-                          " diverges: served " + served[i].source + "@" +
-                          FmtTs(served[i].recency) + " vs recomputed " +
-                          (*cold_sources)[i].source + "@" +
-                          FmtTs((*cold_sources)[i].recency));
     }
   }
   return out;

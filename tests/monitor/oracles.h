@@ -93,22 +93,6 @@ OracleOutcome CheckStaticBounds(const RecencyReport& report);
 /// allowed. Unprofiled reports are counted exempt.
 OracleOutcome CheckProfileSoundness(const RecencyReport& report);
 
-/// Oracle — cache coherence. A report whose relevance result was served
-/// from the RelevanceCache (report.relevance_from_cache) must be
-/// byte-identical to a cold recomputation of the same user SQL at the
-/// same snapshot: the cache's admission/keying/invalidation proofs
-/// guarantee a served vector is exactly what execution would have
-/// produced. The oracle regenerates the plan per `options.method`
-/// (kFocusedHardcoded is exempt — the hardcoded plan is not
-/// reconstructible from the SQL), executes it serially at
-/// report.snapshot, and compares element-wise. Reports that executed
-/// their recency queries (miss, or no cache wired) are counted exempt —
-/// the executed path *is* the truth there.
-OracleOutcome CheckCacheCoherence(const Database& db,
-                                  const std::string& user_sql,
-                                  const RecencyReport& report,
-                                  const RecencyReportOptions& options);
-
 /// Composite: oracles 1-3 plus the static-bounds and profile-soundness
 /// oracles for one report (`true_sources` as in CheckGuarantee).
 OracleOutcome CheckReport(const ScenarioRunner& runner,

@@ -79,12 +79,6 @@ RunResult RunScenario(const ScenarioScript& script) {
   }
   std::unique_ptr<ScenarioRunner> runner = std::move(*created);
 
-  // One relevance cache shared by every checkpoint report: heartbeat
-  // traffic between checkpoints invalidates entries, idle stretches
-  // produce genuine hits, and every cache-served report is re-proven
-  // byte-identical to a cold recomputation by the coherence oracle.
-  RelevanceCache cache;
-
   // Checkpoint cadence: every ~5 steps plus the final step, alternating
   // the focused and naive methods, with parallelism toggling so the TSan
   // run exercises the pool path. The clock for spans is the sim clock.
@@ -110,7 +104,6 @@ RunResult RunScenario(const ScenarioScript& script) {
     report_options.create_temp_tables = false;
     report_options.telemetry = &telemetry;
     report_options.relevance.parallelism = (checkpoint % 2) + 1;
-    report_options.cache = &cache;
     RecencyReporter reporter(runner->db(), nullptr);
     auto report = reporter.Run(runner->FocusedSql(), report_options);
     if (!report.ok()) {
@@ -121,8 +114,6 @@ RunResult RunScenario(const ScenarioScript& script) {
     result.outcome.Merge(
         oracle::CheckReport(*runner, *report, runner->focused_ids()));
     result.outcome.Merge(oracle::CheckTrace(tracer, *report));
-    result.outcome.Merge(oracle::CheckCacheCoherence(
-        *runner->db(), runner->FocusedSql(), *report, report_options));
     if (!result.outcome.ok()) return result;  // Shrinker takes over.
 
     // Every third checkpoint also proves the EMPTY_SET path.
@@ -135,8 +126,6 @@ RunResult RunScenario(const ScenarioScript& script) {
         return result;
       }
       result.outcome.Merge(oracle::CheckReport(*runner, *empty, {}));
-      result.outcome.Merge(oracle::CheckCacheCoherence(
-          *runner->db(), runner->EmptySql(), *empty, report_options));
     }
   }
 
@@ -145,7 +134,6 @@ RunResult RunScenario(const ScenarioScript& script) {
   Session session(&db);
   RecencyReportOptions final_options;
   final_options.create_temp_tables = true;
-  final_options.cache = &cache;  // Grid is quiescent: a genuine hit path.
   RecencyReporter final_reporter(&db, &session);
   auto final_report = final_reporter.Run(runner->FocusedSql(), final_options);
   if (!final_report.ok()) {
@@ -156,8 +144,6 @@ RunResult RunScenario(const ScenarioScript& script) {
   }
   result.outcome.Merge(
       oracle::CheckReport(*runner, *final_report, runner->focused_ids()));
-  result.outcome.Merge(oracle::CheckCacheCoherence(
-      db, runner->FocusedSql(), *final_report, final_options));
   return result;
 }
 
@@ -326,29 +312,6 @@ TEST(ScenarioPropertyTest, OraclesCatchSeededMutations) {
     EXPECT_FALSE(
         oracle::CheckGuarantee(broken, runner->focused_ids()).ok())
         << "EXACT_MINIMUM overclaim not caught";
-  }
-  {
-    // Cache coherence: run the same report twice through a cache so the
-    // second is genuinely served, then forge the served vector.
-    RelevanceCache cache;
-    RecencyReportOptions cached_options = report_options;
-    cached_options.cache = &cache;
-    auto cold = reporter.Run(runner->FocusedSql(), cached_options);
-    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    auto served = reporter.Run(runner->FocusedSql(), cached_options);
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    ASSERT_TRUE(served->relevance_from_cache)
-        << "static grid + repeat query must be a cache hit";
-    EXPECT_TRUE(oracle::CheckCacheCoherence(db, runner->FocusedSql(),
-                                            *served, cached_options)
-                    .ok());
-    RecencyReport broken = *served;
-    broken.relevance.sources[0].recency =
-        broken.relevance.sources[0].recency + Timestamp::kMicrosPerHour;
-    EXPECT_FALSE(oracle::CheckCacheCoherence(db, runner->FocusedSql(),
-                                             broken, cached_options)
-                     .ok())
-        << "forged cache-served recency not caught";
   }
 }
 

@@ -35,11 +35,11 @@
 //                      nobody can look up
 //   fingerprint-confinement
 //                      the 64-bit FNV-1a constants (offset basis and
-//                      prime) appear only under ir/ — every cache
-//                      fingerprint is computed by ir/fingerprint.h's
-//                      Fnv1a64/IrCacheFingerprint, never re-implemented;
-//                      a second hash implementation that drifts would
-//                      silently split identical plans across cache keys
+//                      prime) appear only under ir/ — every fingerprint
+//                      is computed by ir/fingerprint.h's Fnv1a64, never
+//                      re-implemented; a second hash implementation that
+//                      drifts would silently give one predicate two
+//                      pred= fingerprints
 //   corpus-drift       every fixture under examples/plans/bad/ (found by
 //                      walking up from the first lint root) must be
 //                      referenced — literally or via a glob/${VAR}
@@ -406,7 +406,7 @@ void CheckSnapshotAcquire(const std::string& path,
 // --- Rule: fingerprint-confinement -----------------------------------------
 
 /// The FNV-1a 64-bit offset basis and prime. A file mentioning either on
-/// a code line is computing (or re-implementing) the cache fingerprint.
+/// a code line is computing (or re-implementing) Fnv1a64.
 const char* const kFnvConstantTokens[] = {
     "14695981039346656037",
     "1099511628211",
@@ -431,9 +431,9 @@ void CheckFingerprintConfinement(const std::string& path,
       if (trimmed.find(token) != std::string::npos) {
         Report(path, i + 1, "fingerprint-confinement",
                std::string("FNV-1a constant ") + token +
-                   " outside ir/; cache fingerprints are computed only by "
-                   "ir/fingerprint.h (call Fnv1a64/IrCacheFingerprint "
-                   "instead of re-implementing the hash)");
+                   " outside ir/; fingerprints are computed only by "
+                   "ir/fingerprint.h (call Fnv1a64 instead of "
+                   "re-implementing the hash)");
       }
     }
   }

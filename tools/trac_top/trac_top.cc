@@ -165,14 +165,9 @@ int main(int argc, char** argv) {
   // Run the report batch, cycling Q1..Q4.
   trac::Session session(&db);
   trac::RecencyReporter reporter(&db, &session);
-  trac::RelevanceCache cache;
   trac::RecencyReportOptions report_options;
   report_options.relevance.parallelism = flags.parallelism;
   report_options.telemetry = &telemetry;
-  // The batch cycles Q1..Q4 over a static workload, so the second lap
-  // onward serves every admissible relevance plan from the cache — the
-  // dashboard's cache row shows the steady-state hit pattern.
-  report_options.cache = &cache;
   const auto queries = workload->AllQueries();
   uint64_t last_trace_id = 0;
   for (size_t i = 0; i < flags.reports; ++i) {
@@ -258,14 +253,6 @@ int main(int argc, char** argv) {
                  telemetry.metrics->GetCounter(name, "")->Value()) +
              "\n";
     }
-
-    out += "\n-- relevance cache (trac_relevance_cache_total) --\n";
-    const trac::RelevanceCache::Stats cache_stats = cache.stats();
-    out += "  hits=" + std::to_string(cache_stats.hits) +
-           " misses=" + std::to_string(cache_stats.misses) +
-           " inadmissible=" + std::to_string(cache_stats.inadmissible) +
-           " invalidations=" + std::to_string(cache_stats.invalidations) +
-           " entries=" + std::to_string(cache_stats.entries) + "\n";
 
     // The flight recorder's newest session: the per-operator profile
     // of the last report, ranked by attributed busy time.

@@ -27,17 +27,6 @@
 //                     staleness bound (TRAC-V009..V012); golden files
 //                     are keyed by the after-file's stem.
 //
-//   --cache-deps      run the cache-admissibility analysis
-//                     (src/verify/admissible.h, TRAC-V013..V016) instead
-//                     of the verifier pass pipeline. For a .sql input
-//                     the analyzed IR is the *relevance plan* — the
-//                     cacheable parts + merge unit the RelevanceCache
-//                     keys on, not the whole session; .ir inputs are
-//                     analyzed as-is. The block reports the verdict,
-//                     any findings, the extracted dependency footprint
-//                     and the 64-bit cache fingerprint. The findings
-//                     gate follows the verdict (inadmissible = exit 1;
-//                     --expect-findings inverts as usual).
 //   --dump-ir         print the lowered/parsed IR before the report
 //   --dump-rewrites   append the planner's rewrite decision trail for
 //                     each .sql input (rule, detail, verdict per
@@ -77,7 +66,6 @@
 #include "exec/statement.h"
 #include "expr/binder.h"
 #include "storage/database.h"
-#include "verify/admissible.h"
 #include "verify/equiv.h"
 #include "verify/verifier.h"
 
@@ -94,7 +82,7 @@ int Usage(const char* argv0) {
                "usage: %s --schema <schema.sql> [--golden <dir>] [--update] "
                "[--dump-ir] [--dump-rewrites] [--absint] [--dump-absint] "
                "[--json] [--parallelism N] [--expect-findings] "
-               "[--equiv] [--cache-deps] <file.sql|file.ir>...\n",
+               "[--equiv] <file.sql|file.ir>...\n",
                argv0);
   return trac::cli::kExitUsage;
 }
@@ -105,8 +93,7 @@ int Usage(const char* argv0) {
 trac::Result<trac::PlanIr> LowerSqlFile(const trac::Database& db,
                                         const trac::BoundQuery& query,
                                         size_t parallelism,
-                                        trac::QueryPlan* user_plan_out,
-                                        trac::PlanIr* relevance_ir_out) {
+                                        trac::QueryPlan* user_plan_out) {
   TRAC_ASSIGN_OR_RETURN(trac::RecencyQueryPlan plan,
                         trac::GenerateRecencyQueries(db, query));
   const trac::Snapshot snapshot = db.LatestSnapshot();
@@ -145,30 +132,8 @@ trac::Result<trac::PlanIr> LowerSqlFile(const trac::Database& db,
   trac::LowerOptions lower;
   lower.heartbeat_table = trac::HeartbeatTable::kDefaultName;
   trac::PlanIr ir = trac::LowerReportSession(db, input, lower);
-  if (relevance_ir_out != nullptr) {
-    *relevance_ir_out = trac::LowerRelevancePlan(db, input, lower);
-  }
   if (user_plan_out != nullptr) *user_plan_out = std::move(user_plan);
   return ir;
-}
-
-/// The --cache-deps block: admissibility verdict + findings, extracted
-/// footprint, and the cache fingerprint the RelevanceCache would bucket
-/// this plan under.
-std::string FormatCacheDeps(const trac::PlanIr& ir,
-                            const trac::CacheAdmissibility& adm) {
-  std::string out = adm.report.Format(ir);
-  out += "cache verdict: ";
-  out += adm.admissible ? "admissible" : "inadmissible";
-  out += "\n";
-  out += adm.deps.ToString();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(adm.fingerprint));
-  out += "cache fingerprint: ";
-  out += buf;
-  out += "\n";
-  return out;
 }
 
 /// The --dump-rewrites block: the optimizer's decision trail for the
@@ -217,7 +182,6 @@ int main(int argc, char** argv) {
   bool json = false;
   bool expect_findings = false;
   bool equiv = false;
-  bool cache_deps = false;
   size_t parallelism = 1;
   std::vector<std::string> input_files;
   for (int i = 1; i < argc; ++i) {
@@ -234,8 +198,6 @@ int main(int argc, char** argv) {
       dump_rewrites = true;
     } else if (arg == "--equiv") {
       equiv = true;
-    } else if (arg == "--cache-deps") {
-      cache_deps = true;
     } else if (arg == "--absint") {
       absint = true;
     } else if (arg == "--dump-absint") {
@@ -375,8 +337,6 @@ int main(int argc, char** argv) {
     }
 
     trac::PlanIr ir;
-    trac::PlanIr relevance_ir;
-    bool have_relevance_ir = false;
     trac::QueryPlan user_plan;
     bool have_user_plan = false;
     if (ipath.extension() == ".ir") {
@@ -410,8 +370,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       auto lowered = LowerSqlFile(db, *bound, parallelism,
-                                  dump_rewrites ? &user_plan : nullptr,
-                                  cache_deps ? &relevance_ir : nullptr);
+                                  dump_rewrites ? &user_plan : nullptr);
       if (!lowered.ok()) {
         std::fprintf(stderr, "trac_verify: %s: lowering failed: %s\n",
                      input_file.c_str(), lowered.status().ToString().c_str());
@@ -419,40 +378,9 @@ int main(int argc, char** argv) {
       }
       ir = std::move(*lowered);
       have_user_plan = dump_rewrites;
-      have_relevance_ir = cache_deps;
     }
 
     std::string block;
-    if (cache_deps) {
-      // Admissibility mode: for .sql inputs analyze the relevance plan
-      // (the cacheable unit); .ir inputs are analyzed as-is.
-      const trac::PlanIr& cache_ir = have_relevance_ir ? relevance_ir : ir;
-      const trac::CacheAdmissibility adm =
-          trac::AnalyzeCacheAdmissibility(cache_ir);
-      if (expect_findings ? adm.admissible : !adm.admissible) {
-        if (expect_findings) {
-          std::printf("FAIL %s: expected findings, got an admissible plan\n",
-                      name.c_str());
-        }
-        exit_code = trac::cli::kExitFindings;
-      }
-      if (dump_ir) block += cache_ir.Dump();
-      block += FormatCacheDeps(cache_ir, adm);
-      if (json) {
-        if (!json_first) json_out += ",\n";
-        json_first = false;
-        json_out += JsonForFile(name, cache_ir, adm.report);
-      } else {
-        std::printf("== %s\n%s", name.c_str(), block.c_str());
-      }
-      if (!golden_dir.empty() &&
-          !trac::cli::GateGoldenDir("trac_verify", golden_dir, ipath, block,
-                                    update, &exit_code)) {
-        return trac::cli::kExitUsage;
-      }
-      continue;
-    }
-
     trac::VerifyOptions verify_options;
     verify_options.absint = absint;
     const trac::VerifyReport report = trac::VerifyIr(ir, verify_options);
