@@ -9,9 +9,10 @@
 #      corpus must match its degraded-verdict goldens), including the
 #      --absint goldens, and leave machine-readable findings in
 #      findings/ for CI to archive,
-#   4. run trac_top against its golden dashboard (deterministic clock)
-#      and a bench --json smoke run that leaves BENCH_*.json records
-#      in bench-json/ for CI to archive,
+#   4. run trac_top against its golden dashboard (deterministic clock),
+#      a bench --json smoke run that leaves BENCH_*.json records in
+#      bench-json/ for CI to archive, and two short perfbench runs that
+#      must report "correct": true and "failed": 0,
 #   5. run the whole ctest suite (which re-runs the linters and their
 #      self-tests as test cases),
 #   6. with --tidy, run clang-tidy (.clang-tidy profile) over src/ —
@@ -159,6 +160,21 @@ for f in bench-json/BENCH_parallel_relevance.json \
          bench-json/BENCH_fpr_table.json \
          bench-json/BENCH_optimizer.json; do
   [[ -s "$f" ]] || { echo "missing bench record $f" >&2; exit 1; }
+done
+
+echo "==> perfbench smoke (the benchmark's replay of the library API)"
+# perfbench compiles its own replay of a report against the public
+# library calls (PlanQuery, LowerReportSession, VerifyIrStatus, ...).
+# A traced selective run and an untraced live-grid run must both end in
+# a JSON line with "correct": true and "failed": 0.
+for args in "--workload selective-20k --seed 1 --seconds 2 --trace 1" \
+            "--workload grid-live-2k --seed 1 --seconds 2 --trace 0"; do
+  # shellcheck disable=SC2086  # $args is a flag list.
+  line="$(python3 perfbench/run.py $args | tail -n 1)"
+  python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+    "$line" || { echo "perfbench $args: $line" >&2; exit 1; }
 done
 
 echo "==> ctest (default preset)"

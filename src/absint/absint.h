@@ -29,9 +29,9 @@ namespace absint {
 ///               multiplied through joins, summed at merges.
 ///
 /// The results feed the TRAC-V005..V008 semantic verifier rules
-/// (verify/verifier.h), the planner's dead-subplan short-circuit
-/// (exec/planner.h PlanningHints::static_card), and the reporter's
-/// static-bounds fields checked by the scenario-harness oracle.
+/// (verify/verifier.h) and, through the fixpoint the verifier hands
+/// back, the reporter's static-bounds fields checked by the
+/// scenario-harness oracle.
 struct NodeFacts {
   /// One provenance set per output column (aligned with
   /// IrNode::columns). Regular columns stay empty; data-source columns

@@ -10,20 +10,12 @@ namespace trac {
 
 namespace {
 
-/// Static bounds read off the session IR's fixpoint facts: the
-/// staleness hull at the report node and the source-cardinality
-/// interval at the session merge. `computed` stays false when the
-/// fixpoint carries no age facts (nothing sound to promise).
-struct StaticBounds {
-  bool computed = false;
-  int64_t staleness_width_micros = 0;
-  uint64_t sources_lo = 0;
-  uint64_t sources_hi = 0;
-  bool sources_unbounded = false;
-};
-
-void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
-  const absint::AbsintResult res = absint::AnalyzeIr(ir);
+/// Static bounds read off the verifier's fixpoint over the session IR:
+/// the staleness hull at the report node and the source-cardinality
+/// interval at the session merge. Left uncomputed when the fixpoint
+/// carries no age facts (nothing sound to promise).
+void ReadStaticBounds(const PlanIr& ir, const absint::AbsintResult& res,
+                      RecencyReport* out) {
   if (!res.converged) return;
   const IrNode* merge = nullptr;
   const IrNode* report = nullptr;
@@ -32,71 +24,56 @@ void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
     if (n.kind == IrNodeKind::kReport) report = &n;
   }
   if (report == nullptr || res.facts[report->id].staleness.bottom) return;
-  bounds->computed = true;
-  bounds->staleness_width_micros = res.facts[report->id].staleness.Width();
+  out->static_bounds_computed = true;
+  out->static_staleness_width_micros = res.facts[report->id].staleness.Width();
   if (merge != nullptr) {
     const absint::CardInterval& card = res.facts[merge->id].card;
-    bounds->sources_lo = card.lo;
-    bounds->sources_hi = card.hi;
-    bounds->sources_unbounded = card.unbounded;
+    out->static_sources_lo = card.lo;
+    out->static_sources_hi = card.hi;
+    out->static_sources_unbounded = card.unbounded;
   } else {
-    bounds->sources_unbounded = true;
+    out->static_sources_unbounded = true;
   }
 }
 
-/// Lowers everything this report session is about to execute — the user
-/// plan, every recency part (with its guard queries and the shard
-/// fan-out the executor will actually use), the merge, and the temp
-/// writes — into one IR and gates it on the verifier. Per-plan
-/// verification inside PlanQuery cannot see cross-plan properties (the
-/// single-snapshot rule, session confinement, the rejoin discipline);
-/// this session-level pass can. `session_ir`/`layout`, when non-null,
-/// receive the lowered IR and its subgraph extents so the profiler can
-/// attach runtime counters onto exactly this graph after execution.
-[[nodiscard]] Status VerifyFinishSession(const Database& db,
-                                         const Session* session,
-                                         const BoundQuery& user_query,
-                                         const RecencyQueryPlan& plan,
-                                         Snapshot snapshot,
-                                         const RecencyReportOptions& options,
-                                         const PlanningHints& hints,
-                                         StaticBounds* bounds,
-                                         PlanIr* session_ir,
-                                         SessionLayout* layout) {
-  TRAC_ASSIGN_OR_RETURN(QueryPlan user_plan,
+/// Everything the verify gate built for one report: the plans it
+/// verified (Finish executes exactly these), the verifier's own absint
+/// fixpoint, and the session IR with its layout for the profiler.
+struct VerifiedSession {
+  QueryPlan user_plan;
+  std::vector<PlannedPart> parts;
+  absint::AbsintResult fixpoint;
+  PlanIr ir;
+  SessionLayout layout;
+};
+
+/// Plans the user query and every recency part and guard once, lowers
+/// the whole session (user plan, parts with their guards or shards, the
+/// merge, the temp writes) into one IR and gates it on the verifier,
+/// which sees cross-plan properties per-plan checks cannot (the
+/// single-snapshot rule, session confinement, the rejoin discipline).
+[[nodiscard]] Result<VerifiedSession> VerifyFinishSession(
+    const Database& db, const Session* session, const BoundQuery& user_query,
+    const RecencyQueryPlan& plan, Snapshot snapshot,
+    const RecencyReportOptions& options) {
+  VerifiedSession out;
+  // The plan's guarantee analysis rides along as a planner hint: a
+  // statically proven-unsatisfiable predicate short-circuits the user
+  // query to an empty result.
+  PlanningHints hints;
+  hints.guarantee = &plan.analysis;
+  TRAC_ASSIGN_OR_RETURN(out.user_plan,
                         PlanQuery(db, user_query, snapshot, hints));
-  // Plan storage is sized up front so the pointers taken below stay
-  // stable (no reallocation once an address is handed to `input`).
-  std::vector<QueryPlan> part_plans(plan.parts.size());
-  std::vector<std::vector<QueryPlan>> guard_plans(plan.parts.size());
-  const size_t parallelism = std::max<size_t>(1, options.relevance.parallelism);
+  TRAC_ASSIGN_OR_RETURN(
+      out.parts, PlanRecencyParts(db, plan, snapshot,
+                                  options.relevance.parallelism));
 
   ReportSessionInput input;
   input.user_query = &user_query;
-  input.user_plan = &user_plan;
+  input.user_plan = &out.user_plan;
   input.snapshot = snapshot;
-  for (size_t i = 0; i < plan.parts.size(); ++i) {
-    const RecencyQueryPlan::Part& part = plan.parts[i];
-    SessionPartInput in;
-    in.query = &part.query;
-    in.shards = PlannedHeartbeatShards(db, part, parallelism);
-    if (in.shards == 1) {
-      // Sharded parts bypass the planner (direct version-range scans),
-      // so only unsharded parts carry plans.
-      TRAC_ASSIGN_OR_RETURN(part_plans[i],
-                            PlanQuery(db, part.query, snapshot));
-      in.plan = &part_plans[i];
-      guard_plans[i].resize(part.guards.size());
-      for (size_t g = 0; g < part.guards.size(); ++g) {
-        TRAC_ASSIGN_OR_RETURN(guard_plans[i][g],
-                              PlanQuery(db, part.guards[g], snapshot));
-        in.guard_queries.push_back(&part.guards[g]);
-        in.guard_plans.push_back(&guard_plans[i][g]);
-      }
-    }
-    input.parts.push_back(std::move(in));
-  }
-  if (options.create_temp_tables && session != nullptr) {
+  input.parts = SessionParts(plan, out.parts);
+  if (options.create_temp_tables) {
     // The numeric suffixes are allocated at creation time; the prefix
     // names stand in for them (still sys_temp_* names to the verifier).
     input.temp_writes = {"sys_temp_a", "sys_temp_e"};
@@ -104,12 +81,12 @@ void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
   }
   LowerOptions lower;
   lower.heartbeat_table = options.relevance.heartbeat_table;
-  const PlanIr ir = LowerReportSession(db, input, lower, layout);
-  const Status verified = VerifyIrStatus(ir);
+  out.ir = LowerReportSession(db, input, lower, &out.layout);
+  const Status verified =
+      VerifyIr(out.ir, VerifyOptions(), &out.fixpoint).ToStatus();
   TRAC_DCHECK(verified.ok(), verified.message().c_str());
-  if (verified.ok() && bounds != nullptr) ReadStaticBounds(ir, bounds);
-  if (verified.ok() && session_ir != nullptr) *session_ir = ir;
-  return verified;
+  TRAC_RETURN_IF_ERROR(verified);
+  return out;
 }
 
 }  // namespace
@@ -152,37 +129,32 @@ std::string RecencyReport::FormatNotices() const {
 Result<RecencyReport> RecencyReporter::Run(
     std::string_view user_sql, const RecencyReportOptions& options) {
   const Telemetry& tel = ResolveTelemetry(options.telemetry);
-  const uint64_t trace_id = tel.tracer->NextTraceId();
-  TraceSpan root(tel.tracer, tel.clock, "report", trace_id);
+  TraceSpan root(tel.tracer, tel.clock, "report", tel.tracer->NextTraceId());
   const int64_t t0 = tel.clock();
-  TraceSpan parse_span(tel.tracer, tel.clock, "parse", trace_id, root.id());
+  TraceSpan parse_span(tel.tracer, tel.clock, "parse", root.trace_id(),
+                       root.id());
   TRAC_ASSIGN_OR_RETURN(BoundQuery user_query, BindSql(*db_, user_sql));
   parse_span.End();
-  TraceSpan plan_span(tel.tracer, tel.clock, "plan", trace_id, root.id());
-  RecencyQueryPlan plan;
-  if (options.method == RecencyMethod::kNaive) {
-    TRAC_ASSIGN_OR_RETURN(plan, GenerateNaivePlan(*db_, options.relevance));
-    // The Naive method pays no generation cost in the paper's
-    // accounting; parsing the user query is shared by every method.
-  } else {
-    TRAC_ASSIGN_OR_RETURN(
-        plan, GenerateRecencyQueries(*db_, user_query, options.relevance));
-  }
-  plan_span.End();
-  Snapshot snapshot = db_->LatestSnapshot();
-  return Finish(user_query, plan, snapshot, options, tel.clock() - t0,
-                std::move(root));
+  return GenerateAndFinish(user_query, options, t0, std::move(root));
 }
 
 Result<RecencyReport> RecencyReporter::RunBound(
     const BoundQuery& user_query, const RecencyReportOptions& options) {
   const Telemetry& tel = ResolveTelemetry(options.telemetry);
-  const uint64_t trace_id = tel.tracer->NextTraceId();
-  TraceSpan root(tel.tracer, tel.clock, "report", trace_id);
-  const int64_t t0 = tel.clock();
-  TraceSpan plan_span(tel.tracer, tel.clock, "plan", trace_id, root.id());
+  TraceSpan root(tel.tracer, tel.clock, "report", tel.tracer->NextTraceId());
+  return GenerateAndFinish(user_query, options, tel.clock(), std::move(root));
+}
+
+Result<RecencyReport> RecencyReporter::GenerateAndFinish(
+    const BoundQuery& user_query, const RecencyReportOptions& options,
+    int64_t t0, TraceSpan root) {
+  const Telemetry& tel = ResolveTelemetry(options.telemetry);
+  TraceSpan plan_span(tel.tracer, tel.clock, "plan", root.trace_id(),
+                      root.id());
   RecencyQueryPlan plan;
   if (options.method == RecencyMethod::kNaive) {
+    // The Naive method pays no generation cost in the paper's
+    // accounting; parsing the user query is shared by every method.
     TRAC_ASSIGN_OR_RETURN(plan, GenerateNaivePlan(*db_, options.relevance));
   } else {
     TRAC_ASSIGN_OR_RETURN(
@@ -209,6 +181,10 @@ Result<RecencyReport> RecencyReporter::Finish(
     const BoundQuery& user_query, const RecencyQueryPlan& plan,
     Snapshot snapshot, const RecencyReportOptions& options,
     int64_t parse_generate_micros, TraceSpan root) {
+  if (options.create_temp_tables && session_ == nullptr) {
+    return Status::InvalidArgument(
+        "temp tables requested but the reporter has no session");
+  }
   const Telemetry& tel = ResolveTelemetry(options.telemetry);
   const uint64_t trace_id = root.trace_id();
   root.set_snapshot_epoch(snapshot.version);
@@ -218,47 +194,34 @@ Result<RecencyReport> RecencyReporter::Finish(
   report.trace_id = trace_id;
   report.snapshot = snapshot;
   report.parse_generate_micros = parse_generate_micros;
-  // 1. The user query, on the shared snapshot. The plan's guarantee
-  // analysis rides along as a planner hint: a statically
-  // proven-unsatisfiable predicate short-circuits to an empty result.
-  PlanningHints hints;
-  hints.guarantee = &plan.analysis;
 
-  // Gate the whole session on the static verifier before anything runs:
-  // hard error with invariants armed, Status in release.
+  // Plan and gate the whole session on the static verifier before
+  // anything runs: hard error with invariants armed, Status in release.
   TraceSpan verify_span(tel.tracer, tel.clock, "verify", trace_id, root.id());
-  StaticBounds static_bounds;
-  // The profiler reuses the verify gate's session lowering: the IR the
-  // runtime counters attach onto is byte-for-byte the graph the verifier
-  // passed, so a drift finding can never be blamed on a second lowering.
-  PlanIr session_ir;
-  SessionLayout session_layout;
-  SessionProfile session_profile;
-  const bool profiling = options.profile;
-  const Status verified = VerifyFinishSession(
-      *db_, session_, user_query, plan, snapshot, options, hints,
-      &static_bounds, profiling ? &session_ir : nullptr,
-      profiling ? &session_layout : nullptr);
+  Result<VerifiedSession> verified = VerifyFinishSession(
+      *db_, session_, user_query, plan, snapshot, options);
+  if (verified.ok()) {
+    ReadStaticBounds(verified->ir, verified->fixpoint, &report);
+  }
   report.verify_micros = verify_span.End();
-  report.static_bounds_computed = static_bounds.computed;
-  report.static_staleness_width_micros = static_bounds.staleness_width_micros;
-  report.static_sources_lo = static_bounds.sources_lo;
-  report.static_sources_hi = static_bounds.sources_hi;
-  report.static_sources_unbounded = static_bounds.sources_unbounded;
   tel.metrics
       ->GetCounter("trac_verify_sessions_total",
                    "Report sessions gated by the static plan-IR verifier",
                    {{"outcome", verified.ok() ? "ok" : "reject"}})
       ->Increment();
-  TRAC_RETURN_IF_ERROR(verified);
+  TRAC_RETURN_IF_ERROR(verified.status());
+  VerifiedSession& vs = *verified;
+  SessionProfile session_profile;
+  const bool profiling = options.profile;
 
+  // 1. The user query, on the shared snapshot.
   TraceSpan user_span(tel.tracer, tel.clock, "user-query", trace_id,
                       root.id());
   int64_t t = tel.clock();
   TRAC_ASSIGN_OR_RETURN(
       report.result,
-      ExecuteQuery(*db_, user_query, snapshot, hints,
-                   profiling ? &session_profile.user : nullptr, tel.clock));
+      ExecutePlan(*db_, user_query, vs.user_plan, snapshot, /*row_limit=*/0,
+                  profiling ? &session_profile.user : nullptr, tel.clock));
   session_profile.ran_user = profiling;
   report.user_query_micros = tel.clock() - t;
   user_span.End();
@@ -274,10 +237,12 @@ Result<RecencyReport> RecencyReporter::Finish(
   relevance_options.parent_span_id = relevance_span.id();
   relevance_options.profile = profiling;
   t = tel.clock();
-  TRAC_ASSIGN_OR_RETURN(
-      RecencyExecution exec,
-      ExecuteRecencyQueriesDetailed(*db_, plan, snapshot, relevance_options));
+  TRAC_ASSIGN_OR_RETURN(RecencyExecution exec,
+                        ExecuteRecencyQueriesDetailed(*db_, plan, vs.parts,
+                                                      snapshot,
+                                                      relevance_options));
   report.relevance_exec_micros = tel.clock() - t;
+  report.merge_micros = exec.merge_micros;
   std::vector<SourceRecency> sources = std::move(exec.sources);
   report.relevance_parallelism = exec.parallelism;
   report.relevance_task_micros = std::move(exec.task_micros);
@@ -322,6 +287,7 @@ Result<RecencyReport> RecencyReporter::Finish(
   phase("verify")->Observe(report.verify_micros);
   phase("user_query")->Observe(report.user_query_micros);
   phase("relevance")->Observe(report.relevance_exec_micros);
+  phase("merge")->Observe(report.merge_micros);
   phase("stats")->Observe(report.stats_micros);
   tel.metrics
       ->GetHistogram("trac_relevance_busy_micros",
@@ -343,10 +309,6 @@ Result<RecencyReport> RecencyReporter::Finish(
   }
 
   if (options.create_temp_tables) {
-    if (session_ == nullptr) {
-      return Status::InvalidArgument(
-          "temp tables requested but the reporter has no session");
-    }
     auto make_rows = [](const std::vector<SourceRecency>& list) {
       std::vector<Row> rows;
       rows.reserve(list.size());
@@ -369,13 +331,15 @@ Result<RecencyReport> RecencyReporter::Finish(
   }
 
   if (profiling) {
-    // Write the runtime counters back onto the verified session IR, run
-    // the estimate-drift pass over the annotated graph, and preserve the
-    // whole profiled session in the flight recorder.
+    // Write the runtime counters back onto the verify gate's own
+    // lowering (byte-for-byte the graph the verifier passed, so a drift
+    // finding can never be blamed on a second lowering), run the
+    // estimate-drift pass over it, and preserve the whole profiled
+    // session in the flight recorder.
     report.profiled_nodes =
-        AttachSessionProfile(&session_ir, session_layout, session_profile);
-    report.profiled_ir = session_ir.Dump();
-    report.profile_drift = AnalyzeProfileDrift(session_ir);
+        AttachSessionProfile(&vs.ir, vs.layout, session_profile);
+    report.profiled_ir = vs.ir.Dump();
+    report.profile_drift = AnalyzeProfileDrift(vs.ir);
     SessionProfileRecord record;
     record.trace_id = trace_id;
     record.snapshot = snapshot.version;

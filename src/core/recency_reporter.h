@@ -61,10 +61,11 @@ struct RecencyReport {
   /// Section 5.2, plus the user query itself).
   int64_t parse_generate_micros = 0;  ///< Parse user SQL + generate plan.
   int64_t relevance_exec_micros = 0;  ///< Execute the recency queries (wall).
+  int64_t merge_micros = 0;  ///< Set merge into A(Q), within relevance.
   int64_t stats_micros = 0;           ///< Outlier detection + min/max.
   int64_t user_query_micros = 0;      ///< The user query alone.
-  /// Wall time of the verify gate (plan, lower and verify the session
-  /// IR, read the static bounds): the duration of the "verify" span.
+  /// Wall time of the verify gate (plan every query once, lower, verify,
+  /// read the static bounds): the duration of the "verify" span.
   int64_t verify_micros = 0;
 
   /// Parallel-execution detail, merged from the per-task timings of
@@ -145,6 +146,10 @@ class RecencyReporter {
       const RecencyReportOptions& options = RecencyReportOptions());
 
  private:
+  /// Generates the recency queries, then Finish; `t0` began the report.
+  [[nodiscard]] Result<RecencyReport> GenerateAndFinish(
+      const BoundQuery& user_query, const RecencyReportOptions& options,
+      int64_t t0, TraceSpan root);
   /// `root` is the report session's root trace span; Finish hangs the
   /// lifecycle child spans off it and ends it when the report is built.
   [[nodiscard]] Result<RecencyReport> Finish(const BoundQuery& user_query,

@@ -318,29 +318,33 @@ struct RecencyTaskResult {
   TaskProfile profile;
 };
 
-/// Runs one plan part the same way the serial path always has: guards
-/// first (any empty guard kills the part), then the main query.
-/// `profile`, when non-null, collects one ExecProfile per executed
-/// guard plus the main query's; `clock` enables its stage timings.
+/// Runs one planned part: guards first (any empty guard kills the
+/// part), then the main query. `profile`, when non-null, collects one
+/// ExecProfile per executed guard plus the main query's; `clock`
+/// enables its stage timings.
 void RunPartTask(const Database& db, const RecencyQueryPlan::Part& part,
-                 Snapshot snapshot, TaskProfile* profile, ClockFn clock,
+                 const PlannedPart& planned, Snapshot snapshot,
+                 TaskProfile* profile, ClockFn clock,
                  RecencyTaskResult* out) {
-  for (const BoundQuery& guard : part.guards) {
+  for (size_t g = 0; g < part.guards.size(); ++g) {
     ExecProfile* gprof = nullptr;
     if (profile != nullptr) {
       profile->guards.emplace_back();
       gprof = &profile->guards.back();
     }
-    Result<bool> nonempty = QueryHasResults(db, guard, snapshot, gprof, clock);
-    if (!nonempty.ok()) {
-      out->status = nonempty.status();
+    // A guard projects one column (never COUNT(*)): nonempty iff a row.
+    Result<ResultSet> guard =
+        ExecutePlan(db, part.guards[g], planned.guards[g], snapshot,
+                    /*row_limit=*/1, gprof, clock);
+    if (!guard.ok()) {
+      out->status = guard.status();
       return;
     }
-    if (!*nonempty) return;
+    if (guard->rows.empty()) return;
   }
   Result<ResultSet> rs =
-      ExecuteQuery(db, part.query, snapshot, PlanningHints(),
-                   profile != nullptr ? &profile->main : nullptr, clock);
+      ExecutePlan(db, part.query, planned.main, snapshot, /*row_limit=*/0,
+                  profile != nullptr ? &profile->main : nullptr, clock);
   if (profile != nullptr) profile->ran_main = rs.ok();
   if (!rs.ok()) {
     out->status = rs.status();
@@ -376,8 +380,6 @@ void RunHeartbeatShardTask(const Database& db,
                    });
 }
 
-}  // namespace
-
 bool IsPureHeartbeatScan(const RecencyQueryPlan::Part& part) {
   const BoundQuery& q = part.query;
   return part.guards.empty() && q.relations.size() == 1 &&
@@ -386,6 +388,8 @@ bool IsPureHeartbeatScan(const RecencyQueryPlan::Part& part) {
          q.aggregates.empty() && !q.count_star && q.order_by.empty() &&
          q.limit == 0;
 }
+
+}  // namespace
 
 size_t PlannedHeartbeatShards(const Database& db,
                               const RecencyQueryPlan::Part& part,
@@ -399,9 +403,65 @@ size_t PlannedHeartbeatShards(const Database& db,
   return std::min(parallelism * 2, max_shards);
 }
 
+[[nodiscard]] Result<std::vector<PlannedPart>> PlanRecencyParts(
+    const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
+    size_t parallelism) {
+  std::vector<PlannedPart> planned(plan.parts.size());
+  for (size_t i = 0; i < plan.parts.size(); ++i) {
+    const RecencyQueryPlan::Part& part = plan.parts[i];
+    PlannedPart& out = planned[i];
+    if (IsPureHeartbeatScan(part)) {
+      // Serial execution shards too (into one range), so a serial-vs-
+      // parallel comparison measures fan-out, never a change of
+      // evaluation strategy.
+      out.shards = PlannedHeartbeatShards(db, part, parallelism);
+      continue;
+    }
+    TRAC_ASSIGN_OR_RETURN(out.main, PlanQuery(db, part.query, snapshot));
+    out.guards.resize(part.guards.size());
+    for (size_t g = 0; g < part.guards.size(); ++g) {
+      TRAC_ASSIGN_OR_RETURN(out.guards[g],
+                            PlanQuery(db, part.guards[g], snapshot));
+    }
+  }
+  return planned;
+}
+
+std::vector<SessionPartInput> SessionParts(
+    const RecencyQueryPlan& plan, const std::vector<PlannedPart>& planned) {
+  std::vector<SessionPartInput> parts(plan.parts.size());
+  for (size_t i = 0; i < plan.parts.size(); ++i) {
+    SessionPartInput& in = parts[i];
+    in.query = &plan.parts[i].query;
+    if (planned[i].shards > 0) {
+      in.shards = planned[i].shards;
+      continue;
+    }
+    in.plan = &planned[i].main;
+    for (size_t g = 0; g < planned[i].guards.size(); ++g) {
+      in.guard_queries.push_back(&plan.parts[i].guards[g]);
+      in.guard_plans.push_back(&planned[i].guards[g]);
+    }
+  }
+  return parts;
+}
+
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
     const RelevanceOptions& options) {
+  TRAC_ASSIGN_OR_RETURN(
+      std::vector<PlannedPart> planned,
+      PlanRecencyParts(db, plan, snapshot, options.parallelism));
+  return ExecuteRecencyQueriesDetailed(db, plan, planned, snapshot, options);
+}
+
+[[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
+    const Database& db, const RecencyQueryPlan& plan,
+    const std::vector<PlannedPart>& planned, Snapshot snapshot,
+    const RelevanceOptions& options) {
+  if (planned.size() != plan.parts.size()) {
+    return Status::InvalidArgument("planned parts do not match the plan");
+  }
   const size_t parallelism = std::max<size_t>(1, options.parallelism);
 
   // Build the task list. Ranges shard in ascending version order and
@@ -418,17 +478,13 @@ size_t PlannedHeartbeatShards(const Database& db,
   std::vector<TaskSpec> specs;
   for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
     const RecencyQueryPlan::Part& part = plan.parts[pi];
-    if (IsPureHeartbeatScan(part)) {
-      // Serial execution takes this path too (as a single shard), so a
-      // serial-vs-parallel comparison measures fan-out, never a change
-      // of evaluation strategy.
-      //
+    const size_t shards = planned[pi].shards;
+    if (shards > 0) {
       // num_versions() here covers every version visible at `snapshot`:
       // the version log's size is release-published before the commit
       // counter the snapshot was read from (see the Database contract).
       const Table* table = db.GetTable(part.query.relations[0].table_id);
       const size_t n = table->num_versions();
-      const size_t shards = PlannedHeartbeatShards(db, part, parallelism);
       const size_t chunk = (n + shards - 1) / shards;
       size_t shard_idx = 0;
       for (size_t lo = 0; lo < n || lo == 0; lo += chunk) {
@@ -461,8 +517,9 @@ size_t PlannedHeartbeatShards(const Database& db,
   std::vector<std::function<void()>> tasks;
   tasks.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    tasks.push_back([&db, &specs, &results, snapshot, i, clock, profiling,
-                     task_histogram, tracer, trace_id, parent_span_id] {
+    tasks.push_back([&db, &specs, &planned, &results, snapshot, i, clock,
+                     profiling, task_histogram, tracer, trace_id,
+                     parent_span_id] {
       const TaskSpec& spec = specs[i];
       RecencyTaskResult* out = &results[i];
       out->profile.part = spec.part_idx;
@@ -473,7 +530,7 @@ size_t PlannedHeartbeatShards(const Database& db,
         RunHeartbeatShardTask(db, *spec.part, snapshot, spec.begin_idx,
                               spec.end_idx, out);
       } else {
-        RunPartTask(db, *spec.part, snapshot,
+        RunPartTask(db, *spec.part, planned[spec.part_idx], snapshot,
                     profiling ? &out->profile : nullptr, clock, out);
       }
       const int64_t t1 = clock();
@@ -504,7 +561,7 @@ size_t PlannedHeartbeatShards(const Database& db,
 
   RecencyExecution exec;
   exec.parallelism = parallelism;
-  const int64_t merge_t0 = profiling ? clock() : 0;
+  const int64_t merge_t0 = clock();
   std::map<std::string, Timestamp> merged;
   for (RecencyTaskResult& result : results) {
     TRAC_RETURN_IF_ERROR(result.status);
@@ -519,17 +576,8 @@ size_t PlannedHeartbeatShards(const Database& db,
   for (auto& [source, ts] : merged) {
     exec.sources.push_back(SourceRecency{source, ts});
   }
-  if (profiling) exec.merge_micros = clock() - merge_t0;
+  exec.merge_micros = clock() - merge_t0;
   return exec;
-}
-
-[[nodiscard]] Result<std::vector<SourceRecency>> ExecuteRecencyQueries(
-    const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
-    const RelevanceOptions& options) {
-  TRAC_ASSIGN_OR_RETURN(
-      RecencyExecution exec,
-      ExecuteRecencyQueriesDetailed(db, plan, snapshot, options));
-  return std::move(exec.sources);
 }
 
 std::vector<std::string> RelevanceResult::SourceIds() const {
@@ -545,10 +593,11 @@ std::vector<std::string> RelevanceResult::SourceIds() const {
                                                const RelevanceOptions& options) {
   TRAC_ASSIGN_OR_RETURN(RecencyQueryPlan plan,
                         GenerateRecencyQueries(db, user_query, options));
-  TRAC_ASSIGN_OR_RETURN(std::vector<SourceRecency> sources,
-                        ExecuteRecencyQueries(db, plan, snapshot, options));
+  TRAC_ASSIGN_OR_RETURN(
+      RecencyExecution exec,
+      ExecuteRecencyQueriesDetailed(db, plan, snapshot, options));
   RelevanceResult result;
-  result.sources = std::move(sources);
+  result.sources = std::move(exec.sources);
   result.minimal = plan.minimal;
   result.fallback_all = plan.fallback_all;
   result.analysis = plan.analysis;

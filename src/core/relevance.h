@@ -8,7 +8,9 @@
 #include "analysis/guarantee.h"
 #include "common/result.h"
 #include "core/heartbeat.h"
+#include "exec/planner.h"
 #include "expr/bound_expr.h"
+#include "ir/lower.h"
 #include "predicate/normalize.h"
 #include "predicate/satisfiability.h"
 #include "storage/database.h"
@@ -37,7 +39,7 @@ struct RelevanceOptions {
   /// Number of concurrent strands used to execute a plan's recency
   /// queries (1 = fully serial, the default). The per-part queries are
   /// independent reads of one Snapshot — embarrassingly parallel — so
-  /// ExecuteRecencyQueries fans them out across `parallelism` strands
+  /// execution fans them out across `parallelism` strands
   /// (the calling thread plus pool workers) and merges the partial
   /// results in deterministic part order: results are byte-identical to
   /// the serial execution at any parallelism level.
@@ -129,21 +131,36 @@ struct SourceRecency {
   }
 };
 
-/// Executes the plan's parts against `snapshot` and unions the results;
-/// output sorted by source id. With options.parallelism > 1 the parts
-/// run as pool tasks against the *same* snapshot; a part that is a pure
-/// Heartbeat scan (the Naive plan, or the recency query of a
-/// non-selective single-relation conjunct) is additionally sharded into
-/// version ranges so even single-part plans fan out. The merged result
-/// is identical to serial execution.
-[[nodiscard]] Result<std::vector<SourceRecency>> ExecuteRecencyQueries(
-    const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
-    const RelevanceOptions& options = RelevanceOptions());
+/// How one part of a RecencyQueryPlan executes, decided once per
+/// report. A pure Heartbeat scan (`SELECT DISTINCT source, recency FROM
+/// heartbeat`: the Naive plan, or a conjunct with no source-column
+/// predicate) runs as `shards` version-range scans off the version log
+/// and is never planned; any other part runs `main` behind its EXISTS
+/// `guards`. The verify gate lowers exactly these and the executor runs
+/// exactly these. Points into the Part it was built from.
+struct PlannedPart {
+  size_t shards = 0;  ///< > 0 iff the part is a pure Heartbeat scan.
+  QueryPlan main;
+  std::vector<QueryPlan> guards;  ///< Parallel to Part::guards.
+};
 
-/// ExecuteRecencyQueries plus per-task timing: `task_micros[i]` is the
-/// wall time of task i (serial execution is one task per part), letting
-/// the reporter split the relevance wall time into busy time vs.
-/// fan-out win.
+/// Builds the PlannedPart of every part of `plan` for execution at
+/// `snapshot` with `parallelism` strands, in part order.
+[[nodiscard]] Result<std::vector<PlannedPart>> PlanRecencyParts(
+    const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
+    size_t parallelism);
+
+/// The session-lowering view (ir/lower.h) of `planned`: one
+/// SessionPartInput per part, pointing into `plan` and `planned`, which
+/// must outlive the result.
+std::vector<SessionPartInput> SessionParts(
+    const RecencyQueryPlan& plan, const std::vector<PlannedPart>& planned);
+
+/// Result of executing a plan's parts against one snapshot: the union
+/// of their sources, sorted by source id, plus per-task timing
+/// (`task_micros[i]` is the wall time of task i; serial execution is
+/// one task per part), letting the reporter split the relevance wall
+/// time into busy time vs. fan-out win.
 struct RecencyExecution {
   std::vector<SourceRecency> sources;
   std::vector<int64_t> task_micros;
@@ -154,25 +171,26 @@ struct RecencyExecution {
   std::vector<TaskProfile> task_profiles;
   /// Rows the tasks fed into the set merge (pre-dedup); always counted.
   uint64_t premerge_rows = 0;
-  /// Wall time of the dedup merge fold; measured only under
-  /// options.profile (the unprofiled path takes no extra clock reads).
+  /// Wall time of the dedup merge fold; always measured.
   int64_t merge_micros = 0;
 };
+/// PlanRecencyParts at options.parallelism, then the overload below.
+/// With parallelism > 1 the parts run as pool tasks against the *same*
+/// snapshot, pure Heartbeat scans sharded so even single-part plans fan
+/// out; the merged result is identical to serial execution.
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
     const RelevanceOptions& options = RelevanceOptions());
+/// Runs `plan`'s parts from `planned` (PlanRecencyParts' output for
+/// this plan and snapshot): no part is planned again.
+[[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
+    const Database& db, const RecencyQueryPlan& plan,
+    const std::vector<PlannedPart>& planned, Snapshot snapshot,
+    const RelevanceOptions& options);
 
-/// A part that is nothing but `SELECT DISTINCT source, recency FROM
-/// heartbeat` — the Naive plan, and the Focused part of a conjunct with
-/// no source-column predicate. Such a part can be sharded by version
-/// range instead of being one indivisible task.
-bool IsPureHeartbeatScan(const RecencyQueryPlan::Part& part);
-
-/// Version-range fan-out ExecuteRecencyQueriesDetailed will use for
-/// `part` at `parallelism` strands: 1 unless the part is a pure
-/// Heartbeat scan and parallelism > 1. Exposed so the plan verifier
-/// models exactly the sharding the executor performs (one source of
-/// truth for the shard-count formula).
+/// Version-range fan-out of `part` at `parallelism` strands: 1 unless
+/// the part is a pure Heartbeat scan and parallelism > 1. The one
+/// source of truth for the shard-count formula (PlannedPart::shards).
 size_t PlannedHeartbeatShards(const Database& db,
                               const RecencyQueryPlan::Part& part,
                               size_t parallelism);

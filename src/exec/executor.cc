@@ -598,20 +598,22 @@ class Execution {
                                Snapshot snapshot,
                                const PlanningHints& hints,
                                ExecProfile* profile, ClockFn clock) {
-  return ExecuteQueryWithLimit(db, query, snapshot, /*row_limit=*/0, hints,
-                               profile, clock);
+  TRAC_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(db, query, snapshot, hints));
+  return ExecutePlan(db, query, plan, snapshot, /*row_limit=*/0, profile,
+                     clock);
 }
 
-[[nodiscard]] Result<ResultSet> ExecuteQueryWithLimit(const Database& db,
-                                        const BoundQuery& query,
-                                        Snapshot snapshot, size_t row_limit,
-                                        const PlanningHints& hints,
-                                        ExecProfile* profile, ClockFn clock) {
+[[nodiscard]] Result<ResultSet> ExecutePlan(const Database& db,
+                                            const BoundQuery& query,
+                                            const QueryPlan& plan,
+                                            Snapshot snapshot,
+                                            size_t row_limit,
+                                            ExecProfile* profile,
+                                            ClockFn clock) {
   static Counter* queries_executed = MetricRegistry::Default().GetCounter(
       "trac_queries_executed_total",
       "Bound queries executed (user, recency, and guard queries)");
   queries_executed->Increment();
-  TRAC_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(db, query, snapshot, hints));
 #if defined(TRAC_DEBUG_INVARIANTS)
   // PlanQuery already gated the plan; with invariants armed, re-verify
   // at the execution boundary so a plan mutated (or hand-built) between
@@ -626,10 +628,9 @@ class Execution {
 [[nodiscard]] Result<bool> QueryHasResults(const Database& db, const BoundQuery& query,
                              Snapshot snapshot, ExecProfile* profile,
                              ClockFn clock) {
-  TRAC_ASSIGN_OR_RETURN(ResultSet rs,
-                        ExecuteQueryWithLimit(db, query, snapshot, 1,
-                                              PlanningHints(), profile,
-                                              clock));
+  TRAC_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(db, query, snapshot));
+  TRAC_ASSIGN_OR_RETURN(ResultSet rs, ExecutePlan(db, query, plan, snapshot,
+                                                  1, profile, clock));
   if (query.count_star) return rs.count() > 0;
   return rs.num_rows() > 0;
 }

@@ -51,16 +51,19 @@ struct ResultSet {
                                ExecProfile* profile = nullptr,
                                ClockFn clock = nullptr);
 
-/// As above, but stops as soon as `row_limit` output rows (or counted
-/// tuples, for COUNT(*)) have been produced. Powers EXISTS-style guard
-/// evaluation in the recency analyzer.
-[[nodiscard]] Result<ResultSet> ExecuteQueryWithLimit(const Database& db,
-                                        const BoundQuery& query,
-                                        Snapshot snapshot, size_t row_limit,
-                                        const PlanningHints& hints =
-                                            PlanningHints(),
-                                        ExecProfile* profile = nullptr,
-                                        ClockFn clock = nullptr);
+/// Executes `plan`, PlanQuery's output for `query` at `snapshot`.
+/// ExecuteQuery and QueryHasResults are PlanQuery followed by this; the
+/// recency reporter calls it with the plans its verify gate passed.
+/// Stops once `row_limit` output rows (or counted tuples, for COUNT(*))
+/// have been produced (0 = unlimited; 1 powers EXISTS-style guards).
+/// `profile`/`clock` as above.
+[[nodiscard]] Result<ResultSet> ExecutePlan(const Database& db,
+                                            const BoundQuery& query,
+                                            const QueryPlan& plan,
+                                            Snapshot snapshot,
+                                            size_t row_limit = 0,
+                                            ExecProfile* profile = nullptr,
+                                            ClockFn clock = nullptr);
 
 /// True iff the query produces at least one tuple under `snapshot`;
 /// evaluation stops at the first one. `profile`/`clock` as above.

@@ -40,10 +40,9 @@ namespace trac {
   if (!built.ok()) return built;
 
   // Cost-based rewrites, each one translation-validated against the
-  // baseline (opt/rewrite.cc). This is where the abstract interpreter's
-  // provably-empty static cardinality becomes a dead-subplan prune: the
-  // rule's witness must discharge TRAC-V009..V012 before it is applied.
-  opt::OptimizePlan(db, query, snapshot, hints, &plan);
+  // baseline (opt/rewrite.cc): a rule's witness must discharge
+  // TRAC-V009..V012 before it is applied.
+  opt::OptimizePlan(db, query, snapshot, &plan);
 
   // Gate the finished plan behind the static verifier: a plan that
   // fails a TRAC-V rule is a planner bug and must not reach execution.

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "absint/domains.h"
 #include "analysis/guarantee.h"
 #include "common/result.h"
 #include "expr/bound_expr.h"
@@ -97,14 +96,6 @@ struct PlanningHints {
   /// it (the recency reporter always does). A kEmptySet verdict caused
   /// by an unsatisfiable predicate marks the plan provably empty.
   const GuaranteeReport* guarantee = nullptr;
-  /// Static cardinality interval of this query's result from a prior
-  /// abstract interpretation of its lowered IR (absint/absint.h). A
-  /// DefinitelyEmpty() interval short-circuits the plan to provably
-  /// empty (the dead-subplan short-circuit). Sound ONLY when the facts
-  /// were computed at the same snapshot the plan will execute at — a
-  /// [0..0] interval at one snapshot says nothing about a later one —
-  /// so callers must not cache it across snapshots.
-  const absint::CardInterval* static_card = nullptr;
 };
 
 /// Builds a heuristic left-deep plan: index selection for =/IN

@@ -172,6 +172,29 @@ std::vector<std::string> DeclaredSourceUniverse(const Database& db,
   return out;
 }
 
+/// Appends the scan of `rel` pinned to `snapshot`: the node a planned
+/// level starts with, and each version-range shard of a pure Heartbeat
+/// scan (which sets its shard fields on the result).
+IrNode& LowerScan(PlanIr* ir, const Database& db, const BoundTableRef& rel,
+                  Snapshot snapshot, const LowerOptions& options,
+                  bool generated, const AgeRange& age) {
+  const TableSchema& schema = db.catalog().schema(rel.table_id);
+  IrNode& scan = ir->Add(IrNodeKind::kScan);
+  scan.generated = generated;
+  scan.table = schema.name();
+  scan.snapshot = snapshot.version;
+  // A temp table resolved at bind time predates this plan; in-session
+  // defs are modeled by LowerReportSession instead.
+  scan.preexisting_temp = IsTempTableName(schema.name());
+  AnnotateScan(&scan, db, rel.table_id, age, options);
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    scan.columns.push_back(
+        IrColumn{rel.display_name + "." + schema.column(c).name,
+                 ProvenanceOf(db, rel.table_id, c, options)});
+  }
+  return scan;
+}
+
 /// Lowers one planned query into `ir` and returns the root node id.
 /// `generated` marks every emitted node as recency machinery.
 size_t LowerQueryInto(PlanIr* ir, const Database& db, const BoundQuery& query,
@@ -182,24 +205,8 @@ size_t LowerQueryInto(PlanIr* ir, const Database& db, const BoundQuery& query,
   std::vector<IrColumn> top_cols;
   for (size_t i = 0; i < plan.levels.size(); ++i) {
     const LevelPlan& level = plan.levels[i];
-    const BoundTableRef& rel = query.relations[level.relation];
-    const TableSchema& schema = db.catalog().schema(rel.table_id);
-
-    IrNode& scan = ir->Add(IrNodeKind::kScan);
-    scan.generated = generated;
-    scan.table = schema.name();
-    scan.snapshot = snapshot.version;
-    if (IsTempTableName(schema.name())) {
-      // The table resolved at bind time, so its definition predates this
-      // plan; in-session defs are modeled by LowerReportSession instead.
-      scan.preexisting_temp = true;
-    }
-    AnnotateScan(&scan, db, rel.table_id, age, options);
-    for (size_t c = 0; c < schema.num_columns(); ++c) {
-      scan.columns.push_back(
-          IrColumn{rel.display_name + "." + schema.column(c).name,
-                   ProvenanceOf(db, rel.table_id, c, options)});
-    }
+    const IrNode& scan = LowerScan(ir, db, query.relations[level.relation],
+                                   snapshot, options, generated, age);
     size_t level_top = scan.id;
     std::vector<IrColumn> level_cols = scan.columns;
 
@@ -304,25 +311,15 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
                                    out.ref.col, options)});
       }
     }
-    if (part.shards > 1) {
-      // Pure heartbeat scan fanned out into version-range shards; the
-      // shards rejoin only through the session merge below.
-      const TableSchema& schema =
-          db.catalog().schema(q.relations[0].table_id);
+    if (part.plan == nullptr) {
+      // Pure heartbeat scan run as version-range shards off the version
+      // log (one shard when serial, the same node its plan would lower
+      // to); the shards rejoin only through the session merge below.
       for (size_t s = 0; s < part.shards; ++s) {
-        IrNode& scan = ir->Add(IrNodeKind::kScan);
-        scan.generated = true;
-        scan.table = schema.name();
-        scan.snapshot = input.snapshot.version;
+        IrNode& scan = LowerScan(ir, db, q.relations[0], input.snapshot,
+                                 options, /*generated=*/true, age);
         scan.shard = s;
         scan.num_shards = part.shards;
-        for (size_t c = 0; c < schema.num_columns(); ++c) {
-          scan.columns.push_back(
-              IrColumn{q.relations[0].display_name + "." +
-                           schema.column(c).name,
-                       ProvenanceOf(db, q.relations[0].table_id, c, options)});
-        }
-        AnnotateScan(&scan, db, q.relations[0].table_id, age, options);
         part_tops.push_back(scan.id);
         layout_part.shard_scan_ids.push_back(scan.id);
       }

@@ -35,12 +35,13 @@ PlanIr LowerQueryPlan(const Database& db, const BoundQuery& query,
 /// One recency part of a report session, pre-planned by the caller.
 struct SessionPartInput {
   const BoundQuery* query = nullptr;
+  /// Null for a pure-Heartbeat-scan part, which the executor runs as
+  /// version-range shards and never plans: it lowers to `shards` scan
+  /// nodes (a single shard is the same scan node its plan would lower to).
   const QueryPlan* plan = nullptr;
   /// EXISTS guards gating the part, pre-planned like the main query.
   std::vector<const BoundQuery*> guard_queries;
   std::vector<const QueryPlan*> guard_plans;
-  /// Fan-out of a pure-Heartbeat-scan part: >1 lowers to `shards`
-  /// version-range scan nodes instead of the part's plan.
   size_t shards = 1;
 };
 

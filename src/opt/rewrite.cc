@@ -164,23 +164,6 @@ class RewriteSession {
 };
 
 // ---------------------------------------------------------------------------
-// Rule: dead-subplan pruning.
-
-void RuleDeadSubplanPrune(RewriteSession* session, const PlanningHints& hints,
-                          QueryPlan* plan) {
-  if (plan->provably_empty || hints.static_card == nullptr ||
-      !hints.static_card->DefinitelyEmpty()) {
-    return;
-  }
-  QueryPlan cand = *plan;
-  cand.provably_empty = true;
-  session->Attempt("dead-subplan-prune",
-                   "static cardinality interval " +
-                       hints.static_card->ToString() + " is provably empty",
-                   std::move(cand), /*require_strictly_cheaper=*/false);
-}
-
-// ---------------------------------------------------------------------------
 // Rule: redundant-filter elimination. Identity is the canonical SQL
 // rendering of a conjunct — the same identity the V007 fingerprint facts
 // are built from — so a conjunct evaluated twice anywhere in the plan is
@@ -454,11 +437,9 @@ void TestOnlyForceWitnessFailure(bool fail) {
 }
 
 void OptimizePlan(const Database& db, const BoundQuery& query,
-                  Snapshot snapshot, const PlanningHints& hints,
-                  QueryPlan* plan) {
+                  Snapshot snapshot, QueryPlan* plan) {
   if (!OptimizerEnabled()) return;
   RewriteSession session(db, query, snapshot, plan);
-  RuleDeadSubplanPrune(&session, hints, plan);
   RuleRedundantFilterElim(db, query, &session, plan);
   RulePredicatePushdown(&session, plan);
   RuleJoinReorder(db, query, &session, plan);

@@ -20,8 +20,6 @@ namespace opt {
 /// degradation, never a planning error.
 ///
 /// Rules, in application order:
-///   dead-subplan-prune        PlanningHints::static_card is provably
-///                             empty: skip storage entirely.
 ///   redundant-filter-elim     duplicate conjuncts (equal canonical SQL,
 ///                             the V007 fingerprint identity) evaluated
 ///                             more than once are dropped.
@@ -53,8 +51,7 @@ void TestOnlyForceWitnessFailure(bool fail);
 /// attempt in plan->rewrites. Never fails: an unprovable or losing
 /// candidate leaves the incumbent untouched.
 void OptimizePlan(const Database& db, const BoundQuery& query,
-                  Snapshot snapshot, const PlanningHints& hints,
-                  QueryPlan* plan);
+                  Snapshot snapshot, QueryPlan* plan);
 
 }  // namespace opt
 }  // namespace trac

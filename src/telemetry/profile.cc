@@ -105,19 +105,6 @@ size_t AttachSessionProfile(PlanIr* ir, const SessionLayout& layout,
       ++annotated;
       continue;
     }
-    if (task.sharded) {
-      // A pure-heartbeat part executed as a single shard (the serial
-      // path): the lowering emitted its plan subgraph instead of shard
-      // scans, and the whole subgraph is one storage scan — the task's
-      // counters land on its root.
-      if (task.shard == 0 && part.main.end > part.main.begin &&
-          part.main.top < n) {
-        Annotate(ir, part.main.top, task.rows);
-        AnnotateNs(ir, part.main.top, task.micros * 1000);
-        ++annotated;
-      }
-      continue;
-    }
     for (size_t g = 0; g < task.guards.size() && g < part.guards.size(); ++g) {
       annotated += AttachQueryRange(ir, part.guards[g], task.guards[g]);
     }

@@ -212,8 +212,8 @@ std::string HexFingerprint(uint64_t v) {
 /// fixpoint facts (absint/absint.h). Only annotated IRs can trip them —
 /// un-annotated corpus files analyze to bottom everywhere and stay
 /// clean, which keeps the rules backward-compatible by construction.
-void CheckAbsint(const PlanIr& ir, VerifyReport* report) {
-  const absint::AbsintResult res = absint::AnalyzeIr(ir);
+void CheckAbsint(const PlanIr& ir, const absint::AbsintResult& res,
+                 VerifyReport* report) {
   if (!res.converged) return;  // Facts are not a fixpoint; stay silent.
   for (const IrNode& n : ir.nodes) {
     const absint::NodeFacts& f = res.facts[n.id];
@@ -386,7 +386,8 @@ std::string VerifyReport::Format(const PlanIr& ir) const {
   return out;
 }
 
-VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options) {
+VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options,
+                      absint::AbsintResult* fixpoint) {
   VerifyReport report;
   if (!CheckStructure(ir, &report)) {
     CanonicalizeDiagnostics(&report);
@@ -396,7 +397,11 @@ VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options) {
   CheckTempTables(ir, &report);
   CheckDeterministicMerge(ir, &report);
   CheckProvenance(ir, &report);
-  if (options.absint) CheckAbsint(ir, &report);
+  if (options.absint) {
+    absint::AbsintResult res = absint::AnalyzeIr(ir);
+    CheckAbsint(ir, res, &report);
+    if (fixpoint != nullptr) *fixpoint = std::move(res);
+  }
   CanonicalizeDiagnostics(&report);
   return report;
 }
@@ -407,19 +412,17 @@ VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options) {
   return VerifyIrStatus(LowerQueryPlan(db, query, plan, snapshot, options));
 }
 
-[[nodiscard]] Status VerifyReportSession(const Database& db, const ReportSessionInput& input,
-                           const LowerOptions& options) {
-  return VerifyIrStatus(LowerReportSession(db, input, options));
+Status VerifyReport::ToStatus() const {
+  if (ok()) return Status::OK();
+  std::string msg = "plan verification failed (" +
+                    std::to_string(diagnostics.size()) + " finding" +
+                    (diagnostics.size() == 1 ? "" : "s") + "): " +
+                    diagnostics.front().Format();
+  return Status::Internal(std::move(msg));
 }
 
 [[nodiscard]] Status VerifyIrStatus(const PlanIr& ir) {
-  const VerifyReport report = VerifyIr(ir);
-  if (report.ok()) return Status::OK();
-  std::string msg = "plan verification failed (" +
-                    std::to_string(report.diagnostics.size()) + " finding" +
-                    (report.diagnostics.size() == 1 ? "" : "s") + "): " +
-                    report.diagnostics.front().Format();
-  return Status::Internal(std::move(msg));
+  return VerifyIr(ir).ToStatus();
 }
 
 }  // namespace trac

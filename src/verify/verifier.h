@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "absint/absint.h"
 #include "common/result.h"
 #include "ir/lower.h"
 #include "ir/plan_ir.h"
@@ -114,6 +115,9 @@ struct VerifyReport {
   std::vector<VerifyDiagnostic> diagnostics;
 
   bool ok() const { return diagnostics.empty(); }
+  /// OK, or every finding folded into a single kInternal Status (a
+  /// rejected plan is a library bug, not user error).
+  [[nodiscard]] Status ToStatus() const;
   /// Multi-line lint-style block: header then one line per finding;
   /// "plan IR verified: N nodes, 0 diagnostics" when clean.
   std::string Format(const PlanIr& ir) const;
@@ -121,8 +125,8 @@ struct VerifyReport {
 
 struct VerifyOptions {
   /// Run the abstract interpreter and the semantic rules V005..V008 it
-  /// feeds. On by default so the library gates (VerifyPlan,
-  /// VerifyReportSession) get full checking; trac_verify exposes it as
+  /// feeds. On by default so the library gates (VerifyPlan, the
+  /// reporter's session gate) get full checking; trac_verify exposes it as
   /// the opt-in --absint flag to keep the structural view separable.
   bool absint = true;
 };
@@ -130,11 +134,14 @@ struct VerifyOptions {
 /// Runs the full pass pipeline over `ir`. A TRAC-V000 finding
 /// short-circuits the remaining passes (they assume a well-formed
 /// graph). Never fails as a function — failures are diagnostics.
+/// `fixpoint`, when non-null, receives the abstract interpreter's
+/// result the semantic rules ran on (left untouched when they did not
+/// run), so a caller needing the facts does not compute them again.
 VerifyReport VerifyIr(const PlanIr& ir,
-                      const VerifyOptions& options = VerifyOptions());
+                      const VerifyOptions& options = VerifyOptions(),
+                      absint::AbsintResult* fixpoint = nullptr);
 
-/// Convenience gate: verifies and folds any findings into a single
-/// kInternal Status (a rejected plan is a library bug, not user error).
+/// Convenience gate: VerifyIr(ir).ToStatus().
 [[nodiscard]] Status VerifyIrStatus(const PlanIr& ir);
 
 /// The planner/executor gate: lowers one planned query (ir/lower.h) and
@@ -143,12 +150,6 @@ VerifyReport VerifyIr(const PlanIr& ir,
 [[nodiscard]] Status VerifyPlan(const Database& db, const BoundQuery& query,
                                 const QueryPlan& plan, Snapshot snapshot,
                                 const LowerOptions& options = LowerOptions());
-
-/// Session-level gate over everything a recency report executes.
-[[nodiscard]] Status VerifyReportSession(const Database& db,
-                                         const ReportSessionInput& input,
-                                         const LowerOptions& options =
-                                             LowerOptions());
 
 }  // namespace trac
 

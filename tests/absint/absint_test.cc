@@ -1,7 +1,6 @@
 // Unit tests for the abstract interpreter (src/absint): the lattice
 // domains, the worklist fixpoint engine's transfer functions, the
-// semantic verifier rules TRAC-V005..V008 it feeds, and the planner's
-// dead-subplan short-circuit hint.
+// semantic verifier rules TRAC-V005..V008 it feeds.
 
 #include <string>
 #include <vector>
@@ -10,11 +9,7 @@
 
 #include "absint/absint.h"
 #include "absint/domains.h"
-#include "exec/planner.h"
-#include "exec/statement.h"
-#include "expr/binder.h"
 #include "ir/plan_ir.h"
-#include "storage/database.h"
 #include "verify/verifier.h"
 
 namespace trac {
@@ -290,38 +285,6 @@ TEST(AbsintVerifyTest, StructuralOnlyModeSkipsSemanticRules) {
   structural.absint = false;
   EXPECT_TRUE(VerifyIr(ir, structural).ok());
   EXPECT_FALSE(VerifyIr(ir).ok());
-}
-
-// ---------------------------------------------------------------------
-// Planner short-circuit hint.
-
-TEST(AbsintPlannerTest, StaticCardHintShortCircuitsDeadSubplans) {
-  Database db;
-  ASSERT_TRUE(ExecuteStatement(&db,
-                               "CREATE TABLE t (id INTEGER DATA SOURCE, "
-                               "v INTEGER)")
-                  .ok());
-  ASSERT_TRUE(ExecuteStatement(&db, "INSERT INTO t VALUES (1, 10)").ok());
-  auto query = BindSql(db, "SELECT id FROM t WHERE v > 5");
-  ASSERT_TRUE(query.ok()) << query.status();
-  const Snapshot snapshot = db.LatestSnapshot();
-
-  auto plain = PlanQuery(db, *query, snapshot);
-  ASSERT_TRUE(plain.ok()) << plain.status();
-  EXPECT_FALSE(plain->provably_empty);
-
-  const absint::CardInterval empty = absint::CardInterval::Exact(0);
-  PlanningHints hints;
-  hints.static_card = &empty;
-  auto pruned = PlanQuery(db, *query, snapshot, hints);
-  ASSERT_TRUE(pruned.ok()) << pruned.status();
-  EXPECT_TRUE(pruned->provably_empty);
-
-  const absint::CardInterval live = absint::CardInterval::UpTo(8);
-  hints.static_card = &live;
-  auto kept = PlanQuery(db, *query, snapshot, hints);
-  ASSERT_TRUE(kept.ok()) << kept.status();
-  EXPECT_FALSE(kept->provably_empty);
 }
 
 }  // namespace

@@ -149,15 +149,16 @@ TEST(ParallelRelevanceTest, ExecuteRecencyQueriesDirectEquivalence) {
   TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan plan,
                             GenerateRecencyQueries(env.db, user));
   Snapshot snap = env.db.LatestSnapshot();
-  TRAC_ASSERT_OK_AND_ASSIGN(std::vector<SourceRecency> serial,
-                            ExecuteRecencyQueries(env.db, plan, snap));
+  TRAC_ASSERT_OK_AND_ASSIGN(RecencyExecution serial,
+                            ExecuteRecencyQueriesDetailed(env.db, plan, snap));
   for (size_t parallelism : {2, 4}) {
     RelevanceOptions options;
     options.parallelism = parallelism;
     TRAC_ASSERT_OK_AND_ASSIGN(
-        std::vector<SourceRecency> parallel,
-        ExecuteRecencyQueries(env.db, plan, snap, options));
-    EXPECT_EQ(serial, parallel) << "parallelism " << parallelism;
+        RecencyExecution parallel,
+        ExecuteRecencyQueriesDetailed(env.db, plan, snap, options));
+    EXPECT_EQ(serial.sources, parallel.sources)
+        << "parallelism " << parallelism;
   }
 }
 

@@ -217,9 +217,10 @@ TEST(RelevanceTest, NaivePlanReportsEverything) {
   TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan plan,
                             GenerateNaivePlan(fixture.db));
   TRAC_ASSERT_OK_AND_ASSIGN(
-      std::vector<SourceRecency> sources,
-      ExecuteRecencyQueries(fixture.db, plan, fixture.db.LatestSnapshot()));
-  EXPECT_EQ(sources.size(), 11u);
+      RecencyExecution exec,
+      ExecuteRecencyQueriesDetailed(fixture.db, plan,
+                                    fixture.db.LatestSnapshot()));
+  EXPECT_EQ(exec.sources.size(), 11u);
   EXPECT_FALSE(plan.minimal);
 }
 

@@ -134,8 +134,8 @@ TEST_F(ReportTelemetryTest, TaskSpansSumToBusyTime) {
 
 TEST_F(ReportTelemetryTest, PhaseHistogramsAndCountersPopulate) {
   RecencyReport report = RunReport(/*parallelism=*/1);
-  for (const char* phase :
-       {"parse_generate", "verify", "user_query", "relevance", "stats"}) {
+  for (const char* phase : {"parse_generate", "verify", "user_query",
+                            "relevance", "merge", "stats"}) {
     Histogram* h = metrics_.GetHistogram(
         "trac_report_phase_micros", "Wall time of one recency-report phase",
         {{"phase", phase}});
@@ -149,6 +149,13 @@ TEST_F(ReportTelemetryTest, PhaseHistogramsAndCountersPopulate) {
       "trac_report_phase_micros", "Wall time of one recency-report phase",
       {{"phase", "relevance"}});
   EXPECT_EQ(relevance_phase->Sum(), report.relevance_exec_micros);
+  // The merge is timed on every report, inside the relevance phase.
+  Histogram* merge_phase = metrics_.GetHistogram(
+      "trac_report_phase_micros", "Wall time of one recency-report phase",
+      {{"phase", "merge"}});
+  EXPECT_EQ(merge_phase->Sum(), report.merge_micros);
+  EXPECT_GT(report.merge_micros, 0);
+  EXPECT_LT(report.merge_micros, report.relevance_exec_micros);
   EXPECT_EQ(metrics_
                 .GetCounter("trac_reports_total", "Recency reports completed")
                 ->Value(),

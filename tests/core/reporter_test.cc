@@ -3,12 +3,29 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace trac {
 namespace {
 
 using testing_util::PaperExampleDb;
 using testing_util::Ts;
+
+int64_t QueriesExecuted() {
+  return MetricRegistry::Default()
+      .GetCounter("trac_queries_executed_total",
+                  "Bound queries executed (user, recency, and guard queries)")
+      ->Value();
+}
+
+int64_t PlansVerified() {
+  return MetricRegistry::Default()
+      .GetCounter("trac_plan_verify_total",
+                  "Plan-IR verifier outcomes at plan time",
+                  {{"outcome", "ok"}})
+      ->Value();
+}
 
 // Reproduces the Section 5.1 session transcript: the idle-machines query
 // over the sample Activity data with 11 registered sources, m2 a month
@@ -163,9 +180,63 @@ TEST(ReporterTest, NoTempTablesWhenDisabled) {
 TEST(ReporterTest, TempTablesRequestedWithoutSessionFails) {
   PaperExampleDb fixture;
   RecencyReporter reporter(&fixture.db, nullptr);
-  EXPECT_FALSE(
-      reporter.Run("SELECT mach_id FROM Activity WHERE value = 'idle'")
-          .ok());
+  MetricRegistry metrics;
+  Tracer tracer;
+  Telemetry telemetry{&metrics, &tracer, &MonotonicMicros};
+  RecencyReportOptions options;
+  options.telemetry = &telemetry;
+  const int64_t queries_before = QueriesExecuted();
+  const int64_t plans_before = PlansVerified();
+  Result<RecencyReport> report = reporter.Run(
+      "SELECT mach_id FROM Activity WHERE value = 'idle'", options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  // Rejected before anything is planned or run.
+  EXPECT_EQ(QueriesExecuted(), queries_before);
+  EXPECT_EQ(PlansVerified(), plans_before);
+  EXPECT_EQ(
+      metrics.GetCounter("trac_reports_total", "Recency reports completed")
+          ->Value(),
+      0);
+}
+
+// Each report plans every query once, in the verify gate, and executes
+// those plans: the user query plus every part that is not a pure
+// Heartbeat scan, plus that part's guards.
+TEST(ReporterTest, PlansEachQueryOnce) {
+  PaperExampleDb fixture(/*finite_domains=*/false);
+  RecencyReporter reporter(&fixture.db, nullptr);
+  RecencyReportOptions options;
+  options.create_temp_tables = false;
+  for (const char* sql :
+       {"SELECT value FROM activity WHERE mach_id = 'm1'",  // Q1
+        "SELECT COUNT(*) FROM routing r, activity a WHERE "
+        "r.neighbor = a.mach_id AND a.value = 'idle'"}) {
+    SCOPED_TRACE(sql);
+    TRAC_ASSERT_OK_AND_ASSIGN(BoundQuery query, BindSql(fixture.db, sql));
+    TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan plan,
+                              GenerateRecencyQueries(fixture.db, query));
+    TRAC_ASSERT_OK_AND_ASSIGN(
+        std::vector<PlannedPart> planned,
+        PlanRecencyParts(fixture.db, plan, fixture.db.LatestSnapshot(), 1));
+    int64_t expected = 1;  // The user query.
+    for (const PlannedPart& part : planned) {
+      if (part.shards == 0) expected += 1 + part.guards.size();
+    }
+    EXPECT_GT(expected, 1);
+    const int64_t before = PlansVerified();
+    TRAC_ASSERT_OK(reporter.Run(sql, options).status());
+    EXPECT_EQ(PlansVerified() - before, expected);
+  }
+
+  // The Naive plan is one pure Heartbeat scan: only the user query is
+  // planned, even serially.
+  options.method = RecencyMethod::kNaive;
+  const int64_t before = PlansVerified();
+  TRAC_ASSERT_OK(
+      reporter.Run("SELECT value FROM activity WHERE mach_id = 'm1'", options)
+          .status());
+  EXPECT_EQ(PlansVerified() - before, 1);
 }
 
 TEST(ReporterTest, EmptyRelevantSetProducesEmptyReport) {

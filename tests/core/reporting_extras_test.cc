@@ -108,9 +108,10 @@ TEST(FallbackTest, DnfBlowUpFallsBackToAllSourcesComplete) {
   EXPECT_FALSE(plan.minimal);
   ASSERT_FALSE(plan.notes.empty());
   TRAC_ASSERT_OK_AND_ASSIGN(
-      std::vector<SourceRecency> sources,
-      ExecuteRecencyQueries(fixture.db, plan, fixture.db.LatestSnapshot()));
-  EXPECT_EQ(sources.size(), 11u);  // Complete: everything reported.
+      RecencyExecution exec,
+      ExecuteRecencyQueriesDetailed(fixture.db, plan,
+                                    fixture.db.LatestSnapshot()));
+  EXPECT_EQ(exec.sources.size(), 11u);  // Complete: everything reported.
 }
 
 TEST(GuardTest, DisconnectedRelationBecomesExistsGuard) {
@@ -136,9 +137,10 @@ TEST(GuardTest, DisconnectedRelationBecomesExistsGuard) {
 
   // With idle rows present the guard passes: all sources via routing.
   TRAC_ASSERT_OK_AND_ASSIGN(
-      std::vector<SourceRecency> sources,
-      ExecuteRecencyQueries(fixture.db, plan, fixture.db.LatestSnapshot()));
-  EXPECT_EQ(sources.size(), 11u);
+      RecencyExecution before,
+      ExecuteRecencyQueriesDetailed(fixture.db, plan,
+                                    fixture.db.LatestSnapshot()));
+  EXPECT_EQ(before.sources.size(), 11u);
 
   // Remove every idle row: the guard fails and the routing part
   // contributes nothing; only activity-side relevance remains (which
@@ -153,12 +155,13 @@ TEST(GuardTest, DisconnectedRelationBecomesExistsGuard) {
                          [](Row* r) { (*r)[1] = Value::Str("busy"); })
                      .status());
   TRAC_ASSERT_OK_AND_ASSIGN(
-      std::vector<SourceRecency> after,
-      ExecuteRecencyQueries(fixture.db, plan, fixture.db.LatestSnapshot()));
+      RecencyExecution after,
+      ExecuteRecencyQueriesDetailed(fixture.db, plan,
+                                    fixture.db.LatestSnapshot()));
   // Via activity: potential idle tuples joining existing routing rows
   // with neighbor = source: neighbors are m3 only -> {m3}.
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_EQ(after[0].source, "m3");
+  ASSERT_EQ(after.sources.size(), 1u);
+  EXPECT_EQ(after.sources[0].source, "m3");
 }
 
 TEST(WorkloadExceptionalTest, ReporterFlagsStaleSourcesAtScale) {

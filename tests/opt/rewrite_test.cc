@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "absint/domains.h"
 #include "exec/planner.h"
 #include "exec/statement.h"
 #include "expr/binder.h"
@@ -45,11 +44,10 @@ class RewriteTest : public ::testing::Test {
     ASSERT_TRUE(result.ok()) << result.status() << "\n" << sql;
   }
 
-  QueryPlan Plan(const std::string& sql,
-                 const PlanningHints& hints = PlanningHints()) {
+  QueryPlan Plan(const std::string& sql) {
     auto query = BindSql(db_, sql);
     EXPECT_TRUE(query.ok()) << query.status();
-    auto plan = PlanQuery(db_, *query, db_.LatestSnapshot(), hints);
+    auto plan = PlanQuery(db_, *query, db_.LatestSnapshot());
     EXPECT_TRUE(plan.ok()) << plan.status();
     return std::move(*plan);
   }
@@ -94,26 +92,6 @@ TEST_F(RewriteTest, DistinctConjunctsAreKept) {
   EXPECT_EQ(FindRule(plan, "redundant-filter-elim"), nullptr);
   ASSERT_EQ(plan.levels.size(), 1u);
   EXPECT_EQ(plan.levels[0].local_preds.size(), 2u);
-}
-
-TEST_F(RewriteTest, StaticCardZeroPrunesDeadSubplan) {
-  const absint::CardInterval empty = absint::CardInterval::Exact(0);
-  PlanningHints hints;
-  hints.static_card = &empty;
-  const QueryPlan plan = Plan("SELECT value FROM activity", hints);
-  EXPECT_TRUE(plan.provably_empty);
-  const PlanRewrite* r = FindRule(plan, "dead-subplan-prune");
-  ASSERT_NE(r, nullptr);
-  EXPECT_TRUE(r->applied);
-}
-
-TEST_F(RewriteTest, UnboundedStaticCardDoesNotPrune) {
-  const absint::CardInterval unknown = absint::CardInterval::Unknown();
-  PlanningHints hints;
-  hints.static_card = &unknown;
-  const QueryPlan plan = Plan("SELECT value FROM activity", hints);
-  EXPECT_FALSE(plan.provably_empty);
-  EXPECT_EQ(FindRule(plan, "dead-subplan-prune"), nullptr);
 }
 
 TEST_F(RewriteTest, RangeConjunctConvertsToRangeScan) {

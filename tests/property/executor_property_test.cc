@@ -181,9 +181,10 @@ TEST_P(ExecutorPropertyTest, LimitIsAPrefixOfTheFullResult) {
     Snapshot snap = fixture.db.LatestSnapshot();
     auto full = ExecuteQuery(fixture.db, *bound, snap);
     ASSERT_TRUE(full.ok());
+    auto plan = PlanQuery(fixture.db, *bound, snap);
+    ASSERT_TRUE(plan.ok());
     for (size_t limit = 1; limit <= full->num_rows() + 1; ++limit) {
-      auto limited =
-          ExecuteQueryWithLimit(fixture.db, *bound, snap, limit);
+      auto limited = ExecutePlan(fixture.db, *bound, *plan, snap, limit);
       ASSERT_TRUE(limited.ok());
       EXPECT_EQ(limited->num_rows(),
                 std::min(limit, full->num_rows()));

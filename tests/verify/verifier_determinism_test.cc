@@ -119,26 +119,15 @@ class DeterminismCorpusTest : public ::testing::Test {
     auto user_plan = PlanQuery(db_, *query, snapshot);
     EXPECT_TRUE(user_plan.ok()) << user_plan.status();
 
-    std::vector<QueryPlan> part_plans(plan->parts.size());
+    auto planned = PlanRecencyParts(db_, *plan, snapshot, parallelism);
+    EXPECT_TRUE(planned.ok()) << planned.status();
     ReportSessionInput input;
     input.user_query = &*query;
     input.user_plan = &*user_plan;
     input.snapshot = snapshot;
     input.session = 1;
     input.temp_writes = {"sys_temp_a1"};
-    for (size_t i = 0; i < plan->parts.size(); ++i) {
-      const RecencyQueryPlan::Part& part = plan->parts[i];
-      SessionPartInput in;
-      in.query = &part.query;
-      in.shards = PlannedHeartbeatShards(db_, part, parallelism);
-      if (in.shards == 1) {
-        auto pp = PlanQuery(db_, part.query, snapshot);
-        EXPECT_TRUE(pp.ok()) << pp.status();
-        part_plans[i] = std::move(*pp);
-        in.plan = &part_plans[i];
-      }
-      input.parts.push_back(std::move(in));
-    }
+    input.parts = SessionParts(*plan, *planned);
     LowerOptions lower;
     lower.heartbeat_table = std::string(HeartbeatTable::kDefaultName);
     PlanIr ir = LowerReportSession(db_, input, lower);

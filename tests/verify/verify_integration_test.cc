@@ -1,6 +1,6 @@
 // End-to-end wiring check for the plan verifier: every query planned or
-// executed through the public entry points must pass VerifyPlan /
-// VerifyReportSession with zero findings. In release builds a
+// executed through the public entry points must pass VerifyPlan / the
+// reporter's session gate with zero findings. In release builds a
 // verification failure surfaces as an error Status from PlanQuery or
 // RecencyReporter::Run — which these assertions would catch; compiled
 // with TRAC_DEBUG_INVARIANTS=1 (see tests/CMakeLists.txt) the same

@@ -102,33 +102,16 @@ trac::Result<trac::PlanIr> LowerSqlFile(const trac::Database& db,
   TRAC_ASSIGN_OR_RETURN(trac::QueryPlan user_plan,
                         trac::PlanQuery(db, query, snapshot, hints));
 
-  std::vector<trac::QueryPlan> part_plans(plan.parts.size());
-  std::vector<std::vector<trac::QueryPlan>> guard_plans(plan.parts.size());
+  TRAC_ASSIGN_OR_RETURN(
+      std::vector<trac::PlannedPart> planned,
+      trac::PlanRecencyParts(db, plan, snapshot, parallelism));
   trac::ReportSessionInput input;
   input.user_query = &query;
   input.user_plan = &user_plan;
   input.snapshot = snapshot;
   input.session = 1;
   input.temp_writes = {"sys_temp_a", "sys_temp_e"};
-  for (size_t i = 0; i < plan.parts.size(); ++i) {
-    const trac::RecencyQueryPlan::Part& part = plan.parts[i];
-    trac::SessionPartInput in;
-    in.query = &part.query;
-    in.shards = trac::PlannedHeartbeatShards(db, part, parallelism);
-    if (in.shards == 1) {
-      TRAC_ASSIGN_OR_RETURN(part_plans[i],
-                            trac::PlanQuery(db, part.query, snapshot));
-      in.plan = &part_plans[i];
-      guard_plans[i].resize(part.guards.size());
-      for (size_t g = 0; g < part.guards.size(); ++g) {
-        TRAC_ASSIGN_OR_RETURN(guard_plans[i][g],
-                              trac::PlanQuery(db, part.guards[g], snapshot));
-        in.guard_queries.push_back(&part.guards[g]);
-        in.guard_plans.push_back(&guard_plans[i][g]);
-      }
-    }
-    input.parts.push_back(std::move(in));
-  }
+  input.parts = trac::SessionParts(plan, planned);
   trac::LowerOptions lower;
   lower.heartbeat_table = trac::HeartbeatTable::kDefaultName;
   trac::PlanIr ir = trac::LowerReportSession(db, input, lower);
