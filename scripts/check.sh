@@ -11,7 +11,8 @@
 #      findings/ for CI to archive,
 #   4. run trac_top against its golden dashboard (deterministic clock),
 #      a bench --json smoke run that leaves BENCH_*.json records in
-#      bench-json/ for CI to archive, and two short perfbench runs that
+#      bench-json/ for CI to archive (the parallel-relevance record must
+#      carry its merge/fanout split), and two short perfbench runs that
 #      must report "correct": true and "failed": 0,
 #   5. run the whole ctest suite (which re-runs the linters and their
 #      self-tests as test cases),
@@ -161,6 +162,15 @@ for f in bench-json/BENCH_parallel_relevance.json \
          bench-json/BENCH_optimizer.json; do
   [[ -s "$f" ]] || { echo "missing bench record $f" >&2; exit 1; }
 done
+# The parallel-relevance record splits wall past the longest strand into
+# the set merge and true fan-out; the old merged field must not return.
+python3 -c 'import json, sys
+r = json.load(open(sys.argv[1]))["results"]
+missing = [k for k in ("Naive/2/merge", "Naive/2/fanout") if k not in r]
+stale = [k for k in r if k.endswith("/fanout_overhead")]
+if missing or stale:
+    sys.exit("BENCH_parallel_relevance.json: missing %s, stale %s"
+             % (missing, stale))' bench-json/BENCH_parallel_relevance.json
 
 echo "==> perfbench smoke (the benchmark's replay of the library API)"
 # perfbench compiles its own replay of a report against the public

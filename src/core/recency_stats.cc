@@ -10,10 +10,14 @@ RecencyStats ComputeRecencyStats(std::vector<SourceRecency> relevant,
   RecencyStats stats;
   if (relevant.empty()) return stats;
 
-  std::sort(relevant.begin(), relevant.end(),
-            [](const SourceRecency& a, const SourceRecency& b) {
-              return a.source < b.source;
-            });
+  // The relevance merge already emits sources in order; sort only
+  // input that is not.
+  const auto by_source = [](const SourceRecency& a, const SourceRecency& b) {
+    return a.source < b.source;
+  };
+  if (!std::is_sorted(relevant.begin(), relevant.end(), by_source)) {
+    std::sort(relevant.begin(), relevant.end(), by_source);
+  }
 
   const double n = static_cast<double>(relevant.size());
   double mean = 0;
@@ -28,6 +32,7 @@ RecencyStats ComputeRecencyStats(std::vector<SourceRecency> relevant,
   stats.mean_micros = mean;
   stats.stddev_micros = std::sqrt(var);
 
+  stats.normal.reserve(relevant.size());
   for (SourceRecency& s : relevant) {
     bool exceptional = false;
     if (stats.stddev_micros > 0) {
@@ -39,19 +44,16 @@ RecencyStats ComputeRecencyStats(std::vector<SourceRecency> relevant,
     (exceptional ? stats.exceptional : stats.normal).push_back(std::move(s));
   }
 
+  const SourceRecency* least = nullptr;
+  const SourceRecency* most = nullptr;
   for (const SourceRecency& s : stats.normal) {
-    if (!stats.least_recent.has_value() ||
-        s.recency < stats.least_recent->recency) {
-      stats.least_recent = s;
-    }
-    if (!stats.most_recent.has_value() ||
-        s.recency > stats.most_recent->recency) {
-      stats.most_recent = s;
-    }
+    if (least == nullptr || s.recency < least->recency) least = &s;
+    if (most == nullptr || s.recency > most->recency) most = &s;
   }
-  if (stats.least_recent.has_value()) {
-    stats.inconsistency_bound_micros =
-        stats.most_recent->recency - stats.least_recent->recency;
+  if (least != nullptr) {
+    stats.least_recent = *least;
+    stats.most_recent = *most;
+    stats.inconsistency_bound_micros = most->recency - least->recency;
   }
 
   if (!options.percentiles.empty() && !stats.normal.empty()) {

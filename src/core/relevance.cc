@@ -1,8 +1,11 @@
 #include "core/relevance.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <functional>
 #include <map>
+#include <string_view>
 
 #include "common/str_util.h"
 #include "common/thread_pool.h"
@@ -308,10 +311,16 @@ void SplitPartIntoGuards(const Database& db, RecencyQueryPlan::Part* part,
 namespace {
 
 /// Unmerged output of one execution task: (source, recency) pairs in
-/// executor emission order, duplicates allowed (the merge dedups).
+/// emission order, duplicates allowed (the merge dedups). The sources
+/// are views, never copies: a shard task views the heartbeat table's
+/// row versions (immutable once published, stable addresses, kept
+/// until shutdown even if the table is dropped), a planned part views
+/// its own `result`. Both outlive the merge.
 struct RecencyTaskResult {
   Status status = Status::OK();
-  std::vector<std::pair<std::string, Timestamp>> rows;
+  std::vector<std::pair<std::string_view, Timestamp>> rows;
+  /// Backing storage for a planned part's `rows`.
+  ResultSet result;
   int64_t micros = 0;
   /// Per-operator profile under options.profile. One slot per task, so
   /// each strand writes only its own — race-free by construction.
@@ -350,8 +359,11 @@ void RunPartTask(const Database& db, const RecencyQueryPlan::Part& part,
     out->status = rs.status();
     return;
   }
-  out->rows.reserve(rs->rows.size());
-  for (const Row& row : rs->rows) {
+  // Moving the ResultSet moves its row buffer, not the rows: views
+  // taken after the move stay valid as long as `out` does.
+  out->result = std::move(*rs);
+  out->rows.reserve(out->result.rows.size());
+  for (const Row& row : out->result.rows) {
     if (row[0].is_null()) continue;
     out->rows.emplace_back(
         row[0].str_val(),
@@ -378,6 +390,89 @@ void RunHeartbeatShardTask(const Database& db,
                                                 ? Timestamp()
                                                 : row[rec_col].ts_val());
                    });
+}
+
+/// One task row in the set merge. `key` is the source's first 8 bytes,
+/// zero-padded and read big-endian, so comparing keys agrees with
+/// std::string's byte order on every prefix and most comparisons never
+/// touch the string; `seq` is the row's position in task order.
+struct MergeEntry {
+  uint64_t key;
+  uint64_t seq;
+  Timestamp recency;
+  std::string_view source;
+};
+
+constexpr size_t kKeyBytes = sizeof(uint64_t);
+
+/// Swaps between native and big-endian byte order (an involution).
+uint64_t BigEndian(uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(v);
+  }
+  return v;
+}
+
+uint64_t PrefixKey(std::string_view s) {
+  uint64_t raw = 0;
+  std::memcpy(&raw, s.data(), std::min(s.size(), kKeyBytes));
+  return BigEndian(raw);
+}
+
+/// Three-way std::string order of two entries' sources. On a key tie,
+/// sources of at most 8 bytes lie wholly in their keys and are equal up
+/// to zero padding, so the shorter is a prefix of the longer: the
+/// lengths decide without touching either string.
+int CompareSources(const MergeEntry& a, const MergeEntry& b) {
+  if (a.key != b.key) return a.key < b.key ? -1 : 1;
+  if (a.source.size() <= kKeyBytes && b.source.size() <= kKeyBytes) {
+    return (a.source.size() > b.source.size()) -
+           (a.source.size() < b.source.size());
+  }
+  return a.source.compare(b.source);
+}
+
+/// The entry's source as a string; one of at most 8 bytes is rebuilt
+/// from its key, sparing a read of the (cold) row it views.
+std::string SourceString(const MergeEntry& e) {
+  if (e.source.size() > kKeyBytes) return std::string(e.source);
+  const uint64_t raw = BigEndian(e.key);
+  char bytes[kKeyBytes];
+  std::memcpy(bytes, &raw, kKeyBytes);
+  return std::string(bytes, e.source.size());
+}
+
+/// The set union of `results`' rows in task order: one SourceRecency
+/// per distinct source, sorted by source, each carrying the recency of
+/// the source's first row in task order. One sort over fixed-width
+/// entries, then one string copy per surviving source.
+std::vector<SourceRecency> MergeTaskRows(
+    const std::vector<RecencyTaskResult>& results, size_t total_rows) {
+  std::vector<MergeEntry> entries;
+  entries.reserve(total_rows);
+  for (const RecencyTaskResult& result : results) {
+    for (const auto& [source, ts] : result.rows) {
+      entries.push_back(
+          MergeEntry{PrefixKey(source), entries.size(), ts, source});
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const MergeEntry& a, const MergeEntry& b) {
+              const int c = CompareSources(a, b);
+              return c != 0 ? c < 0 : a.seq < b.seq;
+            });
+  // A run of equal sources starts with its lowest seq; unique keeps it.
+  entries.erase(std::unique(entries.begin(), entries.end(),
+                            [](const MergeEntry& a, const MergeEntry& b) {
+                              return CompareSources(a, b) == 0;
+                            }),
+                entries.end());
+  std::vector<SourceRecency> merged;
+  merged.reserve(entries.size());
+  for (const MergeEntry& e : entries) {
+    merged.push_back(SourceRecency{SourceString(e), e.recency});
+  }
+  return merged;
 }
 
 bool IsPureHeartbeatScan(const RecencyQueryPlan::Part& part) {
@@ -465,9 +560,9 @@ std::vector<SessionPartInput> SessionParts(
   const size_t parallelism = std::max<size_t>(1, options.parallelism);
 
   // Build the task list. Ranges shard in ascending version order and
-  // tasks merge in list order below, so the merged row stream is a
-  // permutation-free replay of the serial one: identical results at any
-  // parallelism.
+  // the merge numbers rows in task-list order, so the merged row stream
+  // is a permutation-free replay of the serial one and the first row of
+  // a source wins at any parallelism: identical results.
   struct TaskSpec {
     const RecencyQueryPlan::Part* part;
     bool shard = false;
@@ -562,20 +657,13 @@ std::vector<SessionPartInput> SessionParts(
   RecencyExecution exec;
   exec.parallelism = parallelism;
   const int64_t merge_t0 = clock();
-  std::map<std::string, Timestamp> merged;
   for (RecencyTaskResult& result : results) {
     TRAC_RETURN_IF_ERROR(result.status);
-    for (const auto& [source, ts] : result.rows) {
-      merged.emplace(source, ts);
-    }
     exec.premerge_rows += result.rows.size();
     exec.task_micros.push_back(result.micros);
     if (profiling) exec.task_profiles.push_back(std::move(result.profile));
   }
-  exec.sources.reserve(merged.size());
-  for (auto& [source, ts] : merged) {
-    exec.sources.push_back(SourceRecency{source, ts});
-  }
+  exec.sources = MergeTaskRows(results, exec.premerge_rows);
   exec.merge_micros = clock() - merge_t0;
   return exec;
 }

@@ -157,10 +157,12 @@ std::vector<SessionPartInput> SessionParts(
     const RecencyQueryPlan& plan, const std::vector<PlannedPart>& planned);
 
 /// Result of executing a plan's parts against one snapshot: the union
-/// of their sources, sorted by source id, plus per-task timing
-/// (`task_micros[i]` is the wall time of task i; serial execution is
-/// one task per part), letting the reporter split the relevance wall
-/// time into busy time vs. fan-out win.
+/// of their sources, sorted by source id (std::string byte order), plus
+/// per-task timing (`task_micros[i]` is the wall time of task i; serial
+/// execution is one task per part, shards of a part in version order),
+/// letting the reporter split the relevance wall time into busy time
+/// vs. fan-out win. A source several rows name carries the recency of
+/// its first row in task order; rows with a NULL source are skipped.
 struct RecencyExecution {
   std::vector<SourceRecency> sources;
   std::vector<int64_t> task_micros;
@@ -171,7 +173,9 @@ struct RecencyExecution {
   std::vector<TaskProfile> task_profiles;
   /// Rows the tasks fed into the set merge (pre-dedup); always counted.
   uint64_t premerge_rows = 0;
-  /// Wall time of the dedup merge fold; always measured.
+  /// Wall time of the set merge, from the first task row read to the
+  /// last SourceRecency built (one sort over prefix-keyed row views,
+  /// then one string copy per source); always measured.
   int64_t merge_micros = 0;
 };
 /// PlanRecencyParts at options.parallelism, then the overload below.

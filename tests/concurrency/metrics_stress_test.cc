@@ -5,6 +5,7 @@
 // Run under the tsan preset this also proves the fast paths are free of
 // data races.
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -60,20 +61,27 @@ TEST(MetricsStressTest, RegistryLookupAndUpdateConcurrently) {
   // then hammer the shared series; scrapes run concurrently with the
   // writers to exercise the read side under contention.
   MetricRegistry registry;
+  // An empty registry scrapes to "", so the scraper waits for the first
+  // series before asserting a non-empty scrape.
+  std::atomic<bool> registered{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, t] {
+    threads.emplace_back([&registry, &registered, t] {
       Counter* counter = registry.GetCounter(
           "stress_total", "shared series", {{"kind", "race"}});
       Gauge* gauge = registry.GetGauge("stress_last", "per-thread gauge",
                                        {{"thread", std::to_string(t)}});
+      registered.store(true, std::memory_order_release);
       for (int i = 0; i < kOpsPerThread; ++i) {
         counter->Increment();
         if (i % 1024 == 0) gauge->Set(i);
       }
     });
   }
-  std::thread scraper([&registry] {
+  std::thread scraper([&registry, &registered] {
+    while (!registered.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     for (int i = 0; i < 50; ++i) {
       std::string text = registry.ScrapeText();
       EXPECT_FALSE(text.empty());

@@ -1,6 +1,10 @@
 #include "core/recency_stats.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +127,53 @@ TEST(RecencyStatsTest, OutputsSortedBySource) {
   EXPECT_EQ(stats.normal[0].source, "aa");
   EXPECT_EQ(stats.normal[1].source, "mm");
   EXPECT_EQ(stats.normal[2].source, "zz");
+}
+
+TEST(RecencyStatsTest, InputOrderDoesNotMatter) {
+  // Sorted input (what the relevance merge emits) skips the sort;
+  // reversed and shuffled input take it. All three must agree exactly,
+  // down to the floating-point moments.
+  std::vector<SourceRecency> sorted;
+  Timestamp base = Ts("2006-03-15 14:20:05");
+  Random rng(11);
+  for (int i = 0; i < 200; ++i) {
+    std::string id = std::to_string(i);
+    sorted.push_back(SR("s" + std::string(3 - id.size(), '0') + id,
+                        base - static_cast<int64_t>(rng.Uniform(
+                                   Timestamp::kMicrosPerHour))));
+  }
+  sorted[17].recency = base - 30 * Timestamp::kMicrosPerDay;
+  sorted[150].recency = base - 40 * Timestamp::kMicrosPerDay;
+  std::vector<SourceRecency> reversed(sorted.rbegin(), sorted.rend());
+  std::vector<SourceRecency> shuffled = sorted;
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.Uniform(i + 1)]);
+  }
+  RecencyStatsOptions options;
+  options.percentiles = {0.5, 0.9};
+
+  const RecencyStats want = ComputeRecencyStats(sorted, options);
+  ASSERT_EQ(want.exceptional.size(), 2u);
+  ASSERT_EQ(want.normal.size(), 198u);
+  auto by_source = [](const SourceRecency& a, const SourceRecency& b) {
+    return a.source < b.source;
+  };
+  EXPECT_TRUE(
+      std::is_sorted(want.normal.begin(), want.normal.end(), by_source));
+  EXPECT_TRUE(std::is_sorted(want.exceptional.begin(),
+                             want.exceptional.end(), by_source));
+  for (const auto* input : {&reversed, &shuffled}) {
+    const RecencyStats got = ComputeRecencyStats(*input, options);
+    EXPECT_EQ(got.normal, want.normal);
+    EXPECT_EQ(got.exceptional, want.exceptional);
+    EXPECT_EQ(got.least_recent, want.least_recent);
+    EXPECT_EQ(got.most_recent, want.most_recent);
+    EXPECT_EQ(got.inconsistency_bound_micros,
+              want.inconsistency_bound_micros);
+    EXPECT_EQ(got.mean_micros, want.mean_micros);
+    EXPECT_EQ(got.stddev_micros, want.stddev_micros);
+    EXPECT_EQ(got.percentile_recencies, want.percentile_recencies);
+  }
 }
 
 }  // namespace

@@ -169,6 +169,55 @@ TEST_F(ReportTelemetryTest, PhaseHistogramsAndCountersPopulate) {
       1);
 }
 
+TEST_F(ReportTelemetryTest, MergeNestsInRelevanceAndPhasesTileTheRoot) {
+  RecencyReport report = RunReport(/*parallelism=*/4);
+  auto phase_sum = [this](const char* phase) {
+    return metrics_
+        .GetHistogram("trac_report_phase_micros",
+                      "Wall time of one recency-report phase",
+                      {{"phase", phase}})
+        ->Sum();
+  };
+  EXPECT_EQ(phase_sum("merge"), report.merge_micros);
+  EXPECT_GT(report.merge_micros, 0);
+  EXPECT_LE(phase_sum("merge"), phase_sum("relevance"));
+
+  // The root's children run one after another inside it: sorted by
+  // start, each begins at or after the previous one ends. So the
+  // residual (root minus its children) is exactly the root's time
+  // outside every child, and never negative.
+  std::vector<SpanRecord> spans = tracer_.CollectTrace(report.trace_id);
+  const SpanRecord* root = nullptr;
+  for (const SpanRecord& s : spans) {
+    if (s.parent_id == 0) root = &s;
+  }
+  ASSERT_NE(root, nullptr);
+  std::vector<const SpanRecord*> phases;
+  for (const SpanRecord& s : spans) {
+    if (s.parent_id == root->span_id) phases.push_back(&s);
+  }
+  ASSERT_FALSE(phases.empty());
+  std::sort(phases.begin(), phases.end(),
+            [](const SpanRecord* a, const SpanRecord* b) {
+              return a->start_micros < b->start_micros;
+            });
+  int64_t phase_total = 0;
+  int64_t uncovered = 0;
+  int64_t cursor = root->start_micros;
+  for (const SpanRecord* s : phases) {
+    EXPECT_GE(s->start_micros, cursor) << s->name << " overlaps";
+    uncovered += s->start_micros - cursor;
+    phase_total += s->end_micros - s->start_micros;
+    cursor = s->end_micros;
+  }
+  EXPECT_GE(root->end_micros, cursor);
+  uncovered += root->end_micros - cursor;
+  const int64_t residual =
+      (root->end_micros - root->start_micros) - phase_total;
+  EXPECT_GE(residual, 0);
+  EXPECT_EQ(residual, uncovered);
+}
+
 TEST_F(ReportTelemetryTest, EachRunGetsItsOwnTrace) {
   RecencyReport first = RunReport(/*parallelism=*/1);
   RecencyReport second = RunReport(/*parallelism=*/1);
