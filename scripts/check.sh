@@ -190,25 +190,28 @@ done
 echo "==> ctest (default preset)"
 ctest --preset default -j"$(nproc)" --output-on-failure
 
-echo "==> hostile-grid scenario suite under TSan (1000-source grids)"
+echo "==> hostile-grid scenario suite + snapshot stress under TSan"
 # The scenario property test under ThreadSanitizer, with every generated
 # grid forced to the full thousand-source scale and a reduced script
 # count (TSan is ~10x slower; 12 hostile scripts at max scale beats 200
 # at mixed scale for race coverage). A failing script is shrunk and
 # dumped into scenario-repro/ as a replayable .scenario file — CI
-# uploads that directory as an artifact.
+# uploads that directory as an artifact. The snapshot-isolation stress
+# test rides along: it races readers of the shared Table::TimestampRange
+# memo against heartbeat churn.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target scenario_scenario_property_test scenario_scenario_test \
   --target telemetry_fault_telemetry_test monitor_failure_test \
-  --target property_profile_property_test
+  --target property_profile_property_test \
+  --target concurrency_snapshot_isolation_stress_test
 mkdir -p scenario-repro
 TRAC_SCENARIO_SCRIPTS=12 \
 TRAC_SCENARIO_MIN_SOURCES=1000 \
 TRAC_SCENARIO_SOURCES=1000 \
 TRAC_SCENARIO_REPRO_DIR="$PWD/scenario-repro" \
 ctest --preset tsan -R \
-  'scenario_scenario_property_test|scenario_scenario_test|telemetry_fault_telemetry_test|monitor_failure_test|property_profile_property_test' \
+  'scenario_scenario_property_test|scenario_scenario_test|telemetry_fault_telemetry_test|monitor_failure_test|property_profile_property_test|concurrency_snapshot_isolation_stress_test' \
   --output-on-failure
 
 echo "==> absint unit + property suites under UBSan"

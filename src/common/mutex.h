@@ -40,6 +40,10 @@ constexpr int kTableRegistry = 30;
 constexpr int kTableIndexes = 40;
 /// OrderedIndex::mu_ — innermost storage lock (scans capture under it).
 constexpr int kOrderedIndex = 50;
+/// Table::range_memo_mu_ — storage leaf guarding the one-entry
+/// TimestampRange memo; nothing is acquired under it and the scan that
+/// fills it runs outside it.
+constexpr int kTableRangeMemo = 60;
 /// ThreadPool::mu_ — task-queue leaf lock; tasks never run under it.
 constexpr int kThreadPool = 90;
 /// MetricRegistry::mu_ / Tracer::mu_ — telemetry leaf locks: metric

@@ -1,6 +1,7 @@
 #include "ir/lower.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/str_util.h"
 #include "ir/fingerprint.h"
@@ -29,9 +30,6 @@ std::string AggFnName(AggFn fn) {
   return "?";
 }
 
-/// Provenance of column `col` of the relation backing `table_id`:
-/// declared data-source columns, plus the Heartbeat table's source-id
-/// column (the source registry's key carries source identity too).
 /// The source registry's key: the Heartbeat table's source-id column.
 bool IsRegistryColumn(const Database& db, TableId table_id, size_t col,
                       const LowerOptions& options) {
@@ -41,6 +39,9 @@ bool IsRegistryColumn(const Database& db, TableId table_id, size_t col,
          EqualsIgnoreCaseAscii(schema.column(col).name, "source_id");
 }
 
+/// Provenance of column `col` of the relation backing `table_id`:
+/// declared data-source columns, plus the Heartbeat table's source-id
+/// column (the source registry's key carries source identity too).
 ColumnProvenance ProvenanceOf(const Database& db, TableId table_id, size_t col,
                               const LowerOptions& options) {
   const TableSchema& schema = db.catalog().schema(table_id);
@@ -52,21 +53,20 @@ ColumnProvenance ProvenanceOf(const Database& db, TableId table_id, size_t col,
 }
 
 /// The Heartbeat registry's visible recency range at one snapshot: the
-/// catalog-declared source ages every monitored read inherits. Computed
-/// once per lowering (a single registry scan) and stamped onto scans as
-/// the `age=` annotation seeding the staleness interval domain.
-struct AgeRange {
-  bool known = false;
-  int64_t lo = 0;
-  int64_t hi = 0;
-};
-
-AgeRange HeartbeatAgeRange(const Database& db, Snapshot snapshot,
-                           const LowerOptions& options) {
-  AgeRange r;
-  if (options.heartbeat_table.empty()) return r;
+/// catalog-declared source ages every monitored read inherits, stamped
+/// onto scans as the `age=` annotation seeding the staleness interval
+/// domain; nullopt when unknown. It comes from Table::TimestampRange,
+/// whose one-entry memo lets a lowering skip the registry scan when no
+/// registry write landed since the last lowering (commits to other
+/// tables, temp tables included, do not count). The memo is exact: it
+/// is keyed by the registry state the snapshot sees, and a snapshot is
+/// frozen, so no later commit changes that state.
+std::optional<TimestampBounds> HeartbeatAgeRange(const Database& db,
+                                                 Snapshot snapshot,
+                                                 const LowerOptions& options) {
+  if (options.heartbeat_table.empty()) return std::nullopt;
   Result<TableId> id = db.catalog().GetTableId(options.heartbeat_table);
-  if (!id.ok()) return r;
+  if (!id.ok()) return std::nullopt;
   const TableSchema& schema = db.catalog().schema(*id);
   size_t recency_col = schema.num_columns();
   for (size_t c = 0; c < schema.num_columns(); ++c) {
@@ -75,22 +75,10 @@ AgeRange HeartbeatAgeRange(const Database& db, Snapshot snapshot,
       break;
     }
   }
-  if (recency_col == schema.num_columns()) return r;
+  if (recency_col == schema.num_columns()) return std::nullopt;
   const Table* table = db.GetTable(*id);
-  if (table == nullptr) return r;
-  table->Scan(snapshot, [&](size_t, const Row& row) {
-    const Value& v = row[recency_col];
-    if (v.is_null() || v.type() != TypeId::kTimestamp) return;
-    const int64_t us = v.ts_val().micros();
-    if (!r.known) {
-      r.known = true;
-      r.lo = r.hi = us;
-      return;
-    }
-    r.lo = std::min(r.lo, us);
-    r.hi = std::max(r.hi, us);
-  });
-  return r;
+  if (table == nullptr) return std::nullopt;
+  return table->TimestampRange(snapshot, recency_col);
 }
 
 /// True when a scan of `table_id` inherits the registry's age range:
@@ -110,15 +98,16 @@ bool ScanCarriesAge(const Database& db, TableId table_id,
 }
 
 void AnnotateScan(IrNode* scan, const Database& db, TableId table_id,
-                  const AgeRange& age, const LowerOptions& options) {
+                  const std::optional<TimestampBounds>& age,
+                  const LowerOptions& options) {
   if (const Table* table = db.GetTable(table_id); table != nullptr) {
     scan->has_rows = true;
     scan->rows = table->num_versions();
   }
-  if (age.known && ScanCarriesAge(db, table_id, options)) {
+  if (age.has_value() && ScanCarriesAge(db, table_id, options)) {
     scan->has_age = true;
-    scan->age_lo = age.lo;
-    scan->age_hi = age.hi;
+    scan->age_lo = age->lo.micros();
+    scan->age_hi = age->hi.micros();
   }
 }
 
@@ -177,7 +166,7 @@ std::vector<std::string> DeclaredSourceUniverse(const Database& db,
 /// scan (which sets its shard fields on the result).
 IrNode& LowerScan(PlanIr* ir, const Database& db, const BoundTableRef& rel,
                   Snapshot snapshot, const LowerOptions& options,
-                  bool generated, const AgeRange& age) {
+                  bool generated, const std::optional<TimestampBounds>& age) {
   const TableSchema& schema = db.catalog().schema(rel.table_id);
   IrNode& scan = ir->Add(IrNodeKind::kScan);
   scan.generated = generated;
@@ -200,7 +189,7 @@ IrNode& LowerScan(PlanIr* ir, const Database& db, const BoundTableRef& rel,
 size_t LowerQueryInto(PlanIr* ir, const Database& db, const BoundQuery& query,
                       const QueryPlan& plan, Snapshot snapshot,
                       const LowerOptions& options, bool generated,
-                      const AgeRange& age) {
+                      const std::optional<TimestampBounds>& age) {
   size_t top = 0;
   std::vector<IrColumn> top_cols;
   for (size_t i = 0; i < plan.levels.size(); ++i) {
@@ -296,7 +285,8 @@ size_t LowerQueryInto(PlanIr* ir, const Database& db, const BoundQuery& query,
 size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
                               const ReportSessionInput& input,
                               const LowerOptions& options,
-                              const AgeRange& age, SessionLayout* layout) {
+                              const std::optional<TimestampBounds>& age,
+                              SessionLayout* layout) {
   // Every recency part: sharded heartbeat scans, or the part's plan
   // subgraph, gated by its guard subgraphs.
   std::vector<size_t> part_tops;
@@ -388,7 +378,8 @@ PlanIr LowerQueryPlan(const Database& db, const BoundQuery& query,
                       const LowerOptions& options) {
   PlanIr ir;
   ir.label = "query";
-  const AgeRange age = HeartbeatAgeRange(db, snapshot, options);
+  const std::optional<TimestampBounds> age =
+      HeartbeatAgeRange(db, snapshot, options);
   LowerQueryInto(&ir, db, query, plan, snapshot, options, /*generated=*/false,
                  age);
   return ir;
@@ -398,7 +389,8 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
                           const LowerOptions& options, SessionLayout* layout) {
   PlanIr ir;
   ir.label = "report_session";
-  const AgeRange age = HeartbeatAgeRange(db, input.snapshot, options);
+  const std::optional<TimestampBounds> age =
+      HeartbeatAgeRange(db, input.snapshot, options);
 
   // 1. The user query (not generated machinery).
   const size_t user_top =
@@ -434,12 +426,12 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
   IrNode& report = ir.Add(IrNodeKind::kReport);
   report.generated = true;
   report.inputs = std::move(report_inputs);
-  if (age.known) {
+  if (age.has_value()) {
     // The NOTICE promise: the bound of inconsistency cannot exceed the
     // registry's full recency spread at this snapshot. The static
     // staleness hull reaching this node must fit inside it (TRAC-V005).
     report.has_bound = true;
-    report.notice_bound_micros = age.hi - age.lo;
+    report.notice_bound_micros = age->hi - age->lo;
   }
   if (layout != nullptr) layout->report_id = report.id;
   return ir;

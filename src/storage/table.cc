@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+
 #include "common/dcheck.h"
 
 namespace trac {
@@ -12,6 +14,7 @@ Table::~Table() {
 
 size_t Table::AppendVersion(Row row, uint64_t begin_version) {
   const size_t vidx = append_size_;
+  NoteWrite(begin_version);
   TRAC_DCHECK(vidx == 0 || Locate(vidx - 1)->begin <= begin_version,
               "shelf log must be begin-monotonic: commit versions only "
               "grow, so a new version may never predate its predecessor");
@@ -43,6 +46,34 @@ size_t Table::CountVisible(Snapshot snap) const {
   size_t count = 0;
   Scan(snap, [&](size_t, const Row&) { ++count; });
   return count;
+}
+
+std::optional<TimestampBounds> Table::TimestampRange(Snapshot snap,
+                                                     size_t column) const {
+  const uint64_t state_version =
+      std::min(snap.version, last_write_version());
+  {
+    MutexLock lock(&range_memo_mu_);
+    if (range_memo_.valid && range_memo_.state_version == state_version &&
+        range_memo_.column == column) {
+      return range_memo_.range;
+    }
+  }
+  std::optional<TimestampBounds> range;
+  Scan(snap, [&](size_t, const Row& row) {
+    const Value& v = row[column];
+    if (v.is_null() || v.type() != TypeId::kTimestamp) return;
+    const Timestamp ts = v.ts_val();
+    if (!range.has_value()) {
+      range = TimestampBounds{ts, ts};
+    } else {
+      range->lo = std::min(range->lo, ts);
+      range->hi = std::max(range->hi, ts);
+    }
+  });
+  MutexLock lock(&range_memo_mu_);
+  range_memo_ = RangeMemo{true, state_version, column, range};
+  return range;
 }
 
 Status Table::CreateIndex(size_t column) {

@@ -7,12 +7,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
+#include "common/timestamp.h"
 #include "storage/index.h"
 #include "storage/snapshot.h"
 #include "types/value.h"
@@ -37,6 +39,16 @@ struct RowVersion {
   uint64_t begin = 0;
   std::atomic<uint64_t> end{kOpenVersion};
   Row values;
+};
+
+/// Inclusive bounds of a timestamp column at one snapshot (see
+/// Table::TimestampRange).
+struct TimestampBounds {
+  Timestamp lo;
+  Timestamp hi;
+
+  friend bool operator==(const TimestampBounds&,
+                         const TimestampBounds&) = default;
 };
 
 /// An in-memory, multi-versioned heap table.
@@ -106,7 +118,17 @@ class Table {
   /// Ends the visibility of version `vidx` at `end_version`.
   /// Writer-only (Database mutex).
   void CloseVersion(size_t vidx, uint64_t end_version) {
+    NoteWrite(end_version);
     Locate(vidx)->end.store(end_version, std::memory_order_release);
+  }
+
+  /// The highest commit version that appended or closed a version of
+  /// this table (0 before the first write). For a reader holding
+  /// snapshot s it is never below the table's last write at or below
+  /// s.version: the writer stores it before the Database version
+  /// counter publishes the commit.
+  uint64_t last_write_version() const {
+    return last_write_version_.load(std::memory_order_acquire);
   }
 
   /// Calls fn(version_index, row) for every version visible in `snap`.
@@ -143,6 +165,22 @@ class Table {
 
   /// Number of visible rows in `snap` (O(versions)).
   size_t CountVisible(Snapshot snap) const;
+
+  /// Exact min/max of timestamp column `column` over the rows visible
+  /// in `snap`, skipping NULL and non-timestamp values; nullopt when no
+  /// such value is visible. A one-entry memo keyed by (column, state
+  /// version) answers a repeated call in O(1), where the state version
+  /// is min(snap.version, last_write_version()). The visible rows at
+  /// `snap` are exactly those at that version: either it is `snap`
+  /// itself, or no write to this table landed between it and `snap`.
+  /// So commits to other tables leave the memo valid, and a snapshot
+  /// older than the last write keys on its own frozen version. Any
+  /// other call scans (O(versions)) and replaces the memo. `snap` must
+  /// be a published snapshot (Database::LatestSnapshot or older), as
+  /// for every repeatable Scan.
+  std::optional<TimestampBounds> TimestampRange(Snapshot snap,
+                                                size_t column) const
+      TRAC_EXCLUDES(range_memo_mu_);
 
   /// Creates an ordered index on column `column`, back-filling existing
   /// versions. AlreadyExists if one is already defined on that column.
@@ -188,6 +226,15 @@ class Table {
   /// Accessed only under the Database write mutex, which the analysis
   /// cannot see from here; the single-writer contract covers it.
   size_t append_size_ = 0;
+  /// See last_write_version(). Stored only by the single writer.
+  std::atomic<uint64_t> last_write_version_{0};
+
+  /// Raises last_write_version_ to `commit`. Writer-only.
+  void NoteWrite(uint64_t commit) {
+    if (commit > last_write_version_.load(std::memory_order_relaxed)) {
+      last_write_version_.store(commit, std::memory_order_release);
+    }
+  }
 
   /// Guards the registry of secondary indexes: GetIndex (readers, any
   /// thread) vs CreateIndex registration (writer). The OrderedIndex
@@ -196,6 +243,19 @@ class Table {
                                   "Table::indexes_mu_"};
   std::map<size_t, std::unique_ptr<OrderedIndex>> indexes_
       TRAC_GUARDED_BY(indexes_mu_);
+
+  /// The last TimestampRange answer. Held only to read or replace the
+  /// entry, never across the scan, so two racing misses may both scan
+  /// (harmless: each stores an exact answer for its own key).
+  struct RangeMemo {
+    bool valid = false;
+    uint64_t state_version = 0;
+    size_t column = 0;
+    std::optional<TimestampBounds> range;
+  };
+  mutable Mutex range_memo_mu_{lock_rank::kTableRangeMemo,
+                               "Table::range_memo_mu_"};
+  mutable RangeMemo range_memo_ TRAC_GUARDED_BY(range_memo_mu_);
 };
 
 }  // namespace trac

@@ -10,12 +10,16 @@
 //    dense 0..n-1 — commit order is counter order, so a writer's k-th
 //    insert is visible only together with its first k-1;
 //  - frozen snapshots: re-scanning a snapshot after more history has
-//    accumulated yields the identical fingerprint.
+//    accumulated yields the identical fingerprint;
+//  - exact memoized ranges: Table::TimestampRange, whose one-entry memo
+//    is shared by every reader, equals a reference scan at the same
+//    snapshot, whichever thread last replaced the memo.
 //
 // Run this under -fsanitize=thread (cmake --preset tsan) to turn the
 // memory-ordering argument into a checked property.
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,12 +28,14 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "core/heartbeat.h"
 #include "core/recency_reporter.h"
 #include "core/session.h"
 
 namespace trac {
 namespace {
 
+using testing_util::ScanTimestampRange;
 using testing_util::Ts;
 
 constexpr int kWriters = 4;
@@ -230,6 +236,98 @@ TEST(SnapshotIsolationStressTest, RecencyReportsUnderHeartbeatChurn) {
   stop.store(true);
   for (auto& t : writers) t.join();
   EXPECT_EQ(reports_done.load(), kReaders * 8);
+}
+
+TEST(SnapshotIsolationStressTest, TimestampRangeMatchesScanUnderChurn) {
+  // One writer streams heartbeat advances, overwrites, deregistering
+  // deletes and commits to another table (which leave the registry's
+  // memo key alone) while readers hammer the registry's shared range
+  // memo with fresh and remembered snapshots. Every answer, hit or
+  // miss, must equal a reference scan at the snapshot it was asked
+  // about.
+  Database db;
+  TRAC_ASSERT_OK_AND_ASSIGN(HeartbeatTable heartbeat,
+                            HeartbeatTable::Create(&db));
+  TRAC_ASSERT_OK(
+      db.CreateTable(TableSchema("other", {ColumnDef("k", TypeId::kInt64)}))
+          .status());
+  const Table* table = db.GetTable(heartbeat.table_id());
+  const Timestamp base = Ts("2006-03-15 14:20:05");
+  constexpr int kSources = 16;
+  constexpr size_t kRecency = 1;
+  for (int i = 0; i < kSources; ++i) {
+    TRAC_ASSERT_OK(heartbeat.ReportHeartbeat(
+        "m" + std::to_string(i), base + i * Timestamp::kMicrosPerSecond));
+  }
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<bool> failed{false};
+  std::thread writer([&] {
+    for (int round = 1; round <= 80 && !failed.load(); ++round) {
+      const Timestamp now = base + round * Timestamp::kMicrosPerMinute;
+      const std::string advanced = "m" + std::to_string(round % kSources);
+      const std::string rewound = "m" + std::to_string((round + 5) % kSources);
+      const std::string dropped = "m" + std::to_string((round + 9) % kSources);
+      Status s = heartbeat.ReportHeartbeat(advanced, now);
+      // An overwrite may move a source backwards (a new minimum).
+      if (s.ok()) s = heartbeat.SetRecency(rewound, base - round);
+      if (s.ok()) {
+        s = db.DeleteWhere(heartbeat.name(), [&](const Row& row) {
+                return row[0].str_val() == dropped;
+              }).status();
+      }
+      // Re-register so the registry never drains.
+      if (s.ok()) s = heartbeat.ReportHeartbeat(dropped, now);
+      for (int k = 0; k < 3 && s.ok(); ++k) {
+        s = db.Insert("other", {Value::Int(round)});
+      }
+      if (!s.ok()) {
+        failed.store(true);
+        ADD_FAILURE() << s.ToString();
+        break;
+      }
+    }
+    writer_done.store(true);
+  });
+
+  std::atomic<int> checks{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<Snapshot> seen;
+      // At least 200 checks each, and keep going until the writer is done.
+      for (int i = 0; (i < 200 || !writer_done.load()) && !failed.load();
+           ++i) {
+        // Mostly the latest snapshot (a memo hit when the registry did
+        // not change since the last call), sometimes a remembered older
+        // one (a miss that races with other readers replacing the
+        // memo).
+        Snapshot snap = db.LatestSnapshot();
+        if (!seen.empty() && (i + r) % 3 == 0) {
+          snap = seen[static_cast<size_t>(i) % seen.size()];
+        } else {
+          seen.push_back(snap);
+        }
+        const std::optional<TimestampBounds> first =
+            table->TimestampRange(snap, kRecency);
+        const std::optional<TimestampBounds> second =
+            table->TimestampRange(snap, kRecency);
+        const std::optional<TimestampBounds> want =
+            ScanTimestampRange(*table, snap, kRecency);
+        if (first != want || second != want) {
+          failed.store(true);
+          ADD_FAILURE() << "range mismatch at snapshot " << snap.version;
+          return;
+        }
+        checks.fetch_add(1);
+      }
+    });
+  }
+
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_GE(checks.load(), kReaders * 200);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include "storage/database.h"
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +12,8 @@
 
 namespace trac {
 namespace {
+
+using testing_util::ScanTimestampRange;
 
 TableSchema KvSchema(const std::string& name) {
   return TableSchema(name, {ColumnDef("k", TypeId::kString),
@@ -158,6 +163,168 @@ TEST(TableTest, InsertManyIsAtomicallyVisible) {
   EXPECT_EQ(t->CountVisible(db.LatestSnapshot()), 100u);
   // All rows share one commit version.
   EXPECT_EQ(t->version(0).begin, t->version(99).begin);
+}
+
+TableSchema RegistrySchema() {
+  return TableSchema("hb", {ColumnDef("source_id", TypeId::kString),
+                            ColumnDef("recency", TypeId::kTimestamp),
+                            ColumnDef("seen", TypeId::kTimestamp)});
+}
+
+Row RegistryRow(const std::string& source, std::optional<int64_t> recency,
+                std::optional<int64_t> seen) {
+  auto ts = [](std::optional<int64_t> us) {
+    return us.has_value() ? Value::Ts(Timestamp(*us)) : Value::Null();
+  };
+  return {Value::Str(source), ts(recency), ts(seen)};
+}
+
+TEST(TableTest, TimestampRangeUnknownOnEmptyTableAndAllNullColumn) {
+  Database db;
+  TRAC_ASSERT_OK_AND_ASSIGN(TableId id, db.CreateTable(RegistrySchema()));
+  const Table* t = db.GetTable(id);
+  const Snapshot empty = db.LatestSnapshot();
+  EXPECT_EQ(t->TimestampRange(empty, 1), std::nullopt);
+  EXPECT_EQ(t->TimestampRange(empty, 1), std::nullopt);  // Memo hit.
+
+  TRAC_ASSERT_OK(db.InsertMany(id, {RegistryRow("a", 10, std::nullopt),
+                                    RegistryRow("b", 20, std::nullopt)}));
+  const Snapshot filled = db.LatestSnapshot();
+  EXPECT_EQ(t->TimestampRange(filled, 2), std::nullopt);
+  EXPECT_EQ(t->TimestampRange(filled, 2), ScanTimestampRange(*t, filled, 2));
+  // The string key column holds no timestamps at all.
+  EXPECT_EQ(t->TimestampRange(filled, 0), std::nullopt);
+  const std::optional<TimestampBounds> recency = t->TimestampRange(filled, 1);
+  EXPECT_EQ(recency, (TimestampBounds{Timestamp(10), Timestamp(20)}));
+  // The empty snapshot stays empty after the insert.
+  EXPECT_EQ(t->TimestampRange(empty, 1), std::nullopt);
+}
+
+TEST(TableTest, TimestampRangeMatchesScanAcrossSnapshotsAndColumns) {
+  Database db;
+  TRAC_ASSERT_OK_AND_ASSIGN(TableId id, db.CreateTable(RegistrySchema()));
+  const Table* t = db.GetTable(id);
+
+  TRAC_ASSERT_OK(db.InsertMany(
+      id, {RegistryRow("a", 100, 1000), RegistryRow("b", 200, std::nullopt),
+           RegistryRow("c", 300, 3000), RegistryRow("d", std::nullopt, 500),
+           RegistryRow("e", 400, 4000)}));
+  const Snapshot s1 = db.LatestSnapshot();
+
+  // A heartbeat advance of "c" (new maximum on both columns), then a
+  // delete of the current recency minimum "a".
+  TRAC_ASSERT_OK(db.UpdateWhere(
+                       "hb", [](const Row& r) { return r[0].str_val() == "c"; },
+                       [](Row* r) {
+                         (*r)[1] = Value::Ts(Timestamp(450));
+                         (*r)[2] = Value::Ts(Timestamp(6000));
+                       })
+                     .status());
+  TRAC_ASSERT_OK(db.DeleteWhere("hb", [](const Row& r) {
+                     return r[0].str_val() == "a";
+                   }).status());
+  const Snapshot s2 = db.LatestSnapshot();
+
+  // Delete the current maximum "c" on both columns.
+  TRAC_ASSERT_OK(db.DeleteWhere("hb", [](const Row& r) {
+                     return r[0].str_val() == "c";
+                   }).status());
+  const Snapshot s3 = db.LatestSnapshot();
+  ASSERT_LT(s1.version, s2.version);
+  ASSERT_LT(s2.version, s3.version);
+
+  // Later history must not leak into any of the three snapshots.
+  TRAC_ASSERT_OK(db.InsertMany(id, {RegistryRow("f", 1, 1),
+                                    RegistryRow("g", 9999, 9999)}));
+
+  auto bounds = [](int64_t lo, int64_t hi) {
+    return std::optional<TimestampBounds>(
+        TimestampBounds{Timestamp(lo), Timestamp(hi)});
+  };
+  struct Probe {
+    Snapshot snap;
+    size_t column;
+    std::optional<TimestampBounds> want;
+  };
+  // s3, s1, s3, s2 with the column alternating, then the remaining
+  // combinations, so both halves of the memo key change between calls.
+  const std::vector<Probe> probes = {
+      {s3, 1, bounds(200, 400)},  {s1, 2, bounds(500, 4000)},
+      {s3, 1, bounds(200, 400)},  {s2, 2, bounds(500, 6000)},
+      {s2, 1, bounds(200, 450)},  {s1, 1, bounds(100, 400)},
+      {s3, 2, bounds(500, 4000)}, {s3, 2, bounds(500, 4000)},
+      {s3, 1, bounds(200, 400)},  {s1, 2, bounds(500, 4000)},
+  };
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const Probe& p = probes[i];
+    SCOPED_TRACE("probe " + std::to_string(i));
+    const std::optional<TimestampBounds> got =
+        t->TimestampRange(p.snap, p.column);
+    EXPECT_EQ(got, ScanTimestampRange(*t, p.snap, p.column));
+    EXPECT_EQ(got, p.want);
+  }
+}
+
+TEST(TableTest, TimestampRangeKeysOnTheTablesOwnWrites) {
+  Database db;
+  TRAC_ASSERT_OK_AND_ASSIGN(TableId id, db.CreateTable(RegistrySchema()));
+  TRAC_ASSERT_OK(db.CreateTable(KvSchema("other")).status());
+  const Table* t = db.GetTable(id);
+  EXPECT_EQ(t->last_write_version(), 0u);
+
+  TRAC_ASSERT_OK(db.InsertMany(id, {RegistryRow("a", 100, 1000),
+                                    RegistryRow("b", 200, 2000)}));
+  const Snapshot s1 = db.LatestSnapshot();
+  EXPECT_EQ(t->last_write_version(), s1.version);
+  // A commit to another table and a delete that matches nothing leave
+  // this table's rows, and so its last write version, as they were.
+  TRAC_ASSERT_OK(db.Insert("other", {Value::Str("k"), Value::Int(1)}));
+  TRAC_ASSERT_OK(
+      db.DeleteWhere("hb", [](const Row&) { return false; }).status());
+  const Snapshot s2 = db.LatestSnapshot();
+  ASSERT_LT(s1.version, s2.version);
+  EXPECT_EQ(t->last_write_version(), s1.version);
+
+  TRAC_ASSERT_OK(db.UpdateWhere(
+                       "hb", [](const Row& r) { return r[0].str_val() == "b"; },
+                       [](Row* r) { (*r)[1] = Value::Ts(Timestamp(300)); })
+                     .status());
+  const Snapshot s3 = db.LatestSnapshot();
+  EXPECT_EQ(t->last_write_version(), s3.version);
+  TRAC_ASSERT_OK(db.Insert("other", {Value::Str("k"), Value::Int(2)}));
+  const Snapshot s4 = db.LatestSnapshot();
+  TRAC_ASSERT_OK(db.DeleteWhere("hb", [](const Row& r) {
+                     return r[0].str_val() == "a";
+                   }).status());
+  const Snapshot s5 = db.LatestSnapshot();
+  EXPECT_EQ(t->last_write_version(), s5.version);
+
+  auto bounds = [](int64_t lo, int64_t hi) {
+    return std::optional<TimestampBounds>(
+        TimestampBounds{Timestamp(lo), Timestamp(hi)});
+  };
+  struct Probe {
+    Snapshot snap;
+    size_t column;
+    std::optional<TimestampBounds> want;
+  };
+  // Pairs that share a registry state (s1/s2, s3/s4) follow each other,
+  // as do pairs that do not, and the column changes in between.
+  const std::vector<Probe> probes = {
+      {s2, 1, bounds(100, 200)},  {s1, 1, bounds(100, 200)},
+      {s4, 1, bounds(100, 300)},  {s3, 1, bounds(100, 300)},
+      {s2, 1, bounds(100, 200)},  {s3, 2, bounds(1000, 2000)},
+      {s5, 2, bounds(2000, 2000)}, {s4, 2, bounds(1000, 2000)},
+      {s5, 1, bounds(300, 300)},  {s1, 1, bounds(100, 200)},
+  };
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const Probe& p = probes[i];
+    SCOPED_TRACE("probe " + std::to_string(i));
+    const std::optional<TimestampBounds> got =
+        t->TimestampRange(p.snap, p.column);
+    EXPECT_EQ(got, ScanTimestampRange(*t, p.snap, p.column));
+    EXPECT_EQ(got, p.want);
+  }
 }
 
 TEST(IndexTest, EqualityAndRangeScans) {

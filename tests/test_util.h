@@ -1,7 +1,9 @@
 #ifndef TRAC_TESTS_TEST_UTIL_H_
 #define TRAC_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,25 @@ namespace testing_util {
   lhs = std::move(tmp).value()
 #define TRAC_TEST_CONCAT_(a, b) TRAC_TEST_CONCAT_IMPL_(a, b)
 #define TRAC_TEST_CONCAT_IMPL_(a, b) a##b
+
+/// The reference for Table::TimestampRange: min/max of `column` over a
+/// plain Scan at `snap`, skipping NULL and non-timestamp values.
+inline std::optional<TimestampBounds> ScanTimestampRange(const Table& table,
+                                                         Snapshot snap,
+                                                         size_t column) {
+  std::optional<TimestampBounds> out;
+  table.Scan(snap, [&](size_t, const Row& row) {
+    const Value& v = row[column];
+    if (v.is_null() || v.type() != TypeId::kTimestamp) return;
+    if (!out.has_value()) {
+      out = TimestampBounds{v.ts_val(), v.ts_val()};
+      return;
+    }
+    out->lo = std::min(out->lo, v.ts_val());
+    out->hi = std::max(out->hi, v.ts_val());
+  });
+  return out;
+}
 
 inline Timestamp Ts(const std::string& text) {
   auto r = Timestamp::Parse(text);
