@@ -198,7 +198,8 @@ echo "==> hostile-grid scenario suite + snapshot stress under TSan"
 # dumped into scenario-repro/ as a replayable .scenario file — CI
 # uploads that directory as an artifact. The snapshot-isolation stress
 # test rides along: it races readers of the shared Table::TimestampRange
-# memo against heartbeat churn.
+# memo against heartbeat churn, and lockstep first registrations of the
+# same sources against readers that require one registry row per source.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target scenario_scenario_property_test scenario_scenario_test \

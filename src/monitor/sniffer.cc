@@ -97,6 +97,10 @@ Status Sniffer::Apply(const LogRecord& record) {
     TRAC_RETURN_IF_ERROR(CheckRowConstraints(*db_, table_id, record.row));
   }
 
+  if (record.op == LogRecord::Op::kInsert) {
+    return db_->Insert(record.table, record.row);
+  }
+
   auto matches = [&](const Row& row) {
     for (size_t k : record.key_columns) {
       if (!(row[k] == record.row[k])) return false;
@@ -105,29 +109,25 @@ Status Sniffer::Apply(const LogRecord& record) {
     if (ds.has_value() && !(row[*ds] == record.row[*ds])) return false;
     return true;
   };
+  // The same conjuncts as keys: an index on any of their columns turns
+  // the match into an index probe.
+  std::vector<EqualityKey> keys;
+  for (size_t k : record.key_columns) keys.push_back({k, record.row[k]});
+  if (ds.has_value()) keys.push_back({*ds, record.row[*ds]});
 
-  switch (record.op) {
-    case LogRecord::Op::kInsert:
-      return db_->Insert(record.table, record.row);
-    case LogRecord::Op::kUpsert: {
-      Row replacement = record.row;
-      TRAC_ASSIGN_OR_RETURN(
-          int updated,
-          db_->UpdateWhere(record.table, matches,
-                           [&](Row* row) { *row = replacement; }));
-      if (updated > 0) return Status::OK();
-      return db_->Insert(record.table, record.row);
-    }
-    case LogRecord::Op::kDelete: {
-      TRAC_ASSIGN_OR_RETURN(int deleted,
-                            db_->DeleteWhere(record.table, matches));
-      (void)deleted;  // Deleting nothing is legal (idempotent logs).
-      return Status::OK();
-    }
-    case LogRecord::Op::kHeartbeat:
-      break;
+  if (record.op == LogRecord::Op::kUpsert) {
+    return db_
+        ->Upsert(
+            record.table, matches,
+            [&](Row* row) {
+              *row = record.row;
+              return true;
+            },
+            record.row, keys)
+        .status();
   }
-  return Status::OK();
+  // kDelete. Deleting nothing is legal (idempotent logs).
+  return db_->DeleteWhere(record.table, matches, keys).status();
 }
 
 }  // namespace trac

@@ -58,18 +58,38 @@ Status Database::PrepareRow(const TableSchema& schema, Row* row) {
   return schema.ValidateRow(*row);
 }
 
+void Database::Publish(uint64_t commit, int64_t row_versions) {
+  version_counter_.store(commit, std::memory_order_release);
+  metric_commits_->Increment();
+  metric_row_versions_->Add(row_versions);
+  metric_snapshot_epoch_->Set(static_cast<int64_t>(commit));
+}
+
+Result<int> Database::Rewrite(Table* t, uint64_t commit,
+                              const std::vector<size_t>& matches,
+                              const std::function<bool(Row*)>& mutate) {
+  std::vector<std::pair<size_t, Row>> rewrites;
+  for (size_t vidx : matches) {
+    Row updated = t->version(vidx).values;
+    if (!mutate(&updated)) continue;
+    TRAC_RETURN_IF_ERROR(PrepareRow(t->schema(), &updated));
+    rewrites.emplace_back(vidx, std::move(updated));
+  }
+  for (auto& [vidx, updated] : rewrites) {
+    t->CloseVersion(vidx, commit);
+    t->AppendVersion(std::move(updated), commit);
+  }
+  return static_cast<int>(rewrites.size());
+}
+
 Status Database::Insert(std::string_view table, Row row) {
   TRAC_ASSIGN_OR_RETURN(TableId id, FindTable(table));
   MutexLock lock(&write_mu_);
   Table* t = GetTable(id);
   TRAC_RETURN_IF_ERROR(PrepareRow(t->schema(), &row));
-  const uint64_t commit =
-      version_counter_.load(std::memory_order_relaxed) + 1;
+  const uint64_t commit = NextCommit();
   t->AppendVersion(std::move(row), commit);
-  version_counter_.store(commit, std::memory_order_release);
-  metric_commits_->Increment();
-  metric_row_versions_->Increment();
-  metric_snapshot_epoch_->Set(static_cast<int64_t>(commit));
+  Publish(commit, 1);
   return Status::OK();
 }
 
@@ -82,67 +102,70 @@ Status Database::InsertMany(TableId table, std::vector<Row> rows) {
   for (Row& row : rows) {
     TRAC_RETURN_IF_ERROR(PrepareRow(t->schema(), &row));
   }
-  const uint64_t commit =
-      version_counter_.load(std::memory_order_relaxed) + 1;
+  const uint64_t commit = NextCommit();
   for (Row& row : rows) {
     t->AppendVersion(std::move(row), commit);
   }
-  version_counter_.store(commit, std::memory_order_release);
-  metric_commits_->Increment();
-  metric_row_versions_->Add(static_cast<int64_t>(rows.size()));
-  metric_snapshot_epoch_->Set(static_cast<int64_t>(commit));
+  Publish(commit, static_cast<int64_t>(rows.size()));
   return Status::OK();
 }
 
 Result<int> Database::UpdateWhere(std::string_view table,
                                   const std::function<bool(const Row&)>& pred,
-                                  const std::function<void(Row*)>& mutate) {
+                                  const std::function<void(Row*)>& mutate,
+                                  const std::vector<EqualityKey>& keys) {
   TRAC_ASSIGN_OR_RETURN(TableId id, FindTable(table));
   MutexLock lock(&write_mu_);
   Table* t = GetTable(id);
-  const uint64_t commit =
-      version_counter_.load(std::memory_order_relaxed) + 1;
-  Snapshot snap{commit - 1};
+  const uint64_t commit = NextCommit();
+  // Matches are collected before any append, so the rewrite never
+  // revisits versions it just wrote.
+  TRAC_ASSIGN_OR_RETURN(
+      int updated,
+      Rewrite(t, commit, t->Matches(Snapshot{commit - 1}, keys, pred),
+              [&](Row* row) {
+                mutate(row);
+                return true;
+              }));
+  Publish(commit, updated);
+  return updated;
+}
 
-  // Collect matches first: AppendVersion invalidates nothing (shelves are
-  // stable), but we must not rescan versions we just appended.
-  std::vector<size_t> matches;
-  t->Scan(snap, [&](size_t vidx, const Row& row) {
-    if (pred(row)) matches.push_back(vidx);
-  });
-  for (size_t vidx : matches) {
-    Row updated = t->version(vidx).values;
-    mutate(&updated);
-    TRAC_RETURN_IF_ERROR(PrepareRow(t->schema(), &updated));
-    t->CloseVersion(vidx, commit);
-    t->AppendVersion(std::move(updated), commit);
-  }
-  version_counter_.store(commit, std::memory_order_release);
-  metric_commits_->Increment();
-  metric_row_versions_->Add(static_cast<int64_t>(matches.size()));
-  metric_snapshot_epoch_->Set(static_cast<int64_t>(commit));
+Result<int> Database::DeleteWhere(std::string_view table,
+                                  const std::function<bool(const Row&)>& pred,
+                                  const std::vector<EqualityKey>& keys) {
+  TRAC_ASSIGN_OR_RETURN(TableId id, FindTable(table));
+  MutexLock lock(&write_mu_);
+  Table* t = GetTable(id);
+  const uint64_t commit = NextCommit();
+  const std::vector<size_t> matches =
+      t->Matches(Snapshot{commit - 1}, keys, pred);
+  for (size_t vidx : matches) t->CloseVersion(vidx, commit);
+  Publish(commit, 0);
   return static_cast<int>(matches.size());
 }
 
-Result<int> Database::DeleteWhere(
-    std::string_view table, const std::function<bool(const Row&)>& pred) {
+Result<UpsertResult> Database::Upsert(
+    std::string_view table, const std::function<bool(const Row&)>& pred,
+    const std::function<bool(Row*)>& mutate, Row row,
+    const std::vector<EqualityKey>& keys) {
   TRAC_ASSIGN_OR_RETURN(TableId id, FindTable(table));
   MutexLock lock(&write_mu_);
   Table* t = GetTable(id);
-  const uint64_t commit =
-      version_counter_.load(std::memory_order_relaxed) + 1;
-  Snapshot snap{commit - 1};
-  int deleted = 0;
-  t->Scan(snap, [&](size_t vidx, const Row& row) {
-    if (pred(row)) {
-      t->CloseVersion(vidx, commit);
-      ++deleted;
-    }
-  });
-  version_counter_.store(commit, std::memory_order_release);
-  metric_commits_->Increment();
-  metric_snapshot_epoch_->Set(static_cast<int64_t>(commit));
-  return deleted;
+  const uint64_t commit = NextCommit();
+  const std::vector<size_t> matches =
+      t->Matches(Snapshot{commit - 1}, keys, pred);
+  UpsertResult result;
+  if (matches.empty()) {
+    TRAC_RETURN_IF_ERROR(PrepareRow(t->schema(), &row));
+    t->AppendVersion(std::move(row), commit);
+    result.inserted = true;
+  } else {
+    TRAC_ASSIGN_OR_RETURN(result.updated,
+                          Rewrite(t, commit, matches, mutate));
+  }
+  Publish(commit, result.updated + (result.inserted ? 1 : 0));
+  return result;
 }
 
 Status Database::CreateIndex(std::string_view table, std::string_view column) {

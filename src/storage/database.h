@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/mutex.h"
@@ -19,6 +20,14 @@ namespace trac {
 class Counter;
 class Gauge;
 
+/// What one Database::Upsert wrote.
+struct UpsertResult {
+  /// Matching rows replaced by a new version.
+  int updated = 0;
+  /// True when no visible row matched and the new row was inserted.
+  bool inserted = false;
+};
+
 /// The embedded database: a catalog plus MVCC tables plus a monotonically
 /// increasing commit-version counter.
 ///
@@ -26,7 +35,7 @@ class Gauge;
 ///
 /// Any number of reader threads may take Snapshots and evaluate queries
 /// concurrently with each other and with writers. Writers (Insert,
-/// InsertMany, UpdateWhere, DeleteWhere, CreateTable, DropTable,
+/// InsertMany, UpdateWhere, DeleteWhere, Upsert, CreateTable, DropTable,
 /// CreateIndex) are serialized by `write_mu_`; there is never more than
 /// one mutation in flight.
 ///
@@ -111,16 +120,32 @@ class Database {
 
   /// Updates every currently visible row matching `pred` by applying
   /// `mutate` to a copy (auto-commit). Returns the number updated.
-  [[nodiscard]] Result<int> UpdateWhere(std::string_view table,
-                          const std::function<bool(const Row&)>& pred,
-                          const std::function<void(Row*)>& mutate)
-      TRAC_EXCLUDES(write_mu_);
+  ///
+  /// `keys` are optional conjuncts of `pred` that let the matches be
+  /// found through an index (see Table::Matches); the result does not
+  /// depend on which indexes exist.
+  [[nodiscard]] Result<int> UpdateWhere(
+      std::string_view table, const std::function<bool(const Row&)>& pred,
+      const std::function<void(Row*)>& mutate,
+      const std::vector<EqualityKey>& keys = {}) TRAC_EXCLUDES(write_mu_);
 
   /// Deletes every currently visible row matching `pred` (auto-commit).
-  /// Returns the number deleted.
-  [[nodiscard]] Result<int> DeleteWhere(std::string_view table,
-                          const std::function<bool(const Row&)>& pred)
-      TRAC_EXCLUDES(write_mu_);
+  /// Returns the number deleted. `keys` as for UpdateWhere.
+  [[nodiscard]] Result<int> DeleteWhere(
+      std::string_view table, const std::function<bool(const Row&)>& pred,
+      const std::vector<EqualityKey>& keys = {}) TRAC_EXCLUDES(write_mu_);
+
+  /// Update-or-insert in one commit. When some currently visible row
+  /// matches `pred`, applies `mutate` to a copy of each match and writes
+  /// the copies for which it returns true (false leaves that row as it
+  /// is); when none matches, inserts `row`. The commit is taken even
+  /// when nothing is written. `keys` as for UpdateWhere. Because the
+  /// match and the insert happen under one write lock, two racing
+  /// upserts of the same key never both insert.
+  [[nodiscard]] Result<UpsertResult> Upsert(
+      std::string_view table, const std::function<bool(const Row&)>& pred,
+      const std::function<bool(Row*)>& mutate, Row row,
+      const std::vector<EqualityKey>& keys = {}) TRAC_EXCLUDES(write_mu_);
 
   /// Creates an ordered index on `table`.`column`. Setup-time: must not
   /// run concurrently with readers of the same table (see table.h).
@@ -146,6 +171,24 @@ class Database {
  private:
   /// Validates and normalizes `row` in place against `schema`.
   [[nodiscard]] static Status PrepareRow(const TableSchema& schema, Row* row);
+
+  /// The version the next commit publishes.
+  uint64_t NextCommit() const TRAC_REQUIRES(write_mu_) {
+    return version_counter_.load(std::memory_order_relaxed) + 1;
+  }
+
+  /// Replaces each version in `matches` whose copy `mutate` changes
+  /// (returns true for) with that copy, at `commit`. Every copy is
+  /// validated before the log is touched, so a rejected row leaves the
+  /// table as it was. Returns the number of rows replaced.
+  [[nodiscard]] static Result<int> Rewrite(
+      Table* t, uint64_t commit, const std::vector<size_t>& matches,
+      const std::function<bool(Row*)>& mutate);
+
+  /// Publishes `commit`, which appended `row_versions` versions, to
+  /// readers and records it in the storage metrics.
+  void Publish(uint64_t commit, int64_t row_versions)
+      TRAC_REQUIRES(write_mu_);
 
   Catalog catalog_;
   /// Guards growth of tables_ (CreateTable) against concurrent GetTable.

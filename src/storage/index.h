@@ -55,7 +55,12 @@ class OrderedIndex {
     map_.emplace(key, version_index);
   }
 
-  /// Calls fn(version_index) for every entry with key == `key`.
+  /// Calls fn(version_index) for every entry with key == `key`, in
+  /// ascending version index: a multimap keeps equal keys in insertion
+  /// order, and versions are inserted in the order they are appended
+  /// (Table::AppendVersion and the CreateIndex back-fill both go in
+  /// version order). The write path relies on this to rewrite matches
+  /// in the same order as a scan (Table::Matches).
   template <typename Fn>
   void ScanEqual(const Value& key, Fn fn) const {
     std::vector<size_t> matches;

@@ -42,6 +42,27 @@ size_t Table::AppendVersion(Row row, uint64_t begin_version) {
   return vidx;
 }
 
+std::vector<size_t> Table::Matches(
+    Snapshot snap, const std::vector<EqualityKey>& keys,
+    const std::function<bool(const Row&)>& pred) const {
+  std::vector<size_t> matches;
+  for (const EqualityKey& key : keys) {
+    if (key.value.is_null()) continue;
+    const OrderedIndex* index = GetIndex(key.column);
+    if (index == nullptr) continue;
+    // ScanEqual yields entries in version order, as the scan below does.
+    index->ScanEqual(key.value, [&](size_t vidx) {
+      const RowVersion& v = version(vidx);
+      if (Visible(v, snap) && pred(v.values)) matches.push_back(vidx);
+    });
+    return matches;
+  }
+  Scan(snap, [&](size_t vidx, const Row& row) {
+    if (pred(row)) matches.push_back(vidx);
+  });
+  return matches;
+}
+
 size_t Table::CountVisible(Snapshot snap) const {
   size_t count = 0;
   Scan(snap, [&](size_t, const Row&) { ++count; });

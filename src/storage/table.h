@@ -5,6 +5,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,6 +40,15 @@ struct RowVersion {
   uint64_t begin = 0;
   std::atomic<uint64_t> end{kOpenVersion};
   Row values;
+};
+
+/// One `column == value` conjunct of a row predicate, named so the
+/// matching rows can be found through an ordered index on `column`
+/// instead of a scan (see Table::Matches). Equality is structural
+/// (Value::operator==, under which NULL equals NULL).
+struct EqualityKey {
+  size_t column;
+  Value value;
 };
 
 /// Inclusive bounds of a timestamp column at one snapshot (see
@@ -162,6 +172,17 @@ class Table {
       if (Visible(v, snap) && !fn(i, v.values)) return;
     }
   }
+
+  /// The versions visible at `snap` that `pred` accepts, in ascending
+  /// version order. Every row `pred` accepts must satisfy each of
+  /// `keys`. Probes the index of the first non-NULL key whose column
+  /// has one (NULL keys are never indexed) and checks each hit against
+  /// `pred`; with no such key, scans. Both give the same versions in the
+  /// same order. This is the match step of Database's writes, at the
+  /// snapshot just before the commit.
+  std::vector<size_t> Matches(
+      Snapshot snap, const std::vector<EqualityKey>& keys,
+      const std::function<bool(const Row&)>& pred) const;
 
   /// Number of visible rows in `snap` (O(versions)).
   size_t CountVisible(Snapshot snap) const;

@@ -13,12 +13,16 @@
 //    accumulated yields the identical fingerprint;
 //  - exact memoized ranges: Table::TimestampRange, whose one-entry memo
 //    is shared by every reader, equals a reference scan at the same
-//    snapshot, whichever thread last replaced the memo.
+//    snapshot, whichever thread last replaced the memo;
+//  - atomic registration: threads racing to register the same fresh
+//    source leave exactly one registry row, at every snapshot.
 //
 // Run this under -fsanitize=thread (cmake --preset tsan) to turn the
 // memory-ordering argument into a checked property.
 
 #include <atomic>
+#include <barrier>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -328,6 +332,87 @@ TEST(SnapshotIsolationStressTest, TimestampRangeMatchesScanUnderChurn) {
   for (auto& t : readers) t.join();
   EXPECT_FALSE(failed.load());
   EXPECT_GE(checks.load(), kReaders * 200);
+}
+
+TEST(SnapshotIsolationStressTest, RacingFirstHeartbeatsRegisterOnce) {
+  // kRacers threads register the same fresh sources in lockstep: a
+  // barrier releases them together on each source, half through
+  // ReportHeartbeat and half through SetRecency. A registration that
+  // matches and inserts in separate commits lets two racers both find
+  // the source absent and both insert it; the established sources make
+  // a scanning match slow enough that racers queue behind it. At every
+  // snapshot readers take, each source must have exactly one visible
+  // row, and NumSources and GetAll must count each once.
+  constexpr int kRacers = 4;
+  constexpr int kEstablished = 4000;
+  constexpr int kFreshSources = 400;
+  Database db;
+  TRAC_ASSERT_OK_AND_ASSIGN(HeartbeatTable heartbeat,
+                            HeartbeatTable::Create(&db));
+  const Table* table = db.GetTable(heartbeat.table_id());
+  const Timestamp base = Ts("2006-03-15 14:20:05");
+  std::vector<Row> established;
+  for (int i = 0; i < kEstablished; ++i) {
+    established.push_back(
+        {Value::Str("m" + std::to_string(i)), Value::Ts(base)});
+  }
+  TRAC_ASSERT_OK(db.InsertMany(heartbeat.table_id(), std::move(established)));
+
+  std::barrier sync(kRacers);
+  std::atomic<int> racers_done{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> racers;
+  for (int w = 0; w < kRacers; ++w) {
+    racers.emplace_back([&, w] {
+      for (int i = 0; i < kFreshSources; ++i) {
+        const std::string source = "fresh" + std::to_string(i);
+        const Timestamp recency = base + w * Timestamp::kMicrosPerSecond;
+        sync.arrive_and_wait();
+        const Status s = w % 2 == 0 ? heartbeat.ReportHeartbeat(source, recency)
+                                    : heartbeat.SetRecency(source, recency);
+        if (!s.ok() && !failed.exchange(true)) {
+          ADD_FAILURE() << s.ToString();
+        }
+      }
+      racers_done.fetch_add(1);
+    });
+  }
+
+  auto check = [&](Snapshot snap) {
+    std::map<std::string, int> rows;
+    table->Scan(snap, [&](size_t, const Row& row) {
+      ++rows[row[0].str_val()];
+    });
+    for (const auto& [source, count] : rows) {
+      if (count != 1) {
+        ADD_FAILURE() << source << " has " << count << " rows at snapshot "
+                      << snap.version;
+        return false;
+      }
+    }
+    if (heartbeat.NumSources(snap) != rows.size() ||
+        heartbeat.GetAll(snap).size() != rows.size()) {
+      ADD_FAILURE() << "source count disagrees at snapshot " << snap.version;
+      return false;
+    }
+    return true;
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      bool final_pass_done = false;
+      while (!final_pass_done && !failed.load()) {
+        final_pass_done = racers_done.load() == kRacers;
+        if (!check(db.LatestSnapshot())) failed.store(true);
+      }
+    });
+  }
+
+  for (auto& t : racers) t.join();
+  for (auto& t : readers) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(heartbeat.NumSources(db.LatestSnapshot()),
+            static_cast<size_t>(kEstablished + kFreshSources));
 }
 
 }  // namespace

@@ -61,6 +61,77 @@ TEST(HeartbeatTest, GetAllSortedAndSnapshotted) {
   EXPECT_FALSE(hb.Get("zzz", db.LatestSnapshot()).ok());
 }
 
+TEST(HeartbeatTest, FirstRegistrationIsOneCommit) {
+  Database db;
+  TRAC_ASSERT_OK_AND_ASSIGN(HeartbeatTable hb, HeartbeatTable::Create(&db));
+  const uint64_t v0 = db.LatestSnapshot().version;
+  TRAC_ASSERT_OK(hb.ReportHeartbeat("s1", Ts("2006-03-15 14:00:00")));
+  TRAC_ASSERT_OK(hb.SetRecency("s2", Ts("2006-03-15 14:00:00")));
+  EXPECT_EQ(db.LatestSnapshot().version, v0 + 2);
+  // A heartbeat that does not advance still commits (an empty version).
+  TRAC_ASSERT_OK(hb.ReportHeartbeat("s1", Ts("2006-03-15 13:00:00")));
+  EXPECT_EQ(db.LatestSnapshot().version, v0 + 3);
+  EXPECT_EQ(db.GetTable(hb.table_id())->num_versions(), 2u);
+}
+
+TEST(HeartbeatTest, NullSourceOrRecencyRowsDoNotAbortReaders) {
+  // Rows written around the HeartbeatTable API may hold NULLs: a NULL
+  // source is skipped, a NULL recency reads as the epoch.
+  Database db;
+  TRAC_ASSERT_OK_AND_ASSIGN(HeartbeatTable hb, HeartbeatTable::Create(&db));
+  TRAC_ASSERT_OK(db.Insert("heartbeat", {Value::Str("x"), Value::Null()}));
+  TRAC_ASSERT_OK(db.Insert(
+      "heartbeat", {Value::Null(), Value::Ts(Ts("2006-03-15 14:00:00"))}));
+  TRAC_ASSERT_OK(hb.SetRecency("y", Ts("2006-03-15 15:00:00")));
+  const Snapshot snap = db.LatestSnapshot();
+  TRAC_ASSERT_OK_AND_ASSIGN(Timestamp x, hb.Get("x", snap));
+  EXPECT_EQ(x, Timestamp());
+  const std::vector<std::pair<std::string, Timestamp>> want = {
+      {"x", Timestamp()}, {"y", Ts("2006-03-15 15:00:00")}};
+  EXPECT_EQ(hb.GetAll(snap), want);
+  EXPECT_EQ(hb.NumSources(snap), 2u);
+  // Any heartbeat advances a NULL recency.
+  TRAC_ASSERT_OK(hb.ReportHeartbeat("x", Ts("2006-03-15 13:00:00")));
+  TRAC_ASSERT_OK_AND_ASSIGN(x, hb.Get("x", db.LatestSnapshot()));
+  EXPECT_EQ(x, Ts("2006-03-15 13:00:00"));
+  EXPECT_EQ(hb.NumSources(db.LatestSnapshot()), 2u);
+}
+
+TEST(HeartbeatTest, OpenResolvesColumnsByName) {
+  // An unindexed registry with the heartbeat columns out of the usual
+  // order: writes and reads find them by name (and scan, lacking the
+  // index); a table with the right names but wrong types is refused.
+  Database db;
+  TRAC_ASSERT_OK(
+      db.CreateTable(TableSchema(
+                         "hb", {ColumnDef("note", TypeId::kInt64),
+                                ColumnDef("recency_timestamp",
+                                          TypeId::kTimestamp),
+                                ColumnDef("source_id", TypeId::kString)}))
+          .status());
+  TRAC_ASSERT_OK_AND_ASSIGN(HeartbeatTable hb, HeartbeatTable::Open(&db, "hb"));
+  TRAC_ASSERT_OK(hb.ReportHeartbeat("s1", Ts("2006-03-15 14:00:00")));
+  TRAC_ASSERT_OK(hb.ReportHeartbeat("s1", Ts("2006-03-15 15:00:00")));
+  TRAC_ASSERT_OK(hb.ReportHeartbeat("s1", Ts("2006-03-15 13:00:00")));
+  TRAC_ASSERT_OK(db.Insert("hb", {Value::Int(1), Value::Null(), Value::Null()}));
+  const Snapshot snap = db.LatestSnapshot();
+  TRAC_ASSERT_OK_AND_ASSIGN(Timestamp ts, hb.Get("s1", snap));
+  EXPECT_EQ(ts, Ts("2006-03-15 15:00:00"));
+  const std::vector<std::pair<std::string, Timestamp>> want = {
+      {"s1", Ts("2006-03-15 15:00:00")}};
+  EXPECT_EQ(hb.GetAll(snap), want);
+  EXPECT_EQ(hb.NumSources(snap), 1u);
+
+  TRAC_ASSERT_OK(
+      db.CreateTable(TableSchema(
+                         "typed", {ColumnDef("source_id", TypeId::kInt64),
+                                   ColumnDef("recency_timestamp",
+                                             TypeId::kTimestamp)}))
+          .status());
+  EXPECT_EQ(HeartbeatTable::Open(&db, "typed").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SessionTest, TempTablesDroppedAtSessionEnd) {
   Database db;
   std::string name;

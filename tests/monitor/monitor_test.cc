@@ -164,6 +164,38 @@ TEST_F(GridTest, UpsertNeverTouchesOtherSourcesRows) {
   EXPECT_EQ(CountEvents(), 2u);
 }
 
+TEST_F(GridTest, KeyedUpsertAndDeleteAreOneCommitEach) {
+  // With the key column indexed, each replicated upsert or delete is
+  // one index-probed commit (a new key's upsert inserts in the same
+  // commit that found no match), and the data-source conjunct still
+  // keeps another source's row with the same key out of the match.
+  TRAC_ASSERT_OK(db_.CreateIndex("events", "n"));
+  SnifferOptions slow;
+  slow.poll_interval_micros = Timestamp::kMicrosPerHour;
+  TRAC_ASSERT_OK_AND_ASSIGN(DataSource * s1, grid_->AddSource("s1", slow));
+  TRAC_ASSERT_OK_AND_ASSIGN(DataSource * s2, grid_->AddSource("s2", slow));
+  s2->EmitInsert(Ts("2006-03-15 09:00:01"), "events",
+                 {Value::Str("s2"), Value::Int(7)});
+  s1->EmitUpsert(Ts("2006-03-15 09:00:01"), "events",
+                 {Value::Str("s1"), Value::Int(7)}, {1});
+  s1->EmitUpsert(Ts("2006-03-15 09:00:02"), "events",
+                 {Value::Str("s1"), Value::Int(7)}, {1});
+  s1->EmitDelete(Ts("2006-03-15 09:00:03"), "events",
+                 {Value::Str("s1"), Value::Int(7)}, {1});
+  s1->EmitUpsert(Ts("2006-03-15 09:00:04"), "events",
+                 {Value::Str("s1"), Value::Int(8)}, {1});
+  grid_->clock().AdvanceTo(Ts("2006-03-15 09:00:05"));
+  const uint64_t before = db_.LatestSnapshot().version;
+  TRAC_ASSERT_OK(grid_->PollAll());
+  // s1: four records and its heartbeat; s2: one record and its heartbeat.
+  EXPECT_EQ(db_.LatestSnapshot().version - before, 7u);
+  auto rs = ExecuteSql(db_, "SELECT src, n FROM events");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->num_rows(), 2u);
+  EXPECT_TRUE(rs->Contains({Value::Str("s2"), Value::Int(7)}));
+  EXPECT_TRUE(rs->Contains({Value::Str("s1"), Value::Int(8)}));
+}
+
 TEST_F(GridTest, PollsFireInTimestampOrder) {
   SnifferOptions fast;
   fast.poll_interval_micros = 10 * Timestamp::kMicrosPerSecond;

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "common/random.h"
 
 namespace trac {
 namespace {
 
+using testing_util::ExpectLogMatches;
+using testing_util::ScanReferenceLog;
 using testing_util::ScanTimestampRange;
 
 TableSchema KvSchema(const std::string& name) {
@@ -428,6 +431,202 @@ TEST(DatabaseTest, ConcurrentReadersSeeMonotonicConsistentSnapshots) {
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_FALSE(failed.load());
+}
+
+// The keyed write path (UpdateWhere / DeleteWhere / Upsert with
+// EqualityKeys) against the scan-based reference, over random
+// histories. "probe" indexes the key column k, so its keyed writes go
+// through the index; "scan" has no index, so the same writes take the
+// scan fallback. Both logs must equal the reference version for
+// version, as must every result and last_write_version(). Keys range
+// over a few strings plus NULL (never indexed, so a NULL key scans),
+// and plain inserts stack several visible versions per key.
+TEST(DatabaseTest, KeyedWritesMatchScanReference) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    Database probe;
+    Database scan;
+    for (Database* db : {&probe, &scan}) {
+      TRAC_ASSERT_OK(db->CreateTable(TableSchema(
+                                         "t",
+                                         {ColumnDef("k", TypeId::kString),
+                                          ColumnDef("g", TypeId::kInt64),
+                                          ColumnDef("v", TypeId::kInt64)}))
+                         .status());
+      TRAC_ASSERT_OK(db->CreateTable(KvSchema("other")).status());
+    }
+    TRAC_ASSERT_OK(probe.CreateIndex("t", "k"));
+    const Table* probe_t = probe.GetTable(*probe.FindTable("t"));
+    const Table* scan_t = scan.GetTable(*scan.FindTable("t"));
+    ScanReferenceLog ref;
+
+    const std::vector<Value> keys = {Value::Str("a"), Value::Str("b"),
+                                     Value::Str("c"), Value::Null()};
+    auto random_key = [&] { return keys[rng.Uniform(keys.size())]; };
+    // Earlier snapshots and what they showed when taken.
+    std::vector<std::pair<Snapshot, std::vector<Row>>> frozen;
+    auto visible = [](const Table& t, Snapshot snap) {
+      std::vector<Row> rows;
+      t.Scan(snap, [&](size_t, const Row& row) { rows.push_back(row); });
+      return rows;
+    };
+
+    for (int step = 0; step < 120; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const Value key = random_key();
+      const int64_t g = rng.UniformInt(0, 2);
+      const int64_t v = rng.UniformInt(0, 9);
+      // A key on the unindexed column g first: the probe must skip it
+      // and use k's index; half the writes also filter on v, which no
+      // key names.
+      const bool with_g = rng.Bernoulli(0.3);
+      const bool odd_only = rng.Bernoulli(0.5);
+      std::vector<EqualityKey> write_keys;
+      if (with_g) write_keys.push_back({1, Value::Int(g)});
+      write_keys.push_back({0, key});
+      auto pred = [&](const Row& r) {
+        return r[0] == key && (!with_g || r[1] == Value::Int(g)) &&
+               (!odd_only || r[2].int_val() % 2 == 1);
+      };
+      // Leaves rows already holding v unchanged, so an upsert can match
+      // without writing.
+      auto set_v = [&](Row* r) {
+        if ((*r)[2] == Value::Int(v)) return false;
+        (*r)[2] = Value::Int(v);
+        return true;
+      };
+      const Row row = {key, Value::Int(g), Value::Int(v)};
+
+      const uint64_t commit = probe.LatestSnapshot().version + 1;
+      ASSERT_EQ(scan.LatestSnapshot().version + 1, commit);
+      switch (rng.Uniform(6)) {
+        case 0:
+        case 1:
+          for (Database* db : {&probe, &scan}) {
+            TRAC_ASSERT_OK(db->Insert("t", row));
+          }
+          ref.Insert(row, commit);
+          break;
+        case 2: {
+          // UpdateWhere rewrites every match, even one left unchanged.
+          auto rewrite = [&](Row* r) {
+            set_v(r);
+            return true;
+          };
+          const int want = ref.Update(pred, rewrite, commit);
+          for (Database* db : {&probe, &scan}) {
+            TRAC_ASSERT_OK_AND_ASSIGN(
+                int got, db->UpdateWhere(
+                             "t", pred, [&](Row* r) { rewrite(r); },
+                             write_keys));
+            EXPECT_EQ(got, want);
+          }
+          break;
+        }
+        case 3: {
+          const int want = ref.Delete(pred, commit);
+          for (Database* db : {&probe, &scan}) {
+            TRAC_ASSERT_OK_AND_ASSIGN(int got,
+                                      db->DeleteWhere("t", pred, write_keys));
+            EXPECT_EQ(got, want);
+          }
+          break;
+        }
+        case 4: {
+          const UpsertResult want = ref.Upsert(pred, set_v, row, commit);
+          for (Database* db : {&probe, &scan}) {
+            TRAC_ASSERT_OK_AND_ASSIGN(
+                UpsertResult got, db->Upsert("t", pred, set_v, row, write_keys));
+            EXPECT_EQ(got.updated, want.updated);
+            EXPECT_EQ(got.inserted, want.inserted);
+          }
+          break;
+        }
+        default:
+          // A commit to another table: t's last write version stays.
+          for (Database* db : {&probe, &scan}) {
+            TRAC_ASSERT_OK(
+                db->Insert("other", {Value::Str("x"), Value::Int(step)}));
+          }
+          break;
+      }
+      ASSERT_EQ(probe.LatestSnapshot().version, commit);
+      ASSERT_EQ(scan.LatestSnapshot().version, commit);
+      ExpectLogMatches(*probe_t, ref);
+      ExpectLogMatches(*scan_t, ref);
+      if (step % 10 == 0) {
+        frozen.emplace_back(Snapshot{commit},
+                            visible(*probe_t, Snapshot{commit}));
+      }
+    }
+    // Earlier snapshots still read the rows they read when taken.
+    for (const auto& [snap, rows] : frozen) {
+      EXPECT_EQ(visible(*probe_t, snap), rows) << "snapshot " << snap.version;
+      EXPECT_EQ(visible(*scan_t, snap), rows) << "snapshot " << snap.version;
+    }
+  }
+}
+
+TEST(DatabaseTest, UpsertIsOneCommitAndMayWriteNothing) {
+  Database db;
+  TRAC_ASSERT_OK(db.CreateTable(KvSchema("t")).status());
+  TRAC_ASSERT_OK(db.CreateIndex("t", "k"));
+  const Table* t = db.GetTable(*db.FindTable("t"));
+  const std::vector<EqualityKey> key = {{0, Value::Str("a")}};
+  auto is_a = [](const Row& r) { return r[0] == Value::Str("a"); };
+  auto bump = [](Row* r) {
+    if ((*r)[1].int_val() >= 2) return false;
+    (*r)[1] = Value::Int((*r)[1].int_val() + 1);
+    return true;
+  };
+
+  // Absent: inserted in one commit.
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      UpsertResult first,
+      db.Upsert("t", is_a, bump, {Value::Str("a"), Value::Int(1)}, key));
+  EXPECT_TRUE(first.inserted);
+  EXPECT_EQ(first.updated, 0);
+  EXPECT_EQ(db.LatestSnapshot().version, 1u);
+  // Present: updated in place of an insert.
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      UpsertResult second,
+      db.Upsert("t", is_a, bump, {Value::Str("a"), Value::Int(1)}, key));
+  EXPECT_FALSE(second.inserted);
+  EXPECT_EQ(second.updated, 1);
+  EXPECT_EQ(db.LatestSnapshot().version, 2u);
+  // Present but left as it is: still a commit, with no version written.
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      UpsertResult third,
+      db.Upsert("t", is_a, bump, {Value::Str("a"), Value::Int(1)}, key));
+  EXPECT_FALSE(third.inserted);
+  EXPECT_EQ(third.updated, 0);
+  EXPECT_EQ(db.LatestSnapshot().version, 3u);
+  EXPECT_EQ(t->num_versions(), 2u);
+  EXPECT_EQ(t->last_write_version(), 2u);
+  EXPECT_EQ(t->CountVisible(db.LatestSnapshot()), 1u);
+}
+
+TEST(DatabaseTest, RejectedRewriteLeavesTableUnchanged) {
+  // The second match's copy fails validation: the first must not have
+  // been rewritten either, and the next commit must not expose it.
+  Database db;
+  TRAC_ASSERT_OK(db.CreateTable(KvSchema("t")).status());
+  TRAC_ASSERT_OK(db.Insert("t", {Value::Str("a"), Value::Int(1)}));
+  TRAC_ASSERT_OK(db.Insert("t", {Value::Str("a"), Value::Int(2)}));
+  const Table* t = db.GetTable(*db.FindTable("t"));
+  const Result<int> updated = db.UpdateWhere(
+      "t", [](const Row&) { return true; },
+      [](Row* r) {
+        (*r)[1] = (*r)[1].int_val() == 2 ? Value::Str("bad") : Value::Int(9);
+      });
+  EXPECT_EQ(updated.status().code(), StatusCode::kTypeError);
+  EXPECT_EQ(t->num_versions(), 2u);
+  TRAC_ASSERT_OK(db.Insert("t", {Value::Str("b"), Value::Int(3)}));
+  std::vector<int64_t> values;
+  t->Scan(db.LatestSnapshot(),
+          [&](size_t, const Row& r) { values.push_back(r[1].int_val()); });
+  EXPECT_EQ(values, (std::vector<int64_t>{1, 2, 3}));
 }
 
 }  // namespace

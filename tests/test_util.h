@@ -2,6 +2,7 @@
 #define TRAC_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,6 +60,105 @@ inline std::optional<TimestampBounds> ScanTimestampRange(const Table& table,
     out->hi = std::max(out->hi, v.ts_val());
   });
   return out;
+}
+
+/// A scan-based reference for Database's keyed writes (UpdateWhere,
+/// DeleteWhere, Upsert): a plain model of one table's version log whose
+/// every write finds its matches by scanning all versions visible just
+/// before the commit, whatever the keys or indexes. Each write takes
+/// the commit version the Database used, so a differential test can
+/// compare the two logs version by version. Rows must already be in
+/// normalized form (no int literal bound for a double column).
+class ScanReferenceLog {
+ public:
+  struct Version {
+    uint64_t begin = 0;
+    uint64_t end = RowVersion::kOpenVersion;
+    Row values;
+  };
+  using Pred = std::function<bool(const Row&)>;
+  using Mutate = std::function<bool(Row*)>;
+
+  /// Versions visible at `snap` that `pred` accepts, in version order.
+  std::vector<size_t> Matches(Snapshot snap, const Pred& pred) const {
+    std::vector<size_t> out;
+    for (size_t i = 0; i < log_.size(); ++i) {
+      const Version& v = log_[i];
+      const bool visible =
+          v.begin <= snap.version &&
+          (v.end == RowVersion::kOpenVersion || v.end > snap.version);
+      if (visible && pred(v.values)) out.push_back(i);
+    }
+    return out;
+  }
+
+  void Insert(Row row, uint64_t commit) {
+    log_.push_back({commit, RowVersion::kOpenVersion, std::move(row)});
+    last_write_ = commit;
+  }
+
+  /// Rewrites every match whose copy `mutate` changes; returns the count.
+  int Update(const Pred& pred, const Mutate& mutate, uint64_t commit) {
+    return Rewrite(Matches(Snapshot{commit - 1}, pred), mutate, commit);
+  }
+
+  int Delete(const Pred& pred, uint64_t commit) {
+    const std::vector<size_t> matches = Matches(Snapshot{commit - 1}, pred);
+    for (size_t i : matches) Close(i, commit);
+    return static_cast<int>(matches.size());
+  }
+
+  UpsertResult Upsert(const Pred& pred, const Mutate& mutate, Row row,
+                      uint64_t commit) {
+    const std::vector<size_t> matches = Matches(Snapshot{commit - 1}, pred);
+    UpsertResult result;
+    if (matches.empty()) {
+      Insert(std::move(row), commit);
+      result.inserted = true;
+    } else {
+      result.updated = Rewrite(matches, mutate, commit);
+    }
+    return result;
+  }
+
+  const std::vector<Version>& versions() const { return log_; }
+  uint64_t last_write_version() const { return last_write_; }
+
+ private:
+  int Rewrite(const std::vector<size_t>& matches, const Mutate& mutate,
+              uint64_t commit) {
+    int rewritten = 0;
+    for (size_t i : matches) {
+      Row copy = log_[i].values;
+      if (!mutate(&copy)) continue;
+      Close(i, commit);
+      Insert(std::move(copy), commit);
+      ++rewritten;
+    }
+    return rewritten;
+  }
+
+  void Close(size_t i, uint64_t commit) {
+    log_[i].end = commit;
+    last_write_ = commit;
+  }
+
+  std::vector<Version> log_;
+  uint64_t last_write_ = 0;
+};
+
+/// Expects `table`'s version log, version for version, and its last
+/// write version to equal `ref`'s.
+inline void ExpectLogMatches(const Table& table, const ScanReferenceLog& ref) {
+  ASSERT_EQ(table.num_versions(), ref.versions().size());
+  for (size_t i = 0; i < ref.versions().size(); ++i) {
+    const RowVersion& got = table.version(i);
+    const ScanReferenceLog::Version& want = ref.versions()[i];
+    EXPECT_EQ(got.begin, want.begin) << "version " << i;
+    EXPECT_EQ(got.end.load(), want.end) << "version " << i;
+    EXPECT_EQ(got.values, want.values) << "version " << i;
+  }
+  EXPECT_EQ(table.last_write_version(), ref.last_write_version());
 }
 
 inline Timestamp Ts(const std::string& text) {
