@@ -19,7 +19,9 @@
 #   6. with --tidy, run clang-tidy (.clang-tidy profile) over src/ —
 #      a hard failure when clang-tidy is not installed (the tidy CI job
 #      gates on it; use --tidy-only to run just this step),
-#   7. if clang++ is available, build the `tsa` preset so Clang's
+#   7. build the `debug` preset (TRAC_DEBUG_INVARIANTS) and run the
+#      report, relevance, verifier and property suites under it,
+#   8. if clang++ is available, build the `tsa` preset so Clang's
 #      thread-safety analysis runs with -Werror=thread-safety.
 #
 # Exits non-zero on the first failure. Run from anywhere.
@@ -226,6 +228,19 @@ cmake --build --preset ubsan -j"$(nproc)" \
 ctest --preset ubsan -R \
   'absint_absint_test|property_absint_property_test|verify_verifier_determinism_test' \
   --output-on-failure
+
+echo "==> report, relevance and verifier suites with TRAC_DEBUG_INVARIANTS"
+# A report verifies its plans only inside the session IR; this build is
+# where each executed plan is also verified alone (ExecutePlan), and
+# where every TRAC_DCHECK aborts instead of returning a Status.
+debug_suites='core_reporter_test|core_report_telemetry_test|core_relevance_test'
+debug_suites+='|concurrency_parallel_relevance_test|property_verify_property_test'
+debug_suites+='|property_absint_property_test|property_executor_property_test'
+debug_suites+='|property_relevance_property_test|verify_verifier_determinism_test'
+debug_suites+='|verify_verify_integration_test'
+cmake --preset debug
+cmake --build --preset debug -j"$(nproc)" --target ${debug_suites//|/ }
+ctest --preset debug -R "^(${debug_suites})\$" --output-on-failure
 
 if [[ "$run_tidy" -eq 1 ]]; then
   run_tidy_pass

@@ -14,79 +14,16 @@ namespace {
 /// the staleness hull at the report node and the source-cardinality
 /// interval at the session merge. Left uncomputed when the fixpoint
 /// carries no age facts (nothing sound to promise).
-void ReadStaticBounds(const PlanIr& ir, const absint::AbsintResult& res,
-                      RecencyReport* out) {
-  if (!res.converged) return;
-  const IrNode* merge = nullptr;
-  const IrNode* report = nullptr;
-  for (const IrNode& n : ir.nodes) {
-    if (n.kind == IrNodeKind::kMerge) merge = &n;
-    if (n.kind == IrNodeKind::kReport) report = &n;
-  }
-  if (report == nullptr || res.facts[report->id].staleness.bottom) return;
+void ReadStaticBounds(const SessionLayout& layout,
+                      const absint::AbsintResult& res, RecencyReport* out) {
+  if (!res.converged || res.facts[layout.report_id].staleness.bottom) return;
   out->static_bounds_computed = true;
-  out->static_staleness_width_micros = res.facts[report->id].staleness.Width();
-  if (merge != nullptr) {
-    const absint::CardInterval& card = res.facts[merge->id].card;
-    out->static_sources_lo = card.lo;
-    out->static_sources_hi = card.hi;
-    out->static_sources_unbounded = card.unbounded;
-  } else {
-    out->static_sources_unbounded = true;
-  }
-}
-
-/// Everything the verify gate built for one report: the plans it
-/// verified (Finish executes exactly these), the verifier's own absint
-/// fixpoint, and the session IR with its layout for the profiler.
-struct VerifiedSession {
-  QueryPlan user_plan;
-  std::vector<PlannedPart> parts;
-  absint::AbsintResult fixpoint;
-  PlanIr ir;
-  SessionLayout layout;
-};
-
-/// Plans the user query and every recency part and guard once, lowers
-/// the whole session (user plan, parts with their guards or shards, the
-/// merge, the temp writes) into one IR and gates it on the verifier,
-/// which sees cross-plan properties per-plan checks cannot (the
-/// single-snapshot rule, session confinement, the rejoin discipline).
-[[nodiscard]] Result<VerifiedSession> VerifyFinishSession(
-    const Database& db, const Session* session, const BoundQuery& user_query,
-    const RecencyQueryPlan& plan, Snapshot snapshot,
-    const RecencyReportOptions& options) {
-  VerifiedSession out;
-  // The plan's guarantee analysis rides along as a planner hint: a
-  // statically proven-unsatisfiable predicate short-circuits the user
-  // query to an empty result.
-  PlanningHints hints;
-  hints.guarantee = &plan.analysis;
-  TRAC_ASSIGN_OR_RETURN(out.user_plan,
-                        PlanQuery(db, user_query, snapshot, hints));
-  TRAC_ASSIGN_OR_RETURN(
-      out.parts, PlanRecencyParts(db, plan, snapshot,
-                                  options.relevance.parallelism));
-
-  ReportSessionInput input;
-  input.user_query = &user_query;
-  input.user_plan = &out.user_plan;
-  input.snapshot = snapshot;
-  input.parts = SessionParts(plan, out.parts);
-  if (options.create_temp_tables) {
-    // The numeric suffixes are allocated at creation time; the prefix
-    // names stand in for them (still sys_temp_* names to the verifier).
-    input.temp_writes = {"sys_temp_a", "sys_temp_e"};
-    input.session = session->id();
-  }
-  LowerOptions lower;
-  lower.heartbeat_table = options.relevance.heartbeat_table;
-  out.ir = LowerReportSession(db, input, lower, &out.layout);
-  const Status verified =
-      VerifyIr(out.ir, VerifyOptions(), &out.fixpoint).ToStatus();
-  TRAC_DCHECK(verified.ok(), verified.message().c_str());
-  TRAC_RETURN_IF_ERROR(verified);
-  return out;
+  out->static_staleness_width_micros =
+      res.facts[layout.report_id].staleness.Width();
+  const absint::CardInterval& card = res.facts[layout.merge_id].card;
+  out->static_sources_lo = card.lo;
+  out->static_sources_hi = card.hi;
+  out->static_sources_unbounded = card.unbounded;
 }
 
 }  // namespace
@@ -195,13 +132,19 @@ Result<RecencyReport> RecencyReporter::Finish(
   report.snapshot = snapshot;
   report.parse_generate_micros = parse_generate_micros;
 
-  // Plan and gate the whole session on the static verifier before
-  // anything runs: hard error with invariants armed, Status in release.
+  // Plan every query once and verify the session before anything runs:
+  // hard error with invariants armed, Status in release.
   TraceSpan verify_span(tel.tracer, tel.clock, "verify", trace_id, root.id());
-  Result<VerifiedSession> verified = VerifyFinishSession(
-      *db_, session_, user_query, plan, snapshot, options);
+  Result<ReportSession> planned = PlanReportSession(
+      *db_, user_query, plan, snapshot, options.relevance.parallelism,
+      options.relevance.heartbeat_table,
+      options.create_temp_tables ? session_->id() : 0);
+  Status verified = planned.status();
   if (verified.ok()) {
-    ReadStaticBounds(verified->ir, verified->fixpoint, &report);
+    absint::AbsintResult fixpoint;
+    verified = VerifyIr(planned->ir, VerifyOptions(), &fixpoint).ToStatus();
+    TRAC_DCHECK(verified.ok(), verified.message().c_str());
+    if (verified.ok()) ReadStaticBounds(planned->layout, fixpoint, &report);
   }
   report.verify_micros = verify_span.End();
   tel.metrics
@@ -209,8 +152,8 @@ Result<RecencyReport> RecencyReporter::Finish(
                    "Report sessions gated by the static plan-IR verifier",
                    {{"outcome", verified.ok() ? "ok" : "reject"}})
       ->Increment();
-  TRAC_RETURN_IF_ERROR(verified.status());
-  VerifiedSession& vs = *verified;
+  TRAC_RETURN_IF_ERROR(verified);
+  ReportSession& vs = *planned;
   SessionProfile session_profile;
   const bool profiling = options.profile;
 
@@ -276,6 +219,25 @@ Result<RecencyReport> RecencyReporter::Finish(
   session_profile.normal_rows = report.stats.normal.size();
   session_profile.exceptional_rows = report.stats.exceptional.size();
 
+  if (options.create_temp_tables) {
+    const std::vector<ColumnDef> columns = {
+        ColumnDef("sid", TypeId::kString),
+        ColumnDef("recency_timestamp", TypeId::kTimestamp)};
+    auto write = [&](std::string_view prefix,
+                     const std::vector<SourceRecency>& list) {
+      std::vector<Row> rows;
+      rows.reserve(list.size());
+      for (const SourceRecency& s : list) {
+        rows.push_back({Value::Str(s.source), Value::Ts(s.recency)});
+      }
+      return session_->CreateTempTable(prefix, columns, std::move(rows));
+    };
+    TRAC_ASSIGN_OR_RETURN(report.normal_temp_table,
+                          write("sys_temp_a", report.stats.normal));
+    TRAC_ASSIGN_OR_RETURN(report.exceptional_temp_table,
+                          write("sys_temp_e", report.stats.exceptional));
+  }
+
   // PR 1's ad-hoc timing fields stay on the struct (benches read them),
   // but the canonical record is now the phase histograms below.
   auto phase = [&tel](const char* name) {
@@ -306,28 +268,6 @@ Result<RecencyReport> RecencyReporter::Finish(
         ->GetHistogram("trac_report_inconsistency_bound_micros",
                        "Bound of inconsistency over normal sources")
         ->Observe(report.stats.inconsistency_bound_micros);
-  }
-
-  if (options.create_temp_tables) {
-    auto make_rows = [](const std::vector<SourceRecency>& list) {
-      std::vector<Row> rows;
-      rows.reserve(list.size());
-      for (const SourceRecency& s : list) {
-        rows.push_back({Value::Str(s.source), Value::Ts(s.recency)});
-      }
-      return rows;
-    };
-    std::vector<ColumnDef> columns = {
-        ColumnDef("sid", TypeId::kString),
-        ColumnDef("recency_timestamp", TypeId::kTimestamp)};
-    TRAC_ASSIGN_OR_RETURN(
-        report.normal_temp_table,
-        session_->CreateTempTable("sys_temp_a", columns,
-                                  make_rows(report.stats.normal)));
-    TRAC_ASSIGN_OR_RETURN(
-        report.exceptional_temp_table,
-        session_->CreateTempTable("sys_temp_e", columns,
-                                  make_rows(report.stats.exceptional)));
   }
 
   if (profiling) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/guarantee.h"
@@ -144,17 +145,36 @@ struct PlannedPart {
   std::vector<QueryPlan> guards;  ///< Parallel to Part::guards.
 };
 
-/// Builds the PlannedPart of every part of `plan` for execution at
-/// `snapshot` with `parallelism` strands, in part order.
+/// Builds the unverified PlannedPart of every part of `plan` for
+/// execution at `snapshot` with `parallelism` strands, in part order.
 [[nodiscard]] Result<std::vector<PlannedPart>> PlanRecencyParts(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
     size_t parallelism);
 
-/// The session-lowering view (ir/lower.h) of `planned`: one
-/// SessionPartInput per part, pointing into `plan` and `planned`, which
-/// must outlive the result.
-std::vector<SessionPartInput> SessionParts(
-    const RecencyQueryPlan& plan, const std::vector<PlannedPart>& planned);
+/// The plans one report session runs and their lowering into one IR
+/// (`layout`: one subgraph per planned query). No plan was verified
+/// alone: the session IR is their gate.
+struct ReportSession {
+  QueryPlan user_plan;
+  std::vector<PlannedPart> parts;  ///< Parallel to RecencyQueryPlan::parts.
+  PlanIr ir;
+  SessionLayout layout;
+};
+
+/// Plans `user_query` (hinted with `plan.analysis`) and every part and
+/// guard of `plan` once, then LowerReportSessionPlans: the one place a
+/// report session is assembled. `session_id` 0: no temp-table writes.
+[[nodiscard]] Result<ReportSession> PlanReportSession(
+    const Database& db, const BoundQuery& user_query,
+    const RecencyQueryPlan& plan, Snapshot snapshot, size_t parallelism,
+    std::string_view heartbeat_table, uint64_t session_id);
+
+/// (Re)lowers `session`'s plans into its `ir` and `layout`, every read
+/// pinned to `snapshot`.
+void LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
+                             const RecencyQueryPlan& plan, Snapshot snapshot,
+                             std::string_view heartbeat_table,
+                             uint64_t session_id, ReportSession* session);
 
 /// Result of executing a plan's parts against one snapshot: the union
 /// of their sources, sorted by source id (std::string byte order), plus
@@ -178,15 +198,15 @@ struct RecencyExecution {
   /// then one string copy per source); always measured.
   int64_t merge_micros = 0;
 };
-/// PlanRecencyParts at options.parallelism, then the overload below.
-/// With parallelism > 1 the parts run as pool tasks against the *same*
-/// snapshot, pure Heartbeat scans sharded so even single-part plans fan
-/// out; the merged result is identical to serial execution.
+/// PlanRecencyParts at options.parallelism, GateQueryPlan on each plan,
+/// then the overload below. With parallelism > 1 the parts run as pool
+/// tasks against the *same* snapshot, pure Heartbeat scans sharded so
+/// even single-part plans fan out; the result is identical to serial.
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
     const RelevanceOptions& options = RelevanceOptions());
 /// Runs `plan`'s parts from `planned` (PlanRecencyParts' output for
-/// this plan and snapshot): no part is planned again.
+/// this plan and snapshot): no part is planned or verified again.
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan,
     const std::vector<PlannedPart>& planned, Snapshot snapshot,

@@ -53,14 +53,18 @@ Result<std::string> Session::CreateTempTable(std::string_view prefix,
   // generated names depend on unrelated history. Per-Database allocation
   // keeps the contract local: every fetch_add is observed by exactly one
   // session, so concurrent reporters can never produce the same
-  // sys_temp_a*/sys_temp_e* name on one Database.
-  const uint64_t n = db_->NextTempTableId();
-  std::string name = std::string(prefix) + std::to_string(n);
-  TableSchema schema(name, std::move(columns));
-  TRAC_ASSIGN_OR_RETURN(TableId id, db_->CreateTable(std::move(schema)));
-  TRAC_RETURN_IF_ERROR(db_->InsertMany(id, std::move(rows)));
-  temp_tables_.push_back(name);
-  return name;
+  // sys_temp_a*/sys_temp_e* name on one Database; a user table holding
+  // the name is skipped.
+  for (;;) {
+    std::string name =
+        std::string(prefix) + std::to_string(db_->NextTempTableId());
+    Result<TableId> id = db_->CreateTable(TableSchema(name, columns));
+    if (id.status().code() == StatusCode::kAlreadyExists) continue;
+    TRAC_RETURN_IF_ERROR(id.status());
+    TRAC_RETURN_IF_ERROR(db_->InsertMany(*id, std::move(rows)));
+    temp_tables_.push_back(name);
+    return name;
+  }
 }
 
 Status Session::Materialize(std::string_view temp_name,

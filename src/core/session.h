@@ -47,7 +47,8 @@ class Session {
   uint64_t id() const { return id_; }
 
   /// Creates a temp table named `<prefix><N>` with the given columns and
-  /// rows; returns the generated name.
+  /// rows; returns the generated name. An N whose name a user table
+  /// already holds is skipped.
   [[nodiscard]] Result<std::string> CreateTempTable(std::string_view prefix,
                                       std::vector<ColumnDef> columns,
                                       std::vector<Row> rows);

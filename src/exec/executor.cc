@@ -615,9 +615,9 @@ class Execution {
       "Bound queries executed (user, recency, and guard queries)");
   queries_executed->Increment();
 #if defined(TRAC_DEBUG_INVARIANTS)
-  // PlanQuery already gated the plan; with invariants armed, re-verify
-  // at the execution boundary so a plan mutated (or hand-built) between
-  // planning and execution cannot slip through.
+  // The plan was verified alone (PlanQuery) or in its report session;
+  // with invariants armed, verify it alone here too, so a plan mutated
+  // (or hand-built) between planning and execution cannot slip through.
   const Status reverified = VerifyPlan(db, query, plan, snapshot);
   TRAC_DCHECK(reverified.ok(), reverified.message().c_str());
 #endif

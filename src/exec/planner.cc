@@ -8,8 +8,9 @@
 
 namespace trac {
 
-[[nodiscard]] Result<QueryPlan> PlanQuery(const Database& db, const BoundQuery& query,
-                            Snapshot snapshot, const PlanningHints& hints) {
+[[nodiscard]] Result<QueryPlan> BuildQueryPlan(
+    const Database& db, const BoundQuery& query, Snapshot snapshot,
+    const PlanningHints& hints) {
   QueryPlan plan;
   const size_t num_rels = query.relations.size();
   if (num_rels > 63) {
@@ -43,10 +44,11 @@ namespace trac {
   // baseline (opt/rewrite.cc): a rule's witness must discharge
   // TRAC-V009..V012 before it is applied.
   opt::OptimizePlan(db, query, snapshot, &plan);
+  return plan;
+}
 
-  // Gate the finished plan behind the static verifier: a plan that
-  // fails a TRAC-V rule is a planner bug and must not reach execution.
-  // Hard error with invariants armed; Status otherwise.
+[[nodiscard]] Status GateQueryPlan(const Database& db, const BoundQuery& query,
+                                   const QueryPlan& plan, Snapshot snapshot) {
   const Status verified = VerifyPlan(db, query, plan, snapshot);
   // Outcome counters resolved once: metric lookup stays off the per-plan
   // path after the first call.
@@ -58,7 +60,14 @@ namespace trac {
       {{"outcome", "reject"}});
   (verified.ok() ? verify_ok : verify_reject)->Increment();
   TRAC_DCHECK(verified.ok(), verified.message().c_str());
-  if (!verified.ok()) return verified;
+  return verified;
+}
+
+[[nodiscard]] Result<QueryPlan> PlanQuery(const Database& db, const BoundQuery& query,
+                            Snapshot snapshot, const PlanningHints& hints) {
+  TRAC_ASSIGN_OR_RETURN(QueryPlan plan,
+                        BuildQueryPlan(db, query, snapshot, hints));
+  TRAC_RETURN_IF_ERROR(GateQueryPlan(db, query, plan, snapshot));
   return plan;
 }
 

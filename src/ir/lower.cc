@@ -280,8 +280,8 @@ size_t LowerQueryInto(PlanIr* ir, const Database& db, const BoundQuery& query,
 }
 
 /// Lowers every recency part of `input` plus their deterministic rejoin
-/// into `ir` and returns the merge's node id. `layout`, when non-null,
-/// receives the parts' node-id extents and the merge id.
+/// into `ir` and returns the merge's node id. `layout` receives the
+/// parts' node-id extents and the merge id.
 size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
                               const ReportSessionInput& input,
                               const LowerOptions& options,
@@ -314,7 +314,7 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
         layout_part.shard_scan_ids.push_back(scan.id);
       }
       layout_part.sharded = true;
-      if (layout != nullptr) layout->parts.push_back(std::move(layout_part));
+      layout->parts.push_back(std::move(layout_part));
       continue;
     }
     // EXISTS guards execute before the part's main query, so they lower
@@ -327,14 +327,12 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
           ir, db, *part.guard_queries[g], *part.guard_plans[g],
           input.snapshot, options, /*generated=*/true, age));
       range.end = ir->nodes.size();
-      range.top = guard_tops.back();
       layout_part.guards.push_back(range);
     }
     layout_part.main.begin = ir->nodes.size();
     size_t part_top = LowerQueryInto(ir, db, q, *part.plan, input.snapshot,
                                      options, /*generated=*/true, age);
     layout_part.main.end = ir->nodes.size();
-    layout_part.main.top = part_top;
     if (!guard_tops.empty()) {
       // The part's rows flow only if every guard is non-empty, modeled
       // as a gating filter fed by the part and the guard roots.
@@ -349,7 +347,7 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
       layout_part.gate_id = gate.id;
     }
     part_tops.push_back(part_top);
-    if (layout != nullptr) layout->parts.push_back(std::move(layout_part));
+    layout->parts.push_back(std::move(layout_part));
   }
 
   // The deterministic rejoin: an order-insensitive set merge keyed on
@@ -367,7 +365,7 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
         IrColumn{"recency_timestamp", ColumnProvenance::kRegular});
   }
   merge.columns = source_cols;
-  if (layout != nullptr) layout->merge_id = merge.id;
+  layout->merge_id = merge.id;
   return merge.id;
 }
 
@@ -389,6 +387,7 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
                           const LowerOptions& options, SessionLayout* layout) {
   PlanIr ir;
   ir.label = "report_session";
+  *layout = SessionLayout();
   const std::optional<TimestampBounds> age =
       HeartbeatAgeRange(db, input.snapshot, options);
 
@@ -396,11 +395,7 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
   const size_t user_top =
       LowerQueryInto(&ir, db, *input.user_query, *input.user_plan,
                      input.snapshot, options, /*generated=*/false, age);
-  if (layout != nullptr) {
-    layout->user.begin = 0;
-    layout->user.end = ir.nodes.size();
-    layout->user.top = user_top;
-  }
+  layout->user = {0, ir.nodes.size()};
 
   // 2+3. Every recency part and their deterministic set-merge rejoin.
   const size_t merge_id =
@@ -418,7 +413,7 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
     write.columns = ir.nodes[merge_id].columns;
     write.declared_sources = declared;
     report_inputs.push_back(write.id);
-    if (layout != nullptr) layout->tempwrite_ids.push_back(write.id);
+    layout->tempwrite_ids.push_back(write.id);
   }
   if (input.temp_writes.empty()) report_inputs.push_back(merge_id);
 
@@ -433,7 +428,7 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
     report.has_bound = true;
     report.notice_bound_micros = age->hi - age->lo;
   }
-  if (layout != nullptr) layout->report_id = report.id;
+  layout->report_id = report.id;
   return ir;
 }
 

@@ -65,8 +65,7 @@ struct ReportSessionInput {
 struct SessionLayout {
   struct QueryRange {
     size_t begin = 0;  ///< First node id of the subgraph.
-    size_t end = 0;    ///< One past the last node id.
-    size_t top = 0;    ///< Root node id (== end - 1).
+    size_t end = 0;    ///< One past the last node id, the root's.
   };
   QueryRange user;
   struct Part {
@@ -90,11 +89,10 @@ struct SessionLayout {
 /// part (sharded scans or its plan subgraph, guards as gating filters),
 /// the deterministic set merge of all parts, the temp-table writes, and
 /// the final report node consuming the user result and the sources.
-/// Recency-side nodes are marked `generated`. `layout`, when non-null,
-/// receives the node-id extents of every subgraph emitted.
+/// Recency-side nodes are marked `generated`. `layout` is overwritten
+/// with the node-id extents of every subgraph emitted.
 PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
-                          const LowerOptions& options = LowerOptions(),
-                          SessionLayout* layout = nullptr);
+                          const LowerOptions& options, SessionLayout* layout);
 
 }  // namespace trac
 

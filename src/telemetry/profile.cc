@@ -45,9 +45,7 @@ std::vector<IrNodeKind> ExpectedShape(const ExecProfile& p) {
 size_t AttachQueryRange(PlanIr* ir, const SessionLayout::QueryRange& r,
                         const ExecProfile& p) {
   if (p.invocations == 0) return 0;
-  if (r.end > ir->nodes.size() || r.begin >= r.end || r.top != r.end - 1) {
-    return 0;
-  }
+  if (r.end > ir->nodes.size() || r.begin >= r.end) return 0;
   const std::vector<IrNodeKind> shape = ExpectedShape(p);
   if (shape.size() != r.end - r.begin) return 0;
   for (size_t i = 0; i < shape.size(); ++i) {
@@ -77,8 +75,8 @@ size_t AttachQueryRange(PlanIr* ir, const SessionLayout::QueryRange& r,
   // actually delivered downstream (post-DISTINCT/LIMIT — the IR has no
   // node for those trims) and the pipeline time not already attributed
   // to level preparation.
-  Annotate(ir, r.top, p.output_rows);
-  AnnotateNs(ir, r.top, p.total_ns - prepare_total_ns);
+  Annotate(ir, r.end - 1, p.output_rows);
+  AnnotateNs(ir, r.end - 1, p.total_ns - prepare_total_ns);
   return shape.size();
 }
 

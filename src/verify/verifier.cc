@@ -407,9 +407,8 @@ VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options,
 }
 
 [[nodiscard]] Status VerifyPlan(const Database& db, const BoundQuery& query,
-                  const QueryPlan& plan, Snapshot snapshot,
-                  const LowerOptions& options) {
-  return VerifyIrStatus(LowerQueryPlan(db, query, plan, snapshot, options));
+                  const QueryPlan& plan, Snapshot snapshot) {
+  return VerifyIrStatus(LowerQueryPlan(db, query, plan, snapshot));
 }
 
 Status VerifyReport::ToStatus() const {

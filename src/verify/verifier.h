@@ -144,12 +144,11 @@ VerifyReport VerifyIr(const PlanIr& ir,
 /// Convenience gate: VerifyIr(ir).ToStatus().
 [[nodiscard]] Status VerifyIrStatus(const PlanIr& ir);
 
-/// The planner/executor gate: lowers one planned query (ir/lower.h) and
-/// verifies the result. Callers escalate to a hard error under
-/// TRAC_DEBUG_INVARIANTS and propagate the Status in release builds.
+/// The planner/executor gate: lowers one planned query (LowerQueryPlan,
+/// no Heartbeat table named) and verifies it. Callers escalate to a hard
+/// error under TRAC_DEBUG_INVARIANTS and propagate the Status otherwise.
 [[nodiscard]] Status VerifyPlan(const Database& db, const BoundQuery& query,
-                                const QueryPlan& plan, Snapshot snapshot,
-                                const LowerOptions& options = LowerOptions());
+                                const QueryPlan& plan, Snapshot snapshot);
 
 }  // namespace trac
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "exec/statement.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -19,12 +20,17 @@ int64_t QueriesExecuted() {
       ->Value();
 }
 
+/// Plans verified alone (PlanQuery's gate), either outcome.
 int64_t PlansVerified() {
-  return MetricRegistry::Default()
-      .GetCounter("trac_plan_verify_total",
-                  "Plan-IR verifier outcomes at plan time",
-                  {{"outcome", "ok"}})
-      ->Value();
+  int64_t total = 0;
+  for (const char* outcome : {"ok", "reject"}) {
+    total += MetricRegistry::Default()
+                 .GetCounter("trac_plan_verify_total",
+                             "Plan-IR verifier outcomes at plan time",
+                             {{"outcome", outcome}})
+                 ->Value();
+  }
+  return total;
 }
 
 // Reproduces the Section 5.1 session transcript: the idle-machines query
@@ -200,14 +206,32 @@ TEST(ReporterTest, TempTablesRequestedWithoutSessionFails) {
       0);
 }
 
-// Each report plans every query once, in the verify gate, and executes
-// those plans: the user query plus every part that is not a pure
-// Heartbeat scan, plus that part's guards.
+// Each report plans every query once, in PlanReportSession, and
+// verifies those plans once, inside the session IR: no plan is verified
+// alone (trac_plan_verify_total does not move) and one session passes
+// the gate. The session IR holds one subgraph per planned query: the
+// user query, plus the main query and guards of every part that is not
+// a pure Heartbeat scan.
 TEST(ReporterTest, PlansEachQueryOnce) {
   PaperExampleDb fixture(/*finite_domains=*/false);
   RecencyReporter reporter(&fixture.db, nullptr);
+  MetricRegistry metrics;
+  Tracer tracer;
+  Telemetry telemetry{&metrics, &tracer, &MonotonicMicros};
+  Counter* sessions_ok = metrics.GetCounter(
+      "trac_verify_sessions_total",
+      "Report sessions gated by the static plan-IR verifier",
+      {{"outcome", "ok"}});
   RecencyReportOptions options;
   options.create_temp_tables = false;
+  options.telemetry = &telemetry;
+  auto expect_one_session_no_lone_plan = [&](const char* sql) {
+    const int64_t plans_before = PlansVerified();
+    const int64_t sessions_before = sessions_ok->Value();
+    TRAC_ASSERT_OK(reporter.Run(sql, options).status());
+    EXPECT_EQ(PlansVerified() - plans_before, 0);
+    EXPECT_EQ(sessions_ok->Value() - sessions_before, 1);
+  };
   for (const char* sql :
        {"SELECT value FROM activity WHERE mach_id = 'm1'",  // Q1
         "SELECT COUNT(*) FROM routing r, activity a WHERE "
@@ -217,26 +241,87 @@ TEST(ReporterTest, PlansEachQueryOnce) {
     TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan plan,
                               GenerateRecencyQueries(fixture.db, query));
     TRAC_ASSERT_OK_AND_ASSIGN(
-        std::vector<PlannedPart> planned,
-        PlanRecencyParts(fixture.db, plan, fixture.db.LatestSnapshot(), 1));
-    int64_t expected = 1;  // The user query.
-    for (const PlannedPart& part : planned) {
-      if (part.shards == 0) expected += 1 + part.guards.size();
+        ReportSession session,
+        PlanReportSession(fixture.db, query, plan,
+                          fixture.db.LatestSnapshot(), /*parallelism=*/1,
+                          options.relevance.heartbeat_table,
+                          /*session_id=*/0));
+    // One contiguous subgraph per planned query, in execution order.
+    std::vector<SessionLayout::QueryRange> subgraphs = {session.layout.user};
+    ASSERT_EQ(session.layout.parts.size(), plan.parts.size());
+    for (size_t i = 0; i < plan.parts.size(); ++i) {
+      const SessionLayout::Part& part = session.layout.parts[i];
+      EXPECT_EQ(part.sharded, session.parts[i].shards > 0);
+      if (part.sharded) continue;
+      ASSERT_EQ(part.guards.size(), plan.parts[i].guards.size());
+      subgraphs.insert(subgraphs.end(), part.guards.begin(),
+                       part.guards.end());
+      subgraphs.push_back(part.main);
     }
-    EXPECT_GT(expected, 1);
-    const int64_t before = PlansVerified();
-    TRAC_ASSERT_OK(reporter.Run(sql, options).status());
-    EXPECT_EQ(PlansVerified() - before, expected);
+    EXPECT_GT(subgraphs.size(), 1u);
+    size_t next = 0;
+    for (const SessionLayout::QueryRange& range : subgraphs) {
+      EXPECT_GE(range.begin, next);
+      EXPECT_LT(range.begin, range.end);
+      next = range.end;
+    }
+    expect_one_session_no_lone_plan(sql);
   }
 
   // The Naive plan is one pure Heartbeat scan: only the user query is
   // planned, even serially.
   options.method = RecencyMethod::kNaive;
-  const int64_t before = PlansVerified();
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      BoundQuery query,
+      BindSql(fixture.db, "SELECT value FROM activity WHERE mach_id = 'm1'"));
+  TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan naive,
+                            GenerateNaivePlan(fixture.db));
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      ReportSession session,
+      PlanReportSession(fixture.db, query, naive, fixture.db.LatestSnapshot(),
+                        /*parallelism=*/1, options.relevance.heartbeat_table,
+                        /*session_id=*/0));
+  ASSERT_EQ(session.parts.size(), 1u);
+  EXPECT_GT(session.parts[0].shards, 0u);
+  expect_one_session_no_lone_plan(
+      "SELECT value FROM activity WHERE mach_id = 'm1'");
+}
+
+// A user table holding the next sys_temp_ name is skipped, and the
+// report is counted once, after its temp tables exist.
+TEST(ReporterTest, TempTablesSkipNamesUserTablesHold) {
+  PaperExampleDb fixture;
+  Session session(&fixture.db);
+  RecencyReporter reporter(&fixture.db, &session);
+  MetricRegistry metrics;
+  Tracer tracer;
+  Telemetry telemetry{&metrics, &tracer, &MonotonicMicros};
+  RecencyReportOptions options;
+  options.telemetry = &telemetry;
+  const uint64_t n = fixture.db.NextTempTableId();
+  const std::string taken = "sys_temp_a" + std::to_string(n + 1);
   TRAC_ASSERT_OK(
-      reporter.Run("SELECT value FROM activity WHERE mach_id = 'm1'", options)
+      ExecuteStatement(&fixture.db, "CREATE TABLE " + taken + " (x INT)")
           .status());
-  EXPECT_EQ(PlansVerified() - before, 1);
+
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      RecencyReport report,
+      reporter.Run("SELECT mach_id FROM Activity WHERE value = 'idle'",
+                   options));
+  EXPECT_EQ(report.normal_temp_table, "sys_temp_a" + std::to_string(n + 2));
+  EXPECT_EQ(report.exceptional_temp_table,
+            "sys_temp_e" + std::to_string(n + 3));
+  EXPECT_EQ(
+      metrics.GetCounter("trac_reports_total", "Recency reports completed")
+          ->Value(),
+      1);
+  // The user's table is left as it was.
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      ResultSet rows, ExecuteSql(fixture.db, "SELECT x FROM " + taken));
+  EXPECT_EQ(rows.num_rows(), 0u);
+  EXPECT_EQ(session.temp_tables(),
+            (std::vector<std::string>{report.normal_temp_table,
+                                      report.exceptional_temp_table}));
 }
 
 TEST(ReporterTest, EmptyRelevantSetProducesEmptyReport) {

@@ -138,24 +138,12 @@ TEST_P(AbsintPropertyTest, FixpointDominanceAndCleanlinessOnCorpus) {
 
     auto plan = GenerateRecencyQueries(db_, *query);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    const Snapshot snapshot = db_.LatestSnapshot();
-    PlanningHints hints;
-    hints.guarantee = &plan->analysis;
-    auto user_plan = PlanQuery(db_, *query, snapshot, hints);
-    ASSERT_TRUE(user_plan.ok()) << user_plan.status();
-
-    auto planned = PlanRecencyParts(db_, *plan, snapshot, parallelism);
-    ASSERT_TRUE(planned.ok()) << planned.status();
-    ReportSessionInput input;
-    input.user_query = &*query;
-    input.user_plan = &*user_plan;
-    input.snapshot = snapshot;
-    input.session = 1;
-    input.temp_writes = {"sys_temp_a1", "sys_temp_e1"};
-    input.parts = SessionParts(*plan, *planned);
-    LowerOptions lower;
-    lower.heartbeat_table = std::string(HeartbeatTable::kDefaultName);
-    const PlanIr ir = LowerReportSession(db_, input, lower);
+    auto session =
+        PlanReportSession(db_, *query, *plan, db_.LatestSnapshot(),
+                          parallelism, HeartbeatTable::kDefaultName,
+                          /*session_id=*/1);
+    ASSERT_TRUE(session.ok()) << session.status();
+    const PlanIr& ir = session->ir;
 
     // 1. The fixpoint engine converges on the full session graph.
     const absint::AbsintResult result = absint::AnalyzeIr(ir);

@@ -132,28 +132,19 @@ void WriteTempTable(Database* db) {
 }
 
 /// Lowers the full q1-style report session over `db` at `snapshot` and
-/// `parallelism`, as the reporter does (every plan pinned to the same
-/// snapshot).
+/// `parallelism` through the reporter's PlanReportSession (every plan
+/// pinned to the same snapshot).
 PlanIr LowerSession(const Database& db, Snapshot snapshot,
                     size_t parallelism) {
   auto query = BindSql(db, "SELECT mach_id FROM activity");
   EXPECT_TRUE(query.ok()) << query.status();
   auto plan = GenerateRecencyQueries(db, *query);
   EXPECT_TRUE(plan.ok()) << plan.status();
-  auto user_plan = PlanQuery(db, *query, snapshot);
-  EXPECT_TRUE(user_plan.ok()) << user_plan.status();
-  auto planned = PlanRecencyParts(db, *plan, snapshot, parallelism);
-  EXPECT_TRUE(planned.ok()) << planned.status();
-  ReportSessionInput input;
-  input.user_query = &*query;
-  input.user_plan = &*user_plan;
-  input.snapshot = snapshot;
-  input.session = 1;
-  input.temp_writes = {"sys_temp_a1"};
-  input.parts = SessionParts(*plan, *planned);
-  LowerOptions lower;
-  lower.heartbeat_table = std::string(HeartbeatTable::kDefaultName);
-  return LowerReportSession(db, input, lower);
+  auto session = PlanReportSession(db, *query, *plan, snapshot, parallelism,
+                                   HeartbeatTable::kDefaultName,
+                                   /*session_id=*/1);
+  EXPECT_TRUE(session.ok()) << session.status();
+  return std::move(session->ir);
 }
 
 std::string LowerSessionDump(const Database& db, Snapshot snapshot) {

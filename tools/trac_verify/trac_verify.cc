@@ -87,38 +87,6 @@ int Usage(const char* argv0) {
   return trac::cli::kExitUsage;
 }
 
-/// Lowers the full report session a query would execute. The session id
-/// and temp-write names are stand-ins (the corpus has no live session);
-/// the IR shape is identical to what RecencyReporter verifies online.
-trac::Result<trac::PlanIr> LowerSqlFile(const trac::Database& db,
-                                        const trac::BoundQuery& query,
-                                        size_t parallelism,
-                                        trac::QueryPlan* user_plan_out) {
-  TRAC_ASSIGN_OR_RETURN(trac::RecencyQueryPlan plan,
-                        trac::GenerateRecencyQueries(db, query));
-  const trac::Snapshot snapshot = db.LatestSnapshot();
-  trac::PlanningHints hints;
-  hints.guarantee = &plan.analysis;
-  TRAC_ASSIGN_OR_RETURN(trac::QueryPlan user_plan,
-                        trac::PlanQuery(db, query, snapshot, hints));
-
-  TRAC_ASSIGN_OR_RETURN(
-      std::vector<trac::PlannedPart> planned,
-      trac::PlanRecencyParts(db, plan, snapshot, parallelism));
-  trac::ReportSessionInput input;
-  input.user_query = &query;
-  input.user_plan = &user_plan;
-  input.snapshot = snapshot;
-  input.session = 1;
-  input.temp_writes = {"sys_temp_a", "sys_temp_e"};
-  input.parts = trac::SessionParts(plan, planned);
-  trac::LowerOptions lower;
-  lower.heartbeat_table = trac::HeartbeatTable::kDefaultName;
-  trac::PlanIr ir = trac::LowerReportSession(db, input, lower);
-  if (user_plan_out != nullptr) *user_plan_out = std::move(user_plan);
-  return ir;
-}
-
 /// The --dump-rewrites block: the optimizer's decision trail for the
 /// user plan, one line per attempted rewrite.
 std::string FormatRewrites(const trac::QueryPlan& plan) {
@@ -130,6 +98,25 @@ std::string FormatRewrites(const trac::QueryPlan& plan) {
     out += ": " + rw.verdict + "\n";
   }
   return out;
+}
+
+/// Lowers the report session a query would execute through the
+/// reporter's own PlanReportSession. The session id is a stand-in (the
+/// corpus has no live session); the IR is what RecencyReporter verifies.
+/// `rewrites`, when non-null, receives the user plan's rewrite block.
+trac::Result<trac::PlanIr> LowerSqlFile(const trac::Database& db,
+                                        const trac::BoundQuery& query,
+                                        size_t parallelism,
+                                        std::string* rewrites) {
+  TRAC_ASSIGN_OR_RETURN(trac::RecencyQueryPlan plan,
+                        trac::GenerateRecencyQueries(db, query));
+  TRAC_ASSIGN_OR_RETURN(
+      trac::ReportSession session,
+      trac::PlanReportSession(db, query, plan, db.LatestSnapshot(),
+                              parallelism, trac::HeartbeatTable::kDefaultName,
+                              /*session_id=*/1));
+  if (rewrites != nullptr) *rewrites = FormatRewrites(session.user_plan);
+  return std::move(session.ir);
 }
 
 std::string JsonForFile(const std::string& name, const trac::PlanIr& ir,
@@ -320,8 +307,7 @@ int main(int argc, char** argv) {
     }
 
     trac::PlanIr ir;
-    trac::QueryPlan user_plan;
-    bool have_user_plan = false;
+    std::string rewrites;
     if (ipath.extension() == ".ir") {
       auto parsed = trac::ParsePlanIr(text);
       if (!parsed.ok()) {
@@ -353,14 +339,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       auto lowered = LowerSqlFile(db, *bound, parallelism,
-                                  dump_rewrites ? &user_plan : nullptr);
+                                  dump_rewrites ? &rewrites : nullptr);
       if (!lowered.ok()) {
         std::fprintf(stderr, "trac_verify: %s: lowering failed: %s\n",
                      input_file.c_str(), lowered.status().ToString().c_str());
         return 2;
       }
       ir = std::move(*lowered);
-      have_user_plan = dump_rewrites;
     }
 
     std::string block;
@@ -377,7 +362,7 @@ int main(int argc, char** argv) {
 
     if (dump_ir) block += ir.Dump();
     block += report.Format(ir);
-    if (have_user_plan) block += FormatRewrites(user_plan);
+    block += rewrites;
     if (dump_absint) block += trac::absint::AnalyzeIr(ir).Dump(ir);
 
     if (json) {
