@@ -11,7 +11,11 @@
 // Exits 1 when the summed profiled time exceeds the unprofiled time by
 // more than P percent (default: report only). Uses min-of-N per query:
 // the minimum is the scheduler-noise-resistant statistic, and the
-// overhead being gated is deterministic work on the session path.
+// overhead being gated is deterministic work on the session path. The
+// two arms are interleaved: every iteration runs one profiled and one
+// unprofiled report, and which runs first alternates, so a shift in
+// machine state (clock speed, caches, other tenants) lands on both arms
+// instead of on one back-to-back block.
 
 #include <cstdio>
 #include <cstring>
@@ -24,24 +28,39 @@ namespace trac {
 namespace bench {
 namespace {
 
-int64_t MinReportMicros(BenchEnv& env, const BenchEnv::PreparedQuery& query,
-                        bool profile, size_t iters) {
+int64_t ReportMicros(BenchEnv& env, const BenchEnv::PreparedQuery& query,
+                     bool profile) {
   RecencyReportOptions options = MeasuredOptions(RecencyMethod::kFocused);
   options.profile = profile;
-  int64_t best = 0;
+  const int64_t t0 = NowMicros();
+  auto report =
+      env.reporter->RunWithPlan(query.bound, query.focused_plan, options);
+  const int64_t elapsed = NowMicros() - t0;
+  if (!report.ok()) {
+    std::fprintf(stderr, "report failed for %s: %s\n", query.name.c_str(),
+                 report.status().ToString().c_str());
+    std::abort();
+  }
+  return elapsed;
+}
+
+struct MinMicros {
+  int64_t off = 0;
+  int64_t on = 0;
+};
+
+MinMicros MinReportMicros(BenchEnv& env, const BenchEnv::PreparedQuery& query,
+                          size_t iters) {
+  MinMicros best;
   for (size_t i = 0; i < iters + 1; ++i) {
-    const int64_t t0 = NowMicros();
-    auto report = env.reporter->RunWithPlan(query.bound, query.focused_plan,
-                                            options);
-    const int64_t elapsed = NowMicros() - t0;
-    if (!report.ok()) {
-      std::fprintf(stderr, "report failed for %s: %s\n", query.name.c_str(),
-                   report.status().ToString().c_str());
-      std::abort();
+    for (size_t arm = 0; arm < 2; ++arm) {
+      const bool profile = (i + arm) % 2 == 1;
+      const int64_t elapsed = ReportMicros(env, query, profile);
+      // First iteration is warmup (cache/allocator effects), not measured.
+      if (i == 0) continue;
+      int64_t& slot = profile ? best.on : best.off;
+      if (slot == 0 || elapsed < slot) slot = elapsed;
     }
-    // First iteration is warmup (cache/allocator effects), not measured.
-    if (i == 0) continue;
-    if (best == 0 || elapsed < best) best = elapsed;
   }
   return best;
 }
@@ -68,8 +87,7 @@ int Main(int argc, char** argv) {
   int64_t total_off = 0;
   int64_t total_on = 0;
   for (const BenchEnv::PreparedQuery& query : env.queries) {
-    const int64_t off = MinReportMicros(env, query, /*profile=*/false, iters);
-    const int64_t on = MinReportMicros(env, query, /*profile=*/true, iters);
+    const auto [off, on] = MinReportMicros(env, query, iters);
     total_off += off;
     total_on += on;
     const double delta =

@@ -87,7 +87,7 @@ echo "==> trac_verify --absint (abstract-interpretation goldens)"
   --dump-ir --absint --expect-findings examples/plans/bad/absint/bad_*.ir
 
 echo "==> trac_verify --equiv (translation-validation witness goldens)"
-# Clean witnesses must discharge TRAC-V009..V012; each seeded-bad pair
+# Clean witnesses must discharge TRAC-V009..V011; each seeded-bad pair
 # must pin exactly the diagnostic its golden records. Order matters:
 # before precedes after within a pair.
 equiv_clean=()
@@ -98,7 +98,7 @@ done
 ./build/tools/trac_verify --equiv --golden examples/plans/golden/rewrites \
   "${equiv_clean[@]}"
 equiv_bad=()
-for pair in bad_residue bad_provenance bad_snapshot bad_bound; do
+for pair in bad_residue bad_provenance bad_snapshot; do
   equiv_bad+=("examples/plans/bad/rewrites/${pair}_before.ir"
               "examples/plans/bad/rewrites/${pair}_after.ir")
 done
@@ -199,9 +199,9 @@ echo "==> hostile-grid scenario suite + snapshot stress under TSan"
 # at mixed scale for race coverage). A failing script is shrunk and
 # dumped into scenario-repro/ as a replayable .scenario file — CI
 # uploads that directory as an artifact. The snapshot-isolation stress
-# test rides along: it races readers of the shared Table::TimestampRange
-# memo against heartbeat churn, and lockstep first registrations of the
-# same sources against readers that require one registry row per source.
+# test rides along: it races writers against snapshot readers and
+# recency reports, and lockstep first registrations of the same sources
+# against readers that require one registry row per source.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target scenario_scenario_property_test scenario_scenario_test \

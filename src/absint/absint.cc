@@ -1,20 +1,11 @@
 #include "absint/absint.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace trac {
 namespace absint {
 
 namespace {
-
-// Worklist backstops. A well-formed plan IR is a DAG whose node order is
-// execution order, so one ascending pass reaches the fixpoint; the caps
-// only matter for ill-formed graphs (forward edges forming cycles),
-// where widening plus the iteration ceiling force termination.
-constexpr size_t kWidenAfterUpdates = 8;
-
-size_t IterationCap(size_t nodes) { return nodes * 16 + 16; }
 
 // In-range input ids only; TRAC-V000 owns rejecting the rest.
 std::vector<size_t> UsableInputs(const IrNode& n, size_t num_nodes) {
@@ -45,11 +36,7 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
   const std::vector<size_t> in = UsableInputs(n, num_nodes);
 
   SourceSet input_union;
-  StalenessInterval input_staleness;
-  for (size_t id : in) {
-    input_union.JoinWith(facts[id].sources);
-    input_staleness.JoinWith(facts[id].staleness);
-  }
+  for (size_t id : in) input_union.JoinWith(facts[id].sources);
 
   NodeFacts f;
   switch (n.kind) {
@@ -62,7 +49,6 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
       }
       f.card = n.has_rows ? CardInterval::UpTo(n.rows)
                           : CardInterval::Unknown();
-      if (n.has_age) f.staleness = StalenessInterval::Of(n.age_lo, n.age_hi);
       break;
     }
     case IrNodeKind::kFilter: {
@@ -75,7 +61,6 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
       } else {
         ColumnsFromUnion(n, input_union, &f);
       }
-      f.staleness = in0 != nullptr ? in0->staleness : StalenessInterval{};
       f.card = in0 != nullptr ? in0->card : CardInterval::Unknown();
       f.card.lo = 0;  // A filter may reject every row.
       for (size_t id : in) f.dead = f.dead || facts[id].dead;
@@ -107,7 +92,6 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
       } else {
         ColumnsFromUnion(n, input_union, &f);
       }
-      f.staleness = input_staleness;
       f.card = in.empty() ? CardInterval::Unknown()
                           : facts[in[0]].card;
       for (size_t i = 1; i < in.size(); ++i) {
@@ -126,7 +110,6 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
     }
     case IrNodeKind::kAggregate: {
       ColumnsFromUnion(n, input_union, &f);
-      f.staleness = input_staleness;
       // The fold always emits exactly one row (COUNT over an empty
       // input is still a 0-count row), so a dead input does NOT make
       // the aggregate dead and its cardinality is exact.
@@ -149,7 +132,6 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
       } else {
         ColumnsFromUnion(n, input_union, &f);
       }
-      f.staleness = input_staleness;
       f.card = CardInterval::Exact(0);
       for (size_t id : in) f.card = CardInterval::Sum(f.card, facts[id].card);
       // A set merge dedups across strands: the minimum can collapse.
@@ -184,7 +166,6 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
       } else {
         ColumnsFromUnion(n, input_union, &f);
       }
-      f.staleness = input_staleness;
       f.card = in0 != nullptr ? in0->card : CardInterval::Unknown();
       f.dead = in0 != nullptr && in0->dead;
       if (in0 != nullptr) f.applied_preds = in0->applied_preds;
@@ -192,10 +173,6 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
     }
     case IrNodeKind::kReport: {
       ColumnsFromUnion(n, input_union, &f);
-      // The report's staleness hull spans the user result and every
-      // relevant-source strand: its width is the static bound of
-      // inconsistency TRAC-V005 checks against the NOTICE promise.
-      f.staleness = input_staleness;
       f.card = in.empty() ? CardInterval::Unknown() : facts[in[0]].card;
       break;
     }
@@ -210,20 +187,13 @@ NodeFacts Transfer(const PlanIr& ir, const IrNode& n,
 
 std::string AbsintResult::Dump(const PlanIr& ir) const {
   std::string out = "absint '" + ir.label +
-                    "': " + std::to_string(ir.nodes.size()) + " nodes, " +
-                    (converged ? "fixpoint in " + std::to_string(iterations) +
-                                     " iterations"
-                               : "NOT CONVERGED after " +
-                                     std::to_string(iterations) +
-                                     " iterations") +
-                    "\n";
+                    "': " + std::to_string(ir.nodes.size()) + " nodes\n";
   for (size_t i = 0; i < ir.nodes.size() && i < facts.size(); ++i) {
     const IrNode& n = ir.nodes[i];
     const NodeFacts& f = facts[i];
     out += "  node " + std::to_string(n.id) + " " +
            std::string(IrNodeKindToString(n.kind)) +
-           ": card=" + f.card.ToString() + " stale=" + f.staleness.ToString() +
-           " src=" + f.sources.ToString();
+           ": card=" + f.card.ToString() + " src=" + f.sources.ToString();
     if (f.dead) out += " dead";
     if (!f.applied_preds.empty()) {
       out += " preds=" + std::to_string(f.applied_preds.size());
@@ -243,44 +213,12 @@ AbsintResult AnalyzeIr(const PlanIr& ir) {
                                        SourceSet{});
     res.facts[i].card = CardInterval::Exact(0);
   }
-
-  // Forward adjacency (successors) from the backward input edges.
-  std::vector<std::vector<size_t>> succs(num_nodes);
-  for (const IrNode& n : ir.nodes) {
-    for (size_t id : n.inputs) {
-      if (id < num_nodes) succs[id].push_back(n.id);
-    }
-  }
-
-  std::deque<size_t> worklist;
-  std::vector<bool> queued(num_nodes, false);
-  std::vector<size_t> updates(num_nodes, 0);
+  // Node order is execution order and every edge of a well-formed IR
+  // points backward, so each node's inputs are final when it is reached.
+  // A forward or self edge (TRAC-V000) reads its input at bottom.
   for (size_t i = 0; i < num_nodes; ++i) {
-    worklist.push_back(i);
-    queued[i] = true;
+    res.facts[i] = Transfer(ir, ir.nodes[i], res.facts);
   }
-
-  const size_t cap = IterationCap(num_nodes);
-  while (!worklist.empty() && res.iterations < cap) {
-    const size_t id = worklist.front();
-    worklist.pop_front();
-    queued[id] = false;
-    ++res.iterations;
-
-    NodeFacts next = Transfer(ir, ir.nodes[id], res.facts);
-    if (updates[id] >= kWidenAfterUpdates) next.card.Widen();
-    if (next == res.facts[id]) continue;
-    res.facts[id] = std::move(next);
-    ++updates[id];
-    for (size_t s : succs[id]) {
-      if (!queued[s]) {
-        worklist.push_back(s);
-        queued[s] = true;
-      }
-    }
-  }
-
-  res.converged = worklist.empty();
   return res;
 }
 

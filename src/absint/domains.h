@@ -10,7 +10,7 @@
 namespace trac {
 namespace absint {
 
-/// The three lattice domains of the abstract interpreter over the plan
+/// The two lattice domains of the abstract interpreter over the plan
 /// IR (absint/absint.h). Deliberately header-only: exec/planner.h takes
 /// a CardInterval as a planning hint, and trac_ir consumes planner.h
 /// header-only, so the domains must not pull in a new link dependency.
@@ -35,11 +35,6 @@ struct SourceSet {
     for (const std::string& t : other.tables) Insert(t);
   }
 
-  bool SubsetOf(const SourceSet& other) const {
-    return std::includes(other.tables.begin(), other.tables.end(),
-                         tables.begin(), tables.end());
-  }
-
   bool operator==(const SourceSet& other) const {
     return tables == other.tables;
   }
@@ -57,57 +52,10 @@ struct SourceSet {
   }
 };
 
-/// Interval domain over recency timestamps (microseconds): the range of
-/// source ages a node's rows can carry, per the catalog-declared ages in
-/// the Heartbeat registry. `Width()` bounds the node's contribution to
-/// the bound of inconsistency (max - min recency, Section 4). Bottom
-/// (`bottom` true) means "no age information flows here".
-struct StalenessInterval {
-  bool bottom = true;
-  int64_t lo = 0;
-  int64_t hi = 0;
-
-  static StalenessInterval Of(int64_t lo, int64_t hi) {
-    StalenessInterval s;
-    s.bottom = false;
-    s.lo = lo;
-    s.hi = hi;
-    return s;
-  }
-
-  /// Lattice join: interval hull.
-  void JoinWith(const StalenessInterval& other) {
-    if (other.bottom) return;
-    if (bottom) {
-      *this = other;
-      return;
-    }
-    lo = std::min(lo, other.lo);
-    hi = std::max(hi, other.hi);
-  }
-
-  /// Max - min age: the static bound of inconsistency (0 at bottom).
-  int64_t Width() const { return bottom ? 0 : hi - lo; }
-
-  bool operator==(const StalenessInterval& other) const {
-    if (bottom != other.bottom) return false;
-    return bottom || (lo == other.lo && hi == other.hi);
-  }
-  bool operator!=(const StalenessInterval& other) const {
-    return !(*this == other);
-  }
-
-  /// "[lo..hi]" or "bot".
-  std::string ToString() const {
-    if (bottom) return "bot";
-    return "[" + std::to_string(lo) + ".." + std::to_string(hi) + "]";
-  }
-};
-
 /// Interval domain over row counts with saturating arithmetic. `lo` is a
-/// guaranteed minimum, `hi` a guaranteed maximum; `unbounded` widens the
-/// upper end to +inf (the widening target when a fixpoint will not
-/// settle, and the conservative answer for scans of unknown size).
+/// guaranteed minimum, `hi` a guaranteed maximum; `unbounded` lifts the
+/// upper end to +inf (the conservative answer for scans of unknown
+/// size).
 struct CardInterval {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -143,19 +91,6 @@ struct CardInterval {
     out.unbounded = a.unbounded || b.unbounded;
     out.hi = out.unbounded ? 0 : SatMul(a.hi, b.hi);
     return out;
-  }
-
-  /// Widening: drop the upper bound entirely.
-  void Widen() {
-    hi = 0;
-    unbounded = true;
-  }
-
-  bool operator==(const CardInterval& other) const {
-    return lo == other.lo && hi == other.hi && unbounded == other.unbounded;
-  }
-  bool operator!=(const CardInterval& other) const {
-    return !(*this == other);
   }
 
   /// "[lo..hi]" or "[lo..inf]".

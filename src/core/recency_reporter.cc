@@ -10,16 +10,10 @@ namespace trac {
 
 namespace {
 
-/// Static bounds read off the verifier's fixpoint over the session IR:
-/// the staleness hull at the report node and the source-cardinality
-/// interval at the session merge. Left uncomputed when the fixpoint
-/// carries no age facts (nothing sound to promise).
+/// Static bounds read off the verifier's facts over the session IR:
+/// the source-cardinality interval at the session merge.
 void ReadStaticBounds(const SessionLayout& layout,
                       const absint::AbsintResult& res, RecencyReport* out) {
-  if (!res.converged || res.facts[layout.report_id].staleness.bottom) return;
-  out->static_bounds_computed = true;
-  out->static_staleness_width_micros =
-      res.facts[layout.report_id].staleness.Width();
   const absint::CardInterval& card = res.facts[layout.merge_id].card;
   out->static_sources_lo = card.lo;
   out->static_sources_hi = card.hi;

@@ -78,15 +78,9 @@ struct RecencyReport {
   int64_t relevance_busy_micros = 0;       ///< Sum over tasks.
 
   /// Static bounds from the abstract interpretation of the session IR
-  /// (absint/absint.h), filled by the verify gate before anything runs.
-  /// When computed, they are sound over-approximations of the runtime
-  /// report: the static staleness width dominates the observed bound of
-  /// inconsistency, and the static source-cardinality interval contains
-  /// the relevant-source count (the scenario-harness oracle asserts
-  /// both). Not computed when the fixpoint lacked age facts (e.g. an
-  /// empty registry) — check `static_bounds_computed` first.
-  bool static_bounds_computed = false;
-  int64_t static_staleness_width_micros = 0;
+  /// (absint/absint.h), filled by the verify gate before anything runs:
+  /// a sound source-cardinality interval that contains the runtime
+  /// relevant-source count (the scenario-harness oracle asserts it).
   uint64_t static_sources_lo = 0;
   uint64_t static_sources_hi = 0;
   bool static_sources_unbounded = false;

@@ -42,7 +42,7 @@ namespace trac {
 
   // Cost-based rewrites, each one translation-validated against the
   // baseline (opt/rewrite.cc): a rule's witness must discharge
-  // TRAC-V009..V012 before it is applied.
+  // TRAC-V009..V011 before it is applied.
   opt::OptimizePlan(db, query, snapshot, &plan);
   return plan;
 }

@@ -1,7 +1,6 @@
 #include "ir/lower.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/str_util.h"
 #include "ir/fingerprint.h"
@@ -52,65 +51,6 @@ ColumnProvenance ProvenanceOf(const Database& db, TableId table_id, size_t col,
   return ColumnProvenance::kRegular;
 }
 
-/// The Heartbeat registry's visible recency range at one snapshot: the
-/// catalog-declared source ages every monitored read inherits, stamped
-/// onto scans as the `age=` annotation seeding the staleness interval
-/// domain; nullopt when unknown. It comes from Table::TimestampRange,
-/// whose one-entry memo lets a lowering skip the registry scan when no
-/// registry write landed since the last lowering (commits to other
-/// tables, temp tables included, do not count). The memo is exact: it
-/// is keyed by the registry state the snapshot sees, and a snapshot is
-/// frozen, so no later commit changes that state.
-std::optional<TimestampBounds> HeartbeatAgeRange(const Database& db,
-                                                 Snapshot snapshot,
-                                                 const LowerOptions& options) {
-  if (options.heartbeat_table.empty()) return std::nullopt;
-  Result<TableId> id = db.catalog().GetTableId(options.heartbeat_table);
-  if (!id.ok()) return std::nullopt;
-  const TableSchema& schema = db.catalog().schema(*id);
-  size_t recency_col = schema.num_columns();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (EqualsIgnoreCaseAscii(schema.column(c).name, "recency_timestamp")) {
-      recency_col = c;
-      break;
-    }
-  }
-  if (recency_col == schema.num_columns()) return std::nullopt;
-  const Table* table = db.GetTable(*id);
-  if (table == nullptr) return std::nullopt;
-  return table->TimestampRange(snapshot, recency_col);
-}
-
-/// True when a scan of `table_id` inherits the registry's age range:
-/// the registry itself, or any relation with a declared data-source
-/// column (its tuples are attributed to registered sources).
-bool ScanCarriesAge(const Database& db, TableId table_id,
-                    const LowerOptions& options) {
-  const TableSchema& schema = db.catalog().schema(table_id);
-  if (!options.heartbeat_table.empty() &&
-      EqualsIgnoreCaseAscii(schema.name(), options.heartbeat_table)) {
-    return true;
-  }
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (schema.IsDataSourceColumn(c)) return true;
-  }
-  return false;
-}
-
-void AnnotateScan(IrNode* scan, const Database& db, TableId table_id,
-                  const std::optional<TimestampBounds>& age,
-                  const LowerOptions& options) {
-  if (const Table* table = db.GetTable(table_id); table != nullptr) {
-    scan->has_rows = true;
-    scan->rows = table->num_versions();
-  }
-  if (age.has_value() && ScanCarriesAge(db, table_id, options)) {
-    scan->has_age = true;
-    scan->age_lo = age->lo.micros();
-    scan->age_hi = age->hi.micros();
-  }
-}
-
 /// FNV-1a 64 over the canonical SQL renderings of a predicate
 /// conjunction, sorted, deduplicated, and joined with " AND " so that
 /// neither conjunct order nor a literally repeated conjunct changes the
@@ -142,31 +82,12 @@ void AnnotateFilter(IrNode* filter, const Database& db,
   filter->pred_fingerprint = PredFingerprint(db, query, preds);
 }
 
-/// The declared data-source universe of a relevant-source temp: the
-/// registry plus every relation with a data-source column (including
-/// earlier session temps, whose source columns are re-consumed), sorted.
-/// TRAC-V008 checks the temp write's inferred provenance against it.
-std::vector<std::string> DeclaredSourceUniverse(const Database& db,
-                                                const LowerOptions& options) {
-  std::vector<std::string> out;
-  for (const std::string& name : db.catalog().TableNames()) {
-    Result<TableId> id = db.catalog().GetTableId(name);
-    if (!id.ok()) continue;
-    if (ScanCarriesAge(db, *id, options)) {
-      out.push_back(db.catalog().schema(*id).name());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 /// Appends the scan of `rel` pinned to `snapshot`: the node a planned
 /// level starts with, and each version-range shard of a pure Heartbeat
 /// scan (which sets its shard fields on the result).
 IrNode& LowerScan(PlanIr* ir, const Database& db, const BoundTableRef& rel,
                   Snapshot snapshot, const LowerOptions& options,
-                  bool generated, const std::optional<TimestampBounds>& age) {
+                  bool generated) {
   const TableSchema& schema = db.catalog().schema(rel.table_id);
   IrNode& scan = ir->Add(IrNodeKind::kScan);
   scan.generated = generated;
@@ -175,7 +96,10 @@ IrNode& LowerScan(PlanIr* ir, const Database& db, const BoundTableRef& rel,
   // A temp table resolved at bind time predates this plan; in-session
   // defs are modeled by LowerReportSession instead.
   scan.preexisting_temp = IsTempTableName(schema.name());
-  AnnotateScan(&scan, db, rel.table_id, age, options);
+  if (const Table* table = db.GetTable(rel.table_id); table != nullptr) {
+    scan.has_rows = true;
+    scan.rows = table->num_versions();
+  }
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     scan.columns.push_back(
         IrColumn{rel.display_name + "." + schema.column(c).name,
@@ -188,14 +112,13 @@ IrNode& LowerScan(PlanIr* ir, const Database& db, const BoundTableRef& rel,
 /// `generated` marks every emitted node as recency machinery.
 size_t LowerQueryInto(PlanIr* ir, const Database& db, const BoundQuery& query,
                       const QueryPlan& plan, Snapshot snapshot,
-                      const LowerOptions& options, bool generated,
-                      const std::optional<TimestampBounds>& age) {
+                      const LowerOptions& options, bool generated) {
   size_t top = 0;
   std::vector<IrColumn> top_cols;
   for (size_t i = 0; i < plan.levels.size(); ++i) {
     const LevelPlan& level = plan.levels[i];
     const IrNode& scan = LowerScan(ir, db, query.relations[level.relation],
-                                   snapshot, options, generated, age);
+                                   snapshot, options, generated);
     size_t level_top = scan.id;
     std::vector<IrColumn> level_cols = scan.columns;
 
@@ -285,7 +208,6 @@ size_t LowerQueryInto(PlanIr* ir, const Database& db, const BoundQuery& query,
 size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
                               const ReportSessionInput& input,
                               const LowerOptions& options,
-                              const std::optional<TimestampBounds>& age,
                               SessionLayout* layout) {
   // Every recency part: sharded heartbeat scans, or the part's plan
   // subgraph, gated by its guard subgraphs.
@@ -307,7 +229,7 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
       // to); the shards rejoin only through the session merge below.
       for (size_t s = 0; s < part.shards; ++s) {
         IrNode& scan = LowerScan(ir, db, q.relations[0], input.snapshot,
-                                 options, /*generated=*/true, age);
+                                 options, /*generated=*/true);
         scan.shard = s;
         scan.num_shards = part.shards;
         part_tops.push_back(scan.id);
@@ -325,13 +247,13 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
       range.begin = ir->nodes.size();
       guard_tops.push_back(LowerQueryInto(
           ir, db, *part.guard_queries[g], *part.guard_plans[g],
-          input.snapshot, options, /*generated=*/true, age));
+          input.snapshot, options, /*generated=*/true));
       range.end = ir->nodes.size();
       layout_part.guards.push_back(range);
     }
     layout_part.main.begin = ir->nodes.size();
     size_t part_top = LowerQueryInto(ir, db, q, *part.plan, input.snapshot,
-                                     options, /*generated=*/true, age);
+                                     options, /*generated=*/true);
     layout_part.main.end = ir->nodes.size();
     if (!guard_tops.empty()) {
       // The part's rows flow only if every guard is non-empty, modeled
@@ -376,10 +298,8 @@ PlanIr LowerQueryPlan(const Database& db, const BoundQuery& query,
                       const LowerOptions& options) {
   PlanIr ir;
   ir.label = "query";
-  const std::optional<TimestampBounds> age =
-      HeartbeatAgeRange(db, snapshot, options);
-  LowerQueryInto(&ir, db, query, plan, snapshot, options, /*generated=*/false,
-                 age);
+  LowerQueryInto(&ir, db, query, plan, snapshot, options,
+                 /*generated=*/false);
   return ir;
 }
 
@@ -388,21 +308,18 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
   PlanIr ir;
   ir.label = "report_session";
   *layout = SessionLayout();
-  const std::optional<TimestampBounds> age =
-      HeartbeatAgeRange(db, input.snapshot, options);
 
   // 1. The user query (not generated machinery).
   const size_t user_top =
       LowerQueryInto(&ir, db, *input.user_query, *input.user_plan,
-                     input.snapshot, options, /*generated=*/false, age);
+                     input.snapshot, options, /*generated=*/false);
   layout->user = {0, ir.nodes.size()};
 
   // 2+3. Every recency part and their deterministic set-merge rejoin.
   const size_t merge_id =
-      LowerPartsAndMergeInto(&ir, db, input, options, age, layout);
+      LowerPartsAndMergeInto(&ir, db, input, options, layout);
 
   // 4. Temp-table writes (sys_temp_a*/sys_temp_e*).
-  const std::vector<std::string> declared = DeclaredSourceUniverse(db, options);
   std::vector<size_t> report_inputs = {user_top};
   for (const std::string& name : input.temp_writes) {
     IrNode& write = ir.Add(IrNodeKind::kTempWrite);
@@ -411,7 +328,6 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
     write.table = name;
     write.session = input.session;
     write.columns = ir.nodes[merge_id].columns;
-    write.declared_sources = declared;
     report_inputs.push_back(write.id);
     layout->tempwrite_ids.push_back(write.id);
   }
@@ -421,13 +337,6 @@ PlanIr LowerReportSession(const Database& db, const ReportSessionInput& input,
   IrNode& report = ir.Add(IrNodeKind::kReport);
   report.generated = true;
   report.inputs = std::move(report_inputs);
-  if (age.has_value()) {
-    // The NOTICE promise: the bound of inconsistency cannot exceed the
-    // registry's full recency spread at this snapshot. The static
-    // staleness hull reaching this node must fit inside it (TRAC-V005).
-    report.has_bound = true;
-    report.notice_bound_micros = age->hi - age->lo;
-  }
   layout->report_id = report.id;
   return ir;
 }

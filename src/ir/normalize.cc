@@ -48,9 +48,6 @@ std::string IrNodeSignature(const IrNode& n) {
        std::to_string(n.num_shards);
   s += n.preexisting_temp ? "|pre" : "|";
   if (n.has_rows) s += "|rows=" + std::to_string(n.rows);
-  if (n.has_age) {
-    s += "|age=" + std::to_string(n.age_lo) + ".." + std::to_string(n.age_hi);
-  }
   if (n.sel_zero) s += "|sel0";
   if (n.has_pred) s += "|pred=" + HexFingerprint(n.pred_fingerprint);
   for (const IrNode::JoinKey& k : n.keys) {
@@ -66,10 +63,6 @@ std::string IrNodeSignature(const IrNode& n) {
   if (n.set_merge) s += "|set";
   if (n.sorted) s += "|sorted";
   if (n.session != 0) s += "|session=" + std::to_string(n.session);
-  std::vector<std::string> srcs = n.declared_sources;
-  std::sort(srcs.begin(), srcs.end());
-  for (const std::string& src : srcs) s += "|src=" + src;
-  if (n.has_bound) s += "|bound=" + std::to_string(n.notice_bound_micros);
   if (n.generated) s += "|gen";
   for (const IrColumn& c : n.columns) {
     s += '|' + c.name + ':';
@@ -135,11 +128,6 @@ PlanIr NormalizeIr(const PlanIr& ir, std::vector<size_t>* original_id) {
     if (node.kind == IrNodeKind::kMerge && node.set_merge) {
       std::sort(node.inputs.begin(), node.inputs.end());
     }
-    std::sort(node.declared_sources.begin(), node.declared_sources.end());
-    node.declared_sources.erase(
-        std::unique(node.declared_sources.begin(),
-                    node.declared_sources.end()),
-        node.declared_sources.end());
     out.nodes.push_back(std::move(node));
     (*original_id)[k] = order[k];
   }

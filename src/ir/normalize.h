@@ -28,8 +28,7 @@ std::string IrNodeSignature(const IrNode& n);
 ///   - nodes are re-ordered into a deterministic topological order
 ///     (ready nodes tie-broken by a structural signature, then original
 ///     id) and renumbered densely, with input edges remapped;
-///   - order-insensitive (set) merge inputs are sorted;
-///   - declared source universes are sorted and deduplicated.
+///   - order-insensitive (set) merge inputs are sorted.
 /// Idempotent: NormalizeIr(NormalizeIr(x)) == NormalizeIr(x), and
 /// Dump/ParsePlanIr round-trips are fixpoints of it (property-tested).
 /// A malformed graph (non-dense ids or a non-backward input edge) is

@@ -132,10 +132,6 @@ std::string PlanIr::Dump() const {
       }
       if (n.preexisting_temp) out += " pre";
       if (n.has_rows) out += " rows=" + std::to_string(n.rows);
-      if (n.has_age) {
-        out += " age=" + std::to_string(n.age_lo) + ".." +
-               std::to_string(n.age_hi);
-      }
     }
     if (n.kind == IrNodeKind::kFilter) {
       if (n.sel_zero) out += " sel=zero";
@@ -160,19 +156,9 @@ std::string PlanIr::Dump() const {
         out += ProvenanceChar(n.aggs[i].arg);
       }
     }
-    if (!n.declared_sources.empty()) {
-      out += " src=";
-      for (size_t i = 0; i < n.declared_sources.size(); ++i) {
-        if (i != 0) out += ',';
-        out += n.declared_sources[i];
-      }
-    }
     if (n.set_merge) out += " set";
     if (n.sorted) out += " sorted";
     if (n.session != 0) out += " session=" + std::to_string(n.session);
-    if (n.has_bound) {
-      out += " bound=" + std::to_string(n.notice_bound_micros);
-    }
     if (n.generated) out += " gen";
     if (n.has_actual_rows) {
       out += " actual_rows=" + std::to_string(n.actual_rows);
@@ -317,17 +303,6 @@ std::string PlanIr::Dump() const {
       } else if (key == "rows") {
         TRAC_ASSIGN_OR_RETURN(node.rows, parse_u64("rows", value));
         node.has_rows = true;
-      } else if (key == "age") {
-        const size_t dots = value.find("..");
-        if (dots == std::string::npos) return err("want age=<lo>..<hi>");
-        TRAC_ASSIGN_OR_RETURN(uint64_t lo,
-                              parse_u64("age", value.substr(0, dots)));
-        TRAC_ASSIGN_OR_RETURN(uint64_t hi,
-                              parse_u64("age", value.substr(dots + 2)));
-        if (lo > hi) return err("age interval has lo > hi");
-        node.age_lo = static_cast<int64_t>(lo);
-        node.age_hi = static_cast<int64_t>(hi);
-        node.has_age = true;
       } else if (key == "sel") {
         if (value != "zero") return err("want sel=zero");
         node.sel_zero = true;
@@ -335,15 +310,6 @@ std::string PlanIr::Dump() const {
         TRAC_ASSIGN_OR_RETURN(node.pred_fingerprint,
                               parse_hex64("pred", value));
         node.has_pred = true;
-      } else if (key == "src") {
-        for (std::string& piece : SplitOn(value, ',')) {
-          if (piece.empty()) return err("want src=<table>,...");
-          node.declared_sources.push_back(std::move(piece));
-        }
-      } else if (key == "bound") {
-        TRAC_ASSIGN_OR_RETURN(uint64_t bound, parse_u64("bound", value));
-        node.notice_bound_micros = static_cast<int64_t>(bound);
-        node.has_bound = true;
       } else if (key == "key") {
         for (std::string piece : SplitOn(value, ',')) {
           IrNode::JoinKey jk;

@@ -72,13 +72,6 @@ struct IrNode {
   /// only grow). Absent (`has_rows` false) = unknown cardinality.
   bool has_rows = false;
   uint64_t rows = 0;
-  /// kScan: catalog-declared source-age interval of the data this scan
-  /// can produce, in recency-timestamp microseconds [age_lo, age_hi]
-  /// (from the Heartbeat registry at lowering time). Absent = unknown;
-  /// the staleness domain treats it as bottom.
-  bool has_age = false;
-  int64_t age_lo = 0;
-  int64_t age_hi = 0;
 
   // -- kFilter: static selectivity/identity annotations.
   /// The predicate was statically proven unsatisfiable (TRAC-E001):
@@ -122,18 +115,6 @@ struct IrNode {
 
   // -- kScan (temp) / kTempWrite: owning session id; 0 = no session.
   uint64_t session = 0;
-
-  /// kTempWrite: the declared data-source universe of a relevant-source
-  /// temp (the monitored tables plus the Heartbeat registry, sorted).
-  /// The abstract interpreter checks the write's inferred column
-  /// provenance against this set (TRAC-V008); empty = undeclared.
-  std::vector<std::string> declared_sources;
-
-  /// kReport: the bound-of-inconsistency width (microseconds) the
-  /// guarantee NOTICE promises. The static staleness interval reaching
-  /// the report must fit inside it (TRAC-V005); absent = no promise.
-  bool has_bound = false;
-  int64_t notice_bound_micros = 0;
 
   /// Node belongs to machine-generated recency machinery (a generated
   /// recency part, its merge, temp writes, the report node) rather than

@@ -12,8 +12,8 @@ namespace opt {
 /// Translation-validated plan rewriter. Each rule proposes a candidate
 /// plan, lowers both the incumbent and the candidate into the dataflow
 /// IR, and submits the (before, after) pair to the static equivalence
-/// checker (verify/equiv.h). Only a witness that discharges all four
-/// obligations (TRAC-V009..V012) may be applied, and cost-motivated
+/// checker (verify/equiv.h). Only a witness that discharges all three
+/// obligations (TRAC-V009..V011) may be applied, and cost-motivated
 /// rules additionally require the candidate to beat the incumbent's
 /// modeled cost (opt/cost.h). A failing witness is counted
 /// (trac_opt_rewrites_rejected) and the incumbent is kept — graceful

@@ -103,20 +103,11 @@ SinkFrame(const PlanIr& ir, const absint::AbsintResult& analysis) {
   for (size_t c = 0; c < sink.columns.size(); ++c) {
     auto& slot = frame[sink.columns[c].name];
     slot.first = sink.columns[c].provenance;
-    if (analysis.converged && c < facts.column_sources.size()) {
+    if (c < facts.column_sources.size()) {
       slot.second.JoinWith(facts.column_sources[c]);
     }
   }
   return frame;
-}
-
-/// Last report node carrying a NOTICE bound, if any.
-const IrNode* BoundPromise(const PlanIr& ir) {
-  const IrNode* promise = nullptr;
-  for (const IrNode& n : ir.nodes) {
-    if (n.kind == IrNodeKind::kReport && n.has_bound) promise = &n;
-  }
-  return promise;
 }
 
 }  // namespace
@@ -180,14 +171,11 @@ VerifyReport CheckIrEquivalence(const PlanIr& before, const PlanIr& after) {
   }
 
   // -- TRAC-V010: provenance preserved at every output column
-  // (Definition 2): same column names, same provenance classes, and —
-  // when the abstract interpretation of both sides converged — the same
-  // inferred data-source set per column. The frame is compared as a
+  // (Definition 2): same column names, same provenance classes, and the
+  // same inferred data-source set per column. The frame is compared as a
   // name-keyed set: column order is presentation, not provenance.
   const auto frame_before = SinkFrame(before, before_facts);
   const auto frame_after = SinkFrame(after, after_facts);
-  const bool sources_comparable =
-      before_facts.converged && after_facts.converged;
   for (const auto& [name, slot] : frame_before) {
     auto it = frame_after.find(name);
     if (it == frame_after.end()) {
@@ -199,7 +187,7 @@ VerifyReport CheckIrEquivalence(const PlanIr& before, const PlanIr& after) {
              "output column '" + name + "' changed provenance class " +
                  ProvenanceChar(slot.first) + std::string(" -> ") +
                  ProvenanceChar(it->second.first));
-    } else if (sources_comparable && it->second.second != slot.second) {
+    } else if (it->second.second != slot.second) {
       Report(&report, after, VerifyCode::kProvenanceNotPreserved, sink,
              "output column '" + name +
                  "' changed its inferred data-source set " +
@@ -247,40 +235,6 @@ VerifyReport CheckIrEquivalence(const PlanIr& before, const PlanIr& after) {
     }
     Report(&report, after, VerifyCode::kSnapshotContractChanged, anchor,
            "merge determinism contract changed across the rewrite");
-  }
-
-  // -- TRAC-V012: the static staleness/NOTICE story must not weaken. A
-  // rewrite may tighten the promise, never loosen or drop it, and the
-  // staleness hull the abstract interpreter derives at the sink must
-  // not widen.
-  const IrNode* bound_before = BoundPromise(before);
-  const IrNode* bound_after = BoundPromise(after);
-  if (bound_before != nullptr) {
-    if (bound_after == nullptr) {
-      Report(&report, after, VerifyCode::kStalenessBoundWeakened, sink,
-             "the NOTICE bound promise (" +
-                 std::to_string(bound_before->notice_bound_micros) +
-                 "us) was dropped by the rewrite");
-    } else if (bound_after->notice_bound_micros >
-               bound_before->notice_bound_micros) {
-      Report(&report, after, VerifyCode::kStalenessBoundWeakened,
-             bound_after->id,
-             "NOTICE bound weakened " +
-                 std::to_string(bound_before->notice_bound_micros) + "us -> " +
-                 std::to_string(bound_after->notice_bound_micros) + "us");
-    }
-  }
-  if (sources_comparable) {
-    const absint::StalenessInterval& stale_before =
-        before_facts.facts[SinkId(before)].staleness;
-    const absint::StalenessInterval& stale_after =
-        after_facts.facts[sink].staleness;
-    if (!stale_before.bottom && !stale_after.bottom &&
-        stale_after.Width() > stale_before.Width()) {
-      Report(&report, after, VerifyCode::kStalenessBoundWeakened, sink,
-             "static staleness hull widened " + stale_before.ToString() +
-                 " -> " + stale_after.ToString());
-    }
   }
 
   Canonicalize(&report);

@@ -208,28 +208,13 @@ std::string HexFingerprint(uint64_t v) {
   return out;
 }
 
-/// TRAC-V005..V008: the semantic rules over the abstract interpreter's
-/// fixpoint facts (absint/absint.h). Only annotated IRs can trip them —
+/// TRAC-V006/V007: the semantic rules over the abstract interpreter's
+/// facts (absint/absint.h). Only annotated IRs can trip them —
 /// un-annotated corpus files analyze to bottom everywhere and stay
 /// clean, which keeps the rules backward-compatible by construction.
 void CheckAbsint(const PlanIr& ir, const absint::AbsintResult& res,
                  VerifyReport* report) {
-  if (!res.converged) return;  // Facts are not a fixpoint; stay silent.
   for (const IrNode& n : ir.nodes) {
-    const absint::NodeFacts& f = res.facts[n.id];
-
-    // TRAC-V005: the staleness hull reaching the report must fit inside
-    // the NOTICE's promised bound of inconsistency.
-    if (n.kind == IrNodeKind::kReport && n.has_bound &&
-        !f.staleness.bottom && f.staleness.Width() > n.notice_bound_micros) {
-      Report(report, VerifyCode::kNoticeBoundExceeded, n,
-             "static staleness interval " + f.staleness.ToString() +
-                 " has width " + std::to_string(f.staleness.Width()) +
-                 "us, wider than the " +
-                 std::to_string(n.notice_bound_micros) +
-                 "us bound of inconsistency the NOTICE promises");
-    }
-
     // TRAC-V006: a merge strand gated by a statically refuted predicate
     // can never contribute rows. Keyed on the dead flag, NOT on an
     // empty cardinality interval: an empty table is a property of one
@@ -259,52 +244,6 @@ void CheckAbsint(const PlanIr& ir, const absint::AbsintResult& res,
                    " was already applied upstream on the same provenance "
                    "set " + it->second.ToString() +
                    "; the filter is redundant");
-      }
-    }
-
-    // TRAC-V008: a relevant-source temp write whose inferred provenance
-    // escapes its declared source universe. Anchored at the widening
-    // join when one exists on the path: a join whose output provenance
-    // escapes the universe although one of its inputs still fit.
-    if (n.kind == IrNodeKind::kTempWrite && !n.declared_sources.empty()) {
-      absint::SourceSet declared;
-      for (const std::string& s : n.declared_sources) declared.Insert(s);
-      if (!f.sources.SubsetOf(declared)) {
-        const IrNode* anchor = &n;
-        std::vector<bool> seen(ir.nodes.size(), false);
-        std::vector<size_t> stack(n.inputs.begin(), n.inputs.end());
-        while (!stack.empty()) {
-          const size_t id = stack.back();
-          stack.pop_back();
-          if (id >= ir.nodes.size() || seen[id]) continue;
-          seen[id] = true;
-          const IrNode& a = ir.nodes[id];
-          if (a.kind == IrNodeKind::kJoin &&
-              !res.facts[id].sources.SubsetOf(declared)) {
-            bool some_input_fit = false;
-            for (size_t in : a.inputs) {
-              some_input_fit =
-                  some_input_fit || (in < res.facts.size() &&
-                                     res.facts[in].sources.SubsetOf(declared));
-            }
-            if (some_input_fit && (anchor == &n || id < anchor->id)) {
-              anchor = &a;
-            }
-          }
-          stack.insert(stack.end(), a.inputs.begin(), a.inputs.end());
-        }
-        const std::string widened = f.sources.ToString();
-        if (anchor->kind == IrNodeKind::kJoin) {
-          Report(report, VerifyCode::kProvenanceWidening, *anchor,
-                 "join widens the temp write's column provenance to " +
-                     widened + ", beyond the declared source universe " +
-                     declared.ToString() + " of '" + n.table + "'");
-        } else {
-          Report(report, VerifyCode::kProvenanceWidening, n,
-                 "temp write to '" + n.table + "' infers provenance " +
-                     widened + " beyond its declared source universe " +
-                     declared.ToString());
-        }
       }
     }
   }
@@ -346,22 +285,16 @@ std::string_view VerifyCodeId(VerifyCode code) {
       return "TRAC-V003";
     case VerifyCode::kProvenanceLeak:
       return "TRAC-V004";
-    case VerifyCode::kNoticeBoundExceeded:
-      return "TRAC-V005";
     case VerifyCode::kDeadMergeInput:
       return "TRAC-V006";
     case VerifyCode::kRedundantFilter:
       return "TRAC-V007";
-    case VerifyCode::kProvenanceWidening:
-      return "TRAC-V008";
     case VerifyCode::kPredicateResidueMismatch:
       return "TRAC-V009";
     case VerifyCode::kProvenanceNotPreserved:
       return "TRAC-V010";
     case VerifyCode::kSnapshotContractChanged:
       return "TRAC-V011";
-    case VerifyCode::kStalenessBoundWeakened:
-      return "TRAC-V012";
   }
   return "TRAC-V???";
 }

@@ -33,27 +33,19 @@ namespace trac {
 ///              generated plans never join a data-source column against
 ///              a regular column.
 ///
-/// Rules V005..V008 are semantic: they consume the abstract
-/// interpreter's fixpoint facts (absint/absint.h) instead of the node
-/// structure alone, and fire only on IRs carrying the static
-/// annotations (rows=/age=/sel=/pred=/src=/bound=) the lowering emits:
+/// Rules V006 and V007 are semantic: they consume the abstract
+/// interpreter's facts (absint/absint.h) instead of the node structure
+/// alone, and fire only on IRs carrying the static annotations
+/// (rows=/sel=/pred=) the lowering emits:
 ///
-///   TRAC-V005  static staleness interval at the report node must fit
-///              inside the bound-of-inconsistency the guarantee NOTICE
-///              promises (`bound=`): a wider hull means the report
-///              would promise more recency than the plan can deliver.
 ///   TRAC-V006  dead subplan feeding a merge: a strand gated by a
 ///              statically unsatisfiable predicate (`sel=zero`) can
 ///              never contribute rows to the rejoin.
 ///   TRAC-V007  redundant filter: a predicate fingerprint reapplied on
 ///              a dataflow path that already applied it on the same
 ///              provenance set.
-///   TRAC-V008  provenance widening: a relevant-source temp write whose
-///              inferred column provenance exceeds its declared source
-///              universe (`src=`), anchored at the widening join when
-///              one is found.
 ///
-/// Rules V009..V012 are pairwise: they are the proof obligations the
+/// Rules V009..V011 are pairwise: they are the proof obligations the
 /// translation-validating equivalence checker (verify/equiv.h)
 /// discharges over a (before, after) rewrite witness. They never fire
 /// from the single-IR pipeline, but they share the diagnostic codespace
@@ -69,11 +61,9 @@ namespace trac {
 ///   TRAC-V011  snapshot or merge contract changed: the rewrite reads a
 ///              different snapshot-epoch set or altered a merge's
 ///              determinism contract (set/sorted flags).
-///   TRAC-V012  static staleness/NOTICE bound weakened: the rewritten
-///              plan promises less recency than the original (larger
-///              report bound, dropped promise, or wider staleness hull).
 ///
-/// TRAC-V013..V016 are retired and never reused.
+/// TRAC-V005, TRAC-V008, TRAC-V012 and TRAC-V013..V016 are retired and
+/// never reused.
 enum class VerifyCode {
   kMalformedGraph = 0,     ///< TRAC-V000
   kSnapshotMismatch,       ///< TRAC-V001
@@ -81,14 +71,11 @@ enum class VerifyCode {
   kTempSessionEscape,      ///< TRAC-V002
   kNondeterministicMerge,  ///< TRAC-V003
   kProvenanceLeak,         ///< TRAC-V004
-  kNoticeBoundExceeded,    ///< TRAC-V005
   kDeadMergeInput,         ///< TRAC-V006
   kRedundantFilter,        ///< TRAC-V007
-  kProvenanceWidening,     ///< TRAC-V008
   kPredicateResidueMismatch,  ///< TRAC-V009 (equivalence witness)
   kProvenanceNotPreserved,    ///< TRAC-V010 (equivalence witness)
   kSnapshotContractChanged,   ///< TRAC-V011 (equivalence witness)
-  kStalenessBoundWeakened,    ///< TRAC-V012 (equivalence witness)
 };
 
 /// Stable identifier, e.g. "TRAC-V001".
@@ -124,7 +111,7 @@ struct VerifyReport {
 };
 
 struct VerifyOptions {
-  /// Run the abstract interpreter and the semantic rules V005..V008 it
+  /// Run the abstract interpreter and the semantic rules V006/V007 it
   /// feeds. On by default so the library gates (VerifyPlan, the
   /// reporter's session gate) get full checking; trac_verify exposes it as
   /// the opt-in --absint flag to keep the structural view separable.

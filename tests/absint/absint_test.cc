@@ -1,6 +1,6 @@
 // Unit tests for the abstract interpreter (src/absint): the lattice
-// domains, the worklist fixpoint engine's transfer functions, the
-// semantic verifier rules TRAC-V005..V008 it feeds.
+// domains, the one-pass engine's transfer functions, and the semantic
+// verifier rules TRAC-V006/V007 it feeds.
 
 #include <string>
 #include <vector>
@@ -19,7 +19,6 @@ using absint::AbsintResult;
 using absint::AnalyzeIr;
 using absint::CardInterval;
 using absint::SourceSet;
-using absint::StalenessInterval;
 
 PlanIr ParseOrDie(const std::string& text) {
   auto ir = ParsePlanIr(text);
@@ -47,24 +46,9 @@ TEST(SourceSetTest, JoinIsSortedSetUnion) {
   b.Insert("heartbeat");
   a.JoinWith(b);
   EXPECT_EQ(a.ToString(), "{activity,heartbeat,routing}");
-  EXPECT_TRUE(b.SubsetOf(a));
-  EXPECT_FALSE(a.SubsetOf(b));
-  EXPECT_TRUE(SourceSet{}.SubsetOf(b));
 }
 
-TEST(StalenessIntervalTest, JoinIsHullAndBottomIsIdentity) {
-  StalenessInterval x = StalenessInterval::Of(100, 200);
-  x.JoinWith(StalenessInterval{});  // bottom: no effect
-  EXPECT_EQ(x.ToString(), "[100..200]");
-  x.JoinWith(StalenessInterval::Of(50, 150));
-  EXPECT_EQ(x.lo, 50);
-  EXPECT_EQ(x.hi, 200);
-  EXPECT_EQ(x.Width(), 150);
-  EXPECT_EQ(StalenessInterval{}.Width(), 0);
-  EXPECT_EQ(StalenessInterval{}.ToString(), "bot");
-}
-
-TEST(CardIntervalTest, ArithmeticSaturatesAndWidenDropsUpperBound) {
+TEST(CardIntervalTest, ArithmeticSaturatesAndUnknownAbsorbs) {
   const CardInterval a = CardInterval::UpTo(10);
   const CardInterval b = CardInterval::Exact(3);
   const CardInterval sum = CardInterval::Sum(a, b);
@@ -80,27 +64,22 @@ TEST(CardIntervalTest, ArithmeticSaturatesAndWidenDropsUpperBound) {
   // Unknown is absorbing.
   EXPECT_TRUE(CardInterval::Sum(a, CardInterval::Unknown()).unbounded);
   EXPECT_TRUE(CardInterval::Product(a, CardInterval::Unknown()).unbounded);
-  CardInterval w = CardInterval::UpTo(7);
-  w.Widen();
-  EXPECT_TRUE(w.unbounded);
-  EXPECT_EQ(w.ToString(), "[0..inf]");
+  EXPECT_EQ(CardInterval::Unknown().ToString(), "[0..inf]");
   EXPECT_TRUE(CardInterval::Exact(0).DefinitelyEmpty());
   EXPECT_FALSE(CardInterval::Unknown().DefinitelyEmpty());
 }
 
 // ---------------------------------------------------------------------
-// Transfer functions and the fixpoint engine.
+// Transfer functions and the one-pass engine.
 
 TEST(AbsintEngineTest, ScanFactsComeFromAnnotations) {
   const PlanIr ir = ParseOrDie(
       "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=128 age=100..227 "
+      "node 0 scan table=heartbeat snap=5 rows=128 "
       "cols=h.source_id:d,h.recency_timestamp:r\n");
   const AbsintResult r = AnalyzeIr(ir);
-  ASSERT_TRUE(r.converged);
   ASSERT_EQ(r.facts.size(), 1u);
   EXPECT_EQ(r.facts[0].card.ToString(), "[0..128]");
-  EXPECT_EQ(r.facts[0].staleness.ToString(), "[100..227]");
   ASSERT_EQ(r.facts[0].column_sources.size(), 2u);
   EXPECT_EQ(r.facts[0].column_sources[0].ToString(), "{heartbeat}");
   EXPECT_TRUE(r.facts[0].column_sources[1].empty());
@@ -112,9 +91,7 @@ TEST(AbsintEngineTest, UnannotatedScanIsUnknownCardinality) {
       "ir t\n"
       "node 0 scan table=activity snap=5 cols=a.mach_id:d,a.value:r\n");
   const AbsintResult r = AnalyzeIr(ir);
-  ASSERT_TRUE(r.converged);
   EXPECT_TRUE(r.facts[0].card.unbounded);
-  EXPECT_TRUE(r.facts[0].staleness.bottom);
 }
 
 TEST(AbsintEngineTest, DeadnessPropagatesThroughFilterAndJoin) {
@@ -127,7 +104,6 @@ TEST(AbsintEngineTest, DeadnessPropagatesThroughFilterAndJoin) {
       "node 3 join in=1,2 key=d-d "
       "cols=a.mach_id:d,a.value:r,r.mach_id:d,r.neighbor:r\n");
   const AbsintResult r = AnalyzeIr(ir);
-  ASSERT_TRUE(r.converged);
   EXPECT_FALSE(r.facts[0].dead);
   EXPECT_TRUE(r.facts[1].dead);
   EXPECT_TRUE(r.facts[1].card.DefinitelyEmpty());
@@ -147,59 +123,63 @@ TEST(AbsintEngineTest, AggregateOverDeadInputStillEmitsARow) {
       "node 1 filter in=0 sel=zero cols=a.mach_id:d,a.value:r\n"
       "node 2 agg in=1 fns=count:r cols=a.mach_id:d,n:r\n");
   const AbsintResult r = AnalyzeIr(ir);
-  ASSERT_TRUE(r.converged);
   EXPECT_FALSE(r.facts[2].dead);
   EXPECT_EQ(r.facts[2].card.ToString(), "[1..1]");
 }
 
-TEST(AbsintEngineTest, MergeSumsCardinalityAndHullsStaleness) {
+TEST(AbsintEngineTest, MergeSumsCardinality) {
   const PlanIr ir = ParseOrDie(
       "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=100 age=10..20 "
+      "node 0 scan table=heartbeat snap=5 rows=100 "
       "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 1 scan table=heartbeat snap=5 rows=28 age=15..40 "
+      "node 1 scan table=heartbeat snap=5 rows=28 "
       "cols=h.source_id:d,h.recency_timestamp:r\n"
       "node 2 merge in=0,1 sorted gen "
       "cols=h.source_id:d,h.recency_timestamp:r\n");
   const AbsintResult r = AnalyzeIr(ir);
-  ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.facts[2].card.ToString(), "[0..128]");
-  EXPECT_EQ(r.facts[2].staleness.ToString(), "[10..40]");
   EXPECT_EQ(r.facts[2].sources.ToString(), "{heartbeat}");
 }
 
 TEST(AbsintEngineTest, DumpIsDeterministic) {
   const PlanIr ir = ParseOrDie(
       "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=128 age=100..227 "
+      "node 0 scan table=heartbeat snap=5 rows=128 "
       "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 1 report in=0 bound=127 cols=h.source_id:d\n");
+      "node 1 report in=0 cols=h.source_id:d\n");
   const AbsintResult a = AnalyzeIr(ir);
   const AbsintResult b = AnalyzeIr(ir);
-  ASSERT_TRUE(a.converged);
   EXPECT_EQ(a.Dump(ir), b.Dump(ir));
-  EXPECT_NE(a.Dump(ir).find("fixpoint in"), std::string::npos);
+  EXPECT_EQ(a.Dump(ir),
+            "absint 't': 2 nodes\n"
+            "  node 0 scan: card=[0..128] src={heartbeat}\n"
+            "  node 1 report: card=[0..128] src={heartbeat}\n");
+}
+
+TEST(AbsintEngineTest, ForwardEdgesReadBottomAndNeverFail) {
+  // Malformed on purpose: node 0 reads node 1 (a forward edge) and
+  // node 2 reads itself. A standalone call (no TRAC-V000 gate first)
+  // must still return one fact set per node, reading those inputs at
+  // bottom: no provenance and no rows.
+  const PlanIr ir = ParseOrDie(
+      "ir t\n"
+      "node 0 filter in=1 cols=a.mach_id:d,a.value:r\n"
+      "node 1 scan table=activity snap=5 rows=64 cols=a.mach_id:d,a.value:r\n"
+      "node 2 merge in=1,2 set sorted gen cols=mach_id:d,value:r\n");
+  const AbsintResult r = AnalyzeIr(ir);
+  ASSERT_EQ(r.facts.size(), 3u);
+  EXPECT_EQ(r.facts[0].sources.ToString(), "{}");
+  EXPECT_EQ(r.facts[0].card.ToString(), "[0..0]");
+  EXPECT_FALSE(r.facts[0].dead);
+  EXPECT_EQ(r.facts[1].sources.ToString(), "{activity}");
+  EXPECT_EQ(r.facts[2].sources.ToString(), "{activity}");
+  EXPECT_EQ(r.facts[2].card.ToString(), "[0..64]");
+  EXPECT_EQ(Codes(VerifyIr(ir)),
+            (std::vector<std::string>{"TRAC-V000", "TRAC-V000"}));
 }
 
 // ---------------------------------------------------------------------
-// Verifier rules V005..V008.
-
-TEST(AbsintVerifyTest, V005FiresWhenStalenessHullExceedsNoticeBound) {
-  const PlanIr ir = ParseOrDie(
-      "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=128 age=1000000..128000000 "
-      "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 1 report in=0 bound=1000000 cols=h.source_id:d\n");
-  EXPECT_EQ(Codes(VerifyIr(ir)), std::vector<std::string>{"TRAC-V005"});
-  // The exact hull width is fine: the lowering derives both sides from
-  // the same registry ages.
-  const PlanIr ok = ParseOrDie(
-      "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=128 age=1000000..128000000 "
-      "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 1 report in=0 bound=127000000 cols=h.source_id:d\n");
-  EXPECT_TRUE(VerifyIr(ok).ok()) << VerifyIr(ok).Format(ok);
-}
+// Verifier rules V006/V007.
 
 TEST(AbsintVerifyTest, V006FiresOnDeadMergeInputOnlyNotEmptyTables) {
   const PlanIr dead = ParseOrDie(
@@ -242,45 +222,13 @@ TEST(AbsintVerifyTest, V007FiresOnReappliedFingerprintSameProvenance) {
   EXPECT_TRUE(VerifyIr(ok).ok()) << VerifyIr(ok).Format(ok);
 }
 
-TEST(AbsintVerifyTest, V008AnchorsAtTheWideningJoin) {
-  const PlanIr ir = ParseOrDie(
-      "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=128 "
-      "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 1 scan table=activity snap=5 rows=64 cols=a.mach_id:d,a.value:r\n"
-      "node 2 join in=0,1 key=d-d "
-      "cols=h.source_id:d,h.recency_timestamp:r,a.mach_id:d,a.value:r\n"
-      "node 3 merge in=2 set sorted gen "
-      "cols=source_id:d,recency_timestamp:r\n"
-      "node 4 tempwrite in=3 table=sys_temp_a session=7 src=heartbeat "
-      "cols=source_id:d,recency_timestamp:r\n"
-      "node 5 report in=4 cols=source_id:d\n");
-  const VerifyReport report = VerifyIr(ir);
-  ASSERT_EQ(Codes(report), std::vector<std::string>{"TRAC-V008"});
-  EXPECT_EQ(report.diagnostics[0].node, 2u);
-  EXPECT_EQ(report.diagnostics[0].kind, IrNodeKind::kJoin);
-  // Declaring both sources makes the same plan clean.
-  const PlanIr ok = ParseOrDie(
-      "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=128 "
-      "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 1 scan table=activity snap=5 rows=64 cols=a.mach_id:d,a.value:r\n"
-      "node 2 join in=0,1 key=d-d "
-      "cols=h.source_id:d,h.recency_timestamp:r,a.mach_id:d,a.value:r\n"
-      "node 3 merge in=2 set sorted gen "
-      "cols=source_id:d,recency_timestamp:r\n"
-      "node 4 tempwrite in=3 table=sys_temp_a session=7 src=activity,heartbeat "
-      "cols=source_id:d,recency_timestamp:r\n"
-      "node 5 report in=4 cols=source_id:d\n");
-  EXPECT_TRUE(VerifyIr(ok).ok()) << VerifyIr(ok).Format(ok);
-}
-
 TEST(AbsintVerifyTest, StructuralOnlyModeSkipsSemanticRules) {
   const PlanIr ir = ParseOrDie(
       "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=128 age=0..128000000 "
-      "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 1 report in=0 bound=0 cols=h.source_id:d\n");
+      "node 0 scan table=activity snap=5 rows=64 cols=a.mach_id:d,a.value:r\n"
+      "node 1 filter in=0 pred=00000000deadbeef cols=a.mach_id:d,a.value:r\n"
+      "node 2 filter in=1 pred=00000000deadbeef cols=a.mach_id:d,a.value:r\n"
+      "node 3 report in=2 cols=a.mach_id:d\n");
   VerifyOptions structural;
   structural.absint = false;
   EXPECT_TRUE(VerifyIr(ir, structural).ok());

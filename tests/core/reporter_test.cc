@@ -339,5 +339,27 @@ TEST(ReporterTest, EmptyRelevantSetProducesEmptyReport) {
             std::string::npos);
 }
 
+// No source has reported yet: the Heartbeat registry is empty. The
+// report still carries its static source-count bounds, and they are
+// exact: nothing can be relevant.
+TEST(ReporterTest, EmptyRegistryReportCarriesStaticBounds) {
+  Database db;
+  TRAC_ASSERT_OK(HeartbeatTable::Create(&db).status());
+  TableSchema schema("activity", {ColumnDef("mach_id", TypeId::kString),
+                                  ColumnDef("value", TypeId::kString)});
+  TRAC_ASSERT_OK(schema.SetDataSourceColumn("mach_id"));
+  TRAC_ASSERT_OK(db.CreateTable(std::move(schema)).status());
+  TRAC_ASSERT_OK(db.Insert("activity", {Value::Str("m1"), Value::Str("idle")}));
+  Session session(&db);
+  RecencyReporter reporter(&db, &session);
+  TRAC_ASSERT_OK_AND_ASSIGN(RecencyReport report,
+                            reporter.Run("SELECT mach_id FROM activity"));
+  EXPECT_EQ(report.result.num_rows(), 1u);
+  EXPECT_TRUE(report.relevance.sources.empty());
+  EXPECT_EQ(report.static_sources_lo, 0u);
+  EXPECT_FALSE(report.static_sources_unbounded);
+  EXPECT_EQ(report.static_sources_hi, 0u);
+}
+
 }  // namespace
 }  // namespace trac

@@ -122,20 +122,12 @@ TEST(PlanIrTest, ParseErrorsAreLineAnchored) {
        "line 2: pred: bad hex number 'xyz'"},
       {"pred too wide", "ir x\nnode 0 filter pred=00000000000000000\n",
        "line 2: pred: bad hex number"},
-      {"src empty element", "ir x\nnode 0 merge src=\n",
-       "line 2: want src=<table>,..."},
-      {"src trailing comma", "ir x\nnode 0 merge src=a,\n",
-       "line 2: want src=<table>,..."},
       {"snap not a number", "ir x\nnode 0 scan snap=5x\n",
        "line 2: snap: bad number '5x'"},
-      {"bound not a number", "ir x\nnode 0 report in=0 bound=1s\n",
-       "line 2: bound: bad number '1s'"},
       {"shard not a number", "ir x\nnode 0 scan shard=a/2\n",
        "line 2: shard: bad number 'a'"},
       {"session not a number", "ir x\nnode 0 tempwrite session=one\n",
        "line 2: session: bad number 'one'"},
-      {"age bad piece", "ir x\nnode 0 scan age=1..b\n",
-       "line 2: age: bad number 'b'"},
       {"in bad piece", "ir x\nnode 0 join in=0,x\n",
        "line 2: in: bad number 'x'"},
       {"cols bad class", "ir x\nnode 0 scan cols=a:z\n",
@@ -148,6 +140,12 @@ TEST(PlanIrTest, ParseErrorsAreLineAnchored) {
        "line 2: node id: bad number 'zero'"},
       {"retired deps attribute", "ir x\nnode 0 scan deps=heartbeat\n",
        "line 2: unknown attribute 'deps'"},
+      {"retired age attribute", "ir x\nnode 0 scan age=1..2\n",
+       "line 2: unknown attribute 'age'"},
+      {"retired bound attribute", "ir x\nnode 0 report in=0 bound=5\n",
+       "line 2: unknown attribute 'bound'"},
+      {"retired src attribute", "ir x\nnode 0 tempwrite src=heartbeat\n",
+       "line 2: unknown attribute 'src'"},
       {"anchor survives comments",
        "# leading commentary\n\nir x\n# more\nnode 0 scan rows=?\n",
        "line 5: rows: bad number '?'"},

@@ -422,22 +422,6 @@ OracleOutcome CheckTrace(const Tracer& tracer, const RecencyReport& report) {
 
 OracleOutcome CheckStaticBounds(const RecencyReport& report) {
   OracleOutcome out;
-  if (!report.static_bounds_computed) {
-    // No age facts reached the fixpoint (e.g. empty registry): there is
-    // nothing sound to compare against, which is itself legitimate.
-    ++out.exemptions;
-    return out;
-  }
-  ++out.checks;
-  if (report.stats.inconsistency_bound_micros >
-      report.static_staleness_width_micros) {
-    Violation(&out,
-              "observed bound of inconsistency " +
-                  std::to_string(report.stats.inconsistency_bound_micros) +
-                  "us exceeds the static staleness width " +
-                  std::to_string(report.static_staleness_width_micros) +
-                  "us; the fixpoint under-approximated");
-  }
   const uint64_t observed = report.relevance.sources.size();
   ++out.checks;
   if (observed < report.static_sources_lo) {

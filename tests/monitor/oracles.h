@@ -77,10 +77,8 @@ OracleOutcome CheckTrace(const Tracer& tracer, const RecencyReport& report);
 /// Oracle — static bounds dominate the runtime report. The abstract
 /// interpreter's facts (computed by the verify gate before anything
 /// ran) must over-approximate what execution then observed: the static
-/// staleness width dominates the reported bound of inconsistency, and
-/// the static source-cardinality interval contains the relevant-source
-/// count. Reports without computed bounds (no age facts reached the
-/// fixpoint, e.g. an empty registry) are counted exempt.
+/// source-cardinality interval contains the relevant-source count. An
+/// unbounded upper end is counted exempt.
 OracleOutcome CheckStaticBounds(const RecencyReport& report);
 
 /// Oracle — profile soundness. A profiled report (options.profile, the

@@ -5,7 +5,7 @@
 //   - no corpus rewrite is ever rejected (the rules only propose
 //     candidates the checker accepts — a rejection here means rule and
 //     checker disagree about safety);
-//   - the optimized plan still passes the full V000..V008 pipeline;
+//   - the optimized plan still passes the full V000..V007 pipeline;
 //   - the rendered report — user rows plus the NOTICE block — is
 //     byte-identical with the optimizer on and off.
 

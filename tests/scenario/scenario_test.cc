@@ -439,5 +439,22 @@ TEST_F(OracleMutationTest, CatchesOverclaimedGuarantee) {
       << "EXACT_MINIMUM with a missing relevant source must be flagged";
 }
 
+TEST_F(OracleMutationTest, CatchesSourceCountOutsideStaticBounds) {
+  const uint64_t observed = report_.relevance.sources.size();
+  ASSERT_GT(observed, 0u);
+  ASSERT_TRUE(oracle::CheckStaticBounds(report_).ok());
+  // A static maximum below the observed source count...
+  RecencyReport above = report_;
+  above.static_sources_unbounded = false;
+  above.static_sources_hi = observed - 1;
+  EXPECT_FALSE(oracle::CheckStaticBounds(above).ok())
+      << "more sources than the static maximum must be flagged";
+  // ...and a static minimum above it.
+  RecencyReport below = report_;
+  below.static_sources_lo = observed + 1;
+  EXPECT_FALSE(oracle::CheckStaticBounds(below).ok())
+      << "fewer sources than the static minimum must be flagged";
+}
+
 }  // namespace
 }  // namespace trac

@@ -1,10 +1,8 @@
 #ifndef TRAC_TESTS_TEST_UTIL_H_
 #define TRAC_TESTS_TEST_UTIL_H_
 
-#include <algorithm>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,25 +41,6 @@ namespace testing_util {
 #define TRAC_TEST_CONCAT_(a, b) TRAC_TEST_CONCAT_IMPL_(a, b)
 #define TRAC_TEST_CONCAT_IMPL_(a, b) a##b
 
-/// The reference for Table::TimestampRange: min/max of `column` over a
-/// plain Scan at `snap`, skipping NULL and non-timestamp values.
-inline std::optional<TimestampBounds> ScanTimestampRange(const Table& table,
-                                                         Snapshot snap,
-                                                         size_t column) {
-  std::optional<TimestampBounds> out;
-  table.Scan(snap, [&](size_t, const Row& row) {
-    const Value& v = row[column];
-    if (v.is_null() || v.type() != TypeId::kTimestamp) return;
-    if (!out.has_value()) {
-      out = TimestampBounds{v.ts_val(), v.ts_val()};
-      return;
-    }
-    out->lo = std::min(out->lo, v.ts_val());
-    out->hi = std::max(out->hi, v.ts_val());
-  });
-  return out;
-}
-
 /// A scan-based reference for Database's keyed writes (UpdateWhere,
 /// DeleteWhere, Upsert): a plain model of one table's version log whose
 /// every write finds its matches by scanning all versions visible just
@@ -94,7 +73,6 @@ class ScanReferenceLog {
 
   void Insert(Row row, uint64_t commit) {
     log_.push_back({commit, RowVersion::kOpenVersion, std::move(row)});
-    last_write_ = commit;
   }
 
   /// Rewrites every match whose copy `mutate` changes; returns the count.
@@ -122,7 +100,6 @@ class ScanReferenceLog {
   }
 
   const std::vector<Version>& versions() const { return log_; }
-  uint64_t last_write_version() const { return last_write_; }
 
  private:
   int Rewrite(const std::vector<size_t>& matches, const Mutate& mutate,
@@ -138,17 +115,12 @@ class ScanReferenceLog {
     return rewritten;
   }
 
-  void Close(size_t i, uint64_t commit) {
-    log_[i].end = commit;
-    last_write_ = commit;
-  }
+  void Close(size_t i, uint64_t commit) { log_[i].end = commit; }
 
   std::vector<Version> log_;
-  uint64_t last_write_ = 0;
 };
 
-/// Expects `table`'s version log, version for version, and its last
-/// write version to equal `ref`'s.
+/// Expects `table`'s version log, version for version, to equal `ref`'s.
 inline void ExpectLogMatches(const Table& table, const ScanReferenceLog& ref) {
   ASSERT_EQ(table.num_versions(), ref.versions().size());
   for (size_t i = 0; i < ref.versions().size(); ++i) {
@@ -158,7 +130,6 @@ inline void ExpectLogMatches(const Table& table, const ScanReferenceLog& ref) {
     EXPECT_EQ(got.end.load(), want.end) << "version " << i;
     EXPECT_EQ(got.values, want.values) << "version " << i;
   }
-  EXPECT_EQ(table.last_write_version(), ref.last_write_version());
 }
 
 inline Timestamp Ts(const std::string& text) {

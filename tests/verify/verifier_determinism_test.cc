@@ -67,19 +67,19 @@ TEST(VerifierDeterminismTest, DuplicateFindingsCollapseToOne) {
 
 TEST(VerifierDeterminismTest, FindingsSortByNodeThenCode) {
   // Seed two independent violations anchored at different nodes: the
-  // redundant filter (node 2) and the too-tight NOTICE bound (node 3).
-  // The rendered order follows node ids regardless of pass order.
+  // redundant filter (node 2) and the dead merge input (merge, node 4).
+  // The rendered order follows node ids, not codes, regardless of pass
+  // order.
   const PlanIr ir = ParseOrDie(
       "ir t\n"
-      "node 0 scan table=heartbeat snap=5 rows=128 age=0..127000000 "
-      "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 1 filter in=0 pred=00000000deadbeef "
-      "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 2 filter in=1 pred=00000000deadbeef "
-      "cols=h.source_id:d,h.recency_timestamp:r\n"
-      "node 3 report in=2 bound=1000000 cols=h.source_id:d\n");
+      "node 0 scan table=activity snap=5 rows=64 cols=a.mach_id:d,a.value:r\n"
+      "node 1 filter in=0 pred=00000000deadbeef cols=a.mach_id:d,a.value:r\n"
+      "node 2 filter in=1 pred=00000000deadbeef cols=a.mach_id:d,a.value:r\n"
+      "node 3 filter in=0 sel=zero cols=a.mach_id:d,a.value:r\n"
+      "node 4 merge in=2,3 set sorted gen cols=mach_id:d,value:r\n"
+      "node 5 report in=4 cols=mach_id:d\n");
   const VerifyReport report = VerifyIr(ir);
-  const std::vector<std::string> want = {"TRAC-V007", "TRAC-V005"};
+  const std::vector<std::string> want = {"TRAC-V007", "TRAC-V006"};
   ASSERT_EQ(Codes(report), want) << report.Format(ir);
   EXPECT_LT(report.diagnostics[0].node, report.diagnostics[1].node);
   // Repeated runs render byte-identically.
@@ -106,37 +106,16 @@ void LoadPlansSchema(Database* db) {
   }
 }
 
-/// Heartbeat writes after the schema load that move both ends of the
-/// registry's age range: the oldest source advances past the newest,
-/// and a new source registers further ahead still.
-void AdvanceHeartbeats(Database* db) {
-  auto heartbeat = HeartbeatTable::Open(db);
-  ASSERT_TRUE(heartbeat.ok()) << heartbeat.status();
-  auto later = Timestamp::Parse("2006-03-15 15:00:00");
-  ASSERT_TRUE(later.ok()) << later.status();
-  ASSERT_TRUE(heartbeat->ReportHeartbeat("m000", *later).ok());
-  ASSERT_TRUE(
-      heartbeat->SetRecency("m900", *later + Timestamp::kMicrosPerMinute)
-          .ok());
-}
-
-/// A commit that leaves the registry alone, like a report's temp-table
-/// write: a new sys_temp_ table with one row.
-void WriteTempTable(Database* db) {
-  for (const char* stmt :
-       {"CREATE TABLE sys_temp_t1 (source_id STRING, seen TIMESTAMP);",
-        "INSERT INTO sys_temp_t1 VALUES ('m000', '2006-03-15 14:20:05');"}) {
-    auto result = ExecuteStatement(db, stmt);
-    ASSERT_TRUE(result.ok()) << result.status() << "\n" << stmt;
-  }
-}
-
-/// Lowers the full q1-style report session over `db` at `snapshot` and
+/// Lowers the full q4-style report session over `db` at `snapshot` and
 /// `parallelism` through the reporter's PlanReportSession (every plan
-/// pinned to the same snapshot).
+/// pinned to the same snapshot). One recency part is a pure Heartbeat
+/// scan, which shards at parallelism > 1, and the others are planned
+/// filters, so the node ids differ between parallelism 1 and 4.
 PlanIr LowerSession(const Database& db, Snapshot snapshot,
                     size_t parallelism) {
-  auto query = BindSql(db, "SELECT mach_id FROM activity");
+  auto query = BindSql(db,
+                       "SELECT mach_id FROM activity "
+                       "WHERE value = 'idle' OR mach_id = 'm3'");
   EXPECT_TRUE(query.ok()) << query.status();
   auto plan = GenerateRecencyQueries(db, *query);
   EXPECT_TRUE(plan.ok()) << plan.status();
@@ -147,38 +126,25 @@ PlanIr LowerSession(const Database& db, Snapshot snapshot,
   return std::move(session->ir);
 }
 
-std::string LowerSessionDump(const Database& db, Snapshot snapshot) {
-  return LowerSession(db, snapshot, 1).Dump();
-}
-
-/// Every `<key><value>` token in an IR dump, in order.
-std::vector<std::string> Annotations(const std::string& dump,
-                                     const std::string& key) {
-  std::vector<std::string> out;
-  for (size_t at = dump.find(" " + key); at != std::string::npos;
-       at = dump.find(" " + key, at + 1)) {
-    const size_t end = dump.find_first_of(" \n", at + 1);
-    out.push_back(dump.substr(at + 1, end - at - 1));
-  }
-  return out;
-}
-
 class DeterminismCorpusTest : public ::testing::Test {
  protected:
   void SetUp() override { ASSERT_NO_FATAL_FAILURE(LoadPlansSchema(&db_)); }
 
-  /// Lowers the full q1-style report session at `parallelism` and
-  /// returns the verifier findings after seeding the same violation at
-  /// the report boundary: a NOTICE bound of 0 that the registry's
-  /// 127 s age spread can never satisfy.
+  /// Lowers the full q4-style report session at `parallelism` and
+  /// returns the verifier findings after seeding the same violation in
+  /// a recency part: its first generated filter is marked statically
+  /// refuted (`sel=zero`), so the strand it gates feeds the session
+  /// merge dead.
   std::vector<std::string> SeededFindings(size_t parallelism) {
     PlanIr ir = LowerSession(db_, db_.LatestSnapshot(), parallelism);
+    bool seeded = false;
     for (IrNode& n : ir.nodes) {
-      if (n.kind == IrNodeKind::kReport) {
-        n.has_bound = true;
-        n.notice_bound_micros = 0;
+      if (!seeded && n.kind == IrNodeKind::kFilter && n.generated) {
+        n.sel_zero = true;
+        seeded = true;
       }
     }
+    EXPECT_TRUE(seeded) << "no generated filter to seed\n" << ir.Dump();
     std::vector<std::string> codes;
     for (const VerifyDiagnostic& d : VerifyIr(ir).diagnostics) {
       codes.emplace_back(VerifyCodeId(d.code));
@@ -194,74 +160,7 @@ TEST_F(DeterminismCorpusTest, SameFindingListAtParallelism1And4) {
   const std::vector<std::string> parallel = SeededFindings(4);
   ASSERT_FALSE(serial.empty()) << "seeded violation did not fire";
   EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial, std::vector<std::string>{"TRAC-V005"});
-}
-
-// The registry's age range is memoized on the Heartbeat table, keyed by
-// the registry state a snapshot sees. Whether a lowering hits that memo,
-// misses it, or runs on a database that never computed it must not
-// change one byte of the IR, `age=` and `bound=` included.
-TEST_F(DeterminismCorpusTest, SessionLoweringIsByteIdenticalAcrossTheAgeMemo) {
-  const Snapshot old_snapshot = db_.LatestSnapshot();
-  const std::string first = LowerSessionDump(db_, old_snapshot);
-  const std::string again = LowerSessionDump(db_, old_snapshot);
-  ASSERT_FALSE(Annotations(first, "age=").empty()) << first;
-  ASSERT_EQ(Annotations(first, "bound=").size(), 1u) << first;
-  EXPECT_EQ(first, again);
-  {
-    Database fresh;
-    ASSERT_NO_FATAL_FAILURE(LoadPlansSchema(&fresh));
-    ASSERT_EQ(fresh.LatestSnapshot().version, old_snapshot.version);
-    EXPECT_EQ(first, LowerSessionDump(fresh, fresh.LatestSnapshot()));
-  }
-
-  // A temp-table commit leaves the registry as it was: the newer
-  // snapshot reuses the memo and must match a database that scans.
-  ASSERT_NO_FATAL_FAILURE(WriteTempTable(&db_));
-  const Snapshot temp_snapshot = db_.LatestSnapshot();
-  ASSERT_GT(temp_snapshot.version, old_snapshot.version);
-  const std::string after_temp = LowerSessionDump(db_, temp_snapshot);
-  EXPECT_EQ(Annotations(after_temp, "age="), Annotations(first, "age="));
-  EXPECT_EQ(Annotations(after_temp, "bound="), Annotations(first, "bound="));
-  {
-    Database fresh;
-    ASSERT_NO_FATAL_FAILURE(LoadPlansSchema(&fresh));
-    ASSERT_NO_FATAL_FAILURE(WriteTempTable(&fresh));
-    EXPECT_EQ(after_temp, LowerSessionDump(fresh, fresh.LatestSnapshot()));
-  }
-
-  // Later heartbeat writes: the latest snapshot replaces the memo, then
-  // the older snapshot misses it and must rescan its own frozen view.
-  ASSERT_NO_FATAL_FAILURE(AdvanceHeartbeats(&db_));
-  const Snapshot new_snapshot = db_.LatestSnapshot();
-  const std::string latest = LowerSessionDump(db_, new_snapshot);
-  const std::string older = LowerSessionDump(db_, old_snapshot);
-  EXPECT_NE(Annotations(latest, "age="), Annotations(older, "age="));
-  EXPECT_NE(Annotations(latest, "bound="), Annotations(older, "bound="));
-  // `rows=` counts every version logged so far, so only the snapshot's
-  // own annotations can be compared after later writes.
-  const std::string temp_again = LowerSessionDump(db_, temp_snapshot);
-  EXPECT_EQ(Annotations(temp_again, "age="), Annotations(after_temp, "age="));
-  EXPECT_EQ(Annotations(temp_again, "bound="),
-            Annotations(after_temp, "bound="));
-  // The same history on a fresh database, each snapshot lowered first.
-  for (const bool old_first : {true, false}) {
-    SCOPED_TRACE(old_first ? "older snapshot first" : "latest first");
-    Database fresh;
-    ASSERT_NO_FATAL_FAILURE(LoadPlansSchema(&fresh));
-    const Snapshot fresh_old = fresh.LatestSnapshot();
-    ASSERT_NO_FATAL_FAILURE(WriteTempTable(&fresh));
-    ASSERT_NO_FATAL_FAILURE(AdvanceHeartbeats(&fresh));
-    const Snapshot fresh_new = fresh.LatestSnapshot();
-    ASSERT_EQ(fresh_new.version, new_snapshot.version);
-    if (old_first) {
-      EXPECT_EQ(older, LowerSessionDump(fresh, fresh_old));
-      EXPECT_EQ(latest, LowerSessionDump(fresh, fresh_new));
-    } else {
-      EXPECT_EQ(latest, LowerSessionDump(fresh, fresh_new));
-      EXPECT_EQ(older, LowerSessionDump(fresh, fresh_old));
-    }
-  }
+  EXPECT_EQ(serial, std::vector<std::string>{"TRAC-V006"});
 }
 
 }  // namespace

@@ -441,7 +441,7 @@ void CheckFingerprintConfinement(const std::string& path,
 
 // --- Rule: doc-drift -------------------------------------------------------
 
-/// A verifier/analyzer/profiler diagnostic identifier ("TRAC-V005",
+/// A verifier/analyzer/profiler diagnostic identifier ("TRAC-V006",
 /// "TRAC-W002", "TRAC-P001").
 /// Deliberately three digits: the "TRAC-V???" fallback string and prose
 /// mentions of rule families never match.

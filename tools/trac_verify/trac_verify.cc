@@ -23,8 +23,8 @@
 //                     and run the static equivalence checker
 //                     (src/verify/equiv.h) over each pair. A clean pair
 //                     proves the rewrite preserved the predicate
-//                     residue, provenance, snapshot contract, and
-//                     staleness bound (TRAC-V009..V012); golden files
+//                     residue, provenance and snapshot contract
+//                     (TRAC-V009..V011); golden files
 //                     are keyed by the after-file's stem.
 //
 //   --dump-ir         print the lowered/parsed IR before the report
@@ -33,10 +33,10 @@
 //                     attempted rewrite; "rewrites: none" when the
 //                     optimizer had nothing to try)
 //   --absint          also run the abstract interpreter and the
-//                     semantic rules TRAC-V005..V008 it feeds (the
+//                     semantic rules TRAC-V006/V007 it feeds (the
 //                     library gates always run them; the CLI default
 //                     keeps the structural view separable)
-//   --dump-absint     append the per-node fixpoint fact table (implies
+//   --dump-absint     append the per-node fact table (implies
 //                     --absint)
 //   --json            machine-readable output: a JSON array with one
 //                     object per input file (diagnostics, ok flag)
