@@ -12,7 +12,7 @@
 #   4. run trac_top against its golden dashboard (deterministic clock),
 #      a bench --json smoke run that leaves BENCH_*.json records in
 #      bench-json/ for CI to archive (the parallel-relevance record must
-#      carry its merge/fanout split), and two short perfbench runs that
+#      carry its merge/fanout split), and three short perfbench runs that
 #      must report "correct": true and "failed": 0,
 #   5. run the whole ctest suite (which re-runs the linters and their
 #      self-tests as test cases),
@@ -20,7 +20,7 @@
 #      a hard failure when clang-tidy is not installed (the tidy CI job
 #      gates on it; use --tidy-only to run just this step),
 #   7. build the `debug` preset (TRAC_DEBUG_INVARIANTS) and run the
-#      report, relevance, verifier and property suites under it,
+#      report, relevance, verifier, profile and property suites under it,
 #   8. if clang++ is available, build the `tsa` preset so Clang's
 #      thread-safety analysis runs with -Werror=thread-safety.
 #
@@ -177,9 +177,11 @@ if missing or stale:
 echo "==> perfbench smoke (the benchmark's replay of the library API)"
 # perfbench compiles its own replay of a report against the public
 # library calls (PlanQuery, LowerReportSession, VerifyIrStatus, ...).
-# A traced selective run and an untraced live-grid run must both end in
-# a JSON line with "correct": true and "failed": 0.
+# A traced selective run, a traced scan run (which replays the sharded
+# fan-out) and an untraced live-grid run must each end in a JSON line
+# with "correct": true and "failed": 0.
 for args in "--workload selective-20k --seed 1 --seconds 2 --trace 1" \
+            "--workload scan-20k --seed 1 --seconds 2 --trace 1" \
             "--workload grid-live-2k --seed 1 --seconds 2 --trace 0"; do
   # shellcheck disable=SC2086  # $args is a flag list.
   line="$(python3 perfbench/run.py $args | tail -n 1)"
@@ -229,7 +231,7 @@ ctest --preset ubsan -R \
   'absint_absint_test|property_absint_property_test|verify_verifier_determinism_test' \
   --output-on-failure
 
-echo "==> report, relevance and verifier suites with TRAC_DEBUG_INVARIANTS"
+echo "==> report, relevance, verifier and profile suites with TRAC_DEBUG_INVARIANTS"
 # A report verifies its plans only inside the session IR; this build is
 # where each executed plan is also verified alone (ExecutePlan), and
 # where every TRAC_DCHECK aborts instead of returning a Status.
@@ -237,7 +239,8 @@ debug_suites='core_reporter_test|core_report_telemetry_test|core_relevance_test'
 debug_suites+='|concurrency_parallel_relevance_test|property_verify_property_test'
 debug_suites+='|property_absint_property_test|property_executor_property_test'
 debug_suites+='|property_relevance_property_test|verify_verifier_determinism_test'
-debug_suites+='|verify_verify_integration_test'
+debug_suites+='|verify_verify_integration_test|telemetry_profile_test'
+debug_suites+='|property_profile_property_test'
 cmake --preset debug
 cmake --build --preset debug -j"$(nproc)" --target ${debug_suites//|/ }
 ctest --preset debug -R "^(${debug_suites})\$" --output-on-failure

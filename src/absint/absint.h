@@ -25,8 +25,8 @@ namespace absint {
 ///
 /// plus the `dead` flag and the applied-predicate must-set. The results
 /// feed the TRAC-V006/V007 semantic verifier rules (verify/verifier.h)
-/// and, through the facts the verifier hands back, the reporter's
-/// static source-count bounds checked by the scenario-harness oracle.
+/// and the TRAC-P001 profile-drift rule (telemetry/profile.h), which
+/// readers of a recorded session run over its profiled IR.
 struct NodeFacts {
   /// One provenance set per output column (aligned with
   /// IrNode::columns). Regular columns stay empty; data-source columns

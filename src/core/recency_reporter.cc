@@ -1,26 +1,12 @@
 #include "core/recency_reporter.h"
 
-#include "absint/absint.h"
 #include "common/dcheck.h"
 #include "expr/binder.h"
 #include "ir/lower.h"
+#include "telemetry/profile.h"
 #include "verify/verifier.h"
 
 namespace trac {
-
-namespace {
-
-/// Static bounds read off the verifier's facts over the session IR:
-/// the source-cardinality interval at the session merge.
-void ReadStaticBounds(const SessionLayout& layout,
-                      const absint::AbsintResult& res, RecencyReport* out) {
-  const absint::CardInterval& card = res.facts[layout.merge_id].card;
-  out->static_sources_lo = card.lo;
-  out->static_sources_hi = card.hi;
-  out->static_sources_unbounded = card.unbounded;
-}
-
-}  // namespace
 
 std::string RecencyReport::FormatNotices() const {
   std::string out;
@@ -135,10 +121,8 @@ Result<RecencyReport> RecencyReporter::Finish(
       options.create_temp_tables ? session_->id() : 0);
   Status verified = planned.status();
   if (verified.ok()) {
-    absint::AbsintResult fixpoint;
-    verified = VerifyIr(planned->ir, VerifyOptions(), &fixpoint).ToStatus();
+    verified = VerifyIrStatus(planned->ir);
     TRAC_DCHECK(verified.ok(), verified.message().c_str());
-    if (verified.ok()) ReadStaticBounds(planned->layout, fixpoint, &report);
   }
   report.verify_micros = verify_span.End();
   tel.metrics
@@ -267,25 +251,17 @@ Result<RecencyReport> RecencyReporter::Finish(
   if (profiling) {
     // Write the runtime counters back onto the verify gate's own
     // lowering (byte-for-byte the graph the verifier passed, so a drift
-    // finding can never be blamed on a second lowering), run the
-    // estimate-drift pass over it, and preserve the whole profiled
-    // session in the flight recorder.
+    // finding can never be blamed on a second lowering) and preserve the
+    // whole profiled session in the flight recorder. Readers of the
+    // recorded IR run the estimate-drift pass (AnalyzeProfileDrift).
     report.profiled_nodes =
         AttachSessionProfile(&vs.ir, vs.layout, session_profile);
     report.profiled_ir = vs.ir.Dump();
-    report.profile_drift = AnalyzeProfileDrift(vs.ir);
     SessionProfileRecord record;
     record.trace_id = trace_id;
     record.snapshot = snapshot.version;
     record.profiled_ir = report.profiled_ir;
     record.annotated_nodes = report.profiled_nodes;
-    for (const ProfileDiagnostic& d : report.profile_drift) {
-      if (d.code == ProfileCode::kActualOutsideStaticBounds) {
-        ++record.p001_count;
-      } else if (d.code == ProfileCode::kMisestimate) {
-        ++record.p002_count;
-      }
-    }
     ResolveFlightRecorder(tel).Record(std::move(record));
     tel.metrics
         ->GetCounter("trac_profile_sessions_total",

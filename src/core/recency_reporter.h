@@ -10,7 +10,6 @@
 #include "core/relevance.h"
 #include "core/session.h"
 #include "exec/executor.h"
-#include "telemetry/profile.h"
 #include "telemetry/telemetry.h"
 
 namespace trac {
@@ -40,10 +39,9 @@ struct RecencyReportOptions {
   /// Collect a per-operator execution profile for the session
   /// (telemetry/profile.h), attach it onto the session IR as
   /// actual_rows=/actual_ns= annotations (RecencyReport::profiled_ir),
-  /// run the TRAC-P estimate-drift pass over it, and record the session
-  /// into the flight recorder. On by default: the collector is a set of
-  /// plain counters, and the stage clock reads go through the telemetry
-  /// bundle's ClockFn.
+  /// and record the session into the flight recorder. On by default:
+  /// the collector is a set of plain counters, and the stage clock reads
+  /// go through the telemetry bundle's ClockFn.
   bool profile = true;
 };
 
@@ -64,8 +62,8 @@ struct RecencyReport {
   int64_t merge_micros = 0;  ///< Set merge into A(Q), within relevance.
   int64_t stats_micros = 0;           ///< Outlier detection + min/max.
   int64_t user_query_micros = 0;      ///< The user query alone.
-  /// Wall time of the verify gate (plan every query once, lower, verify,
-  /// read the static bounds): the duration of the "verify" span.
+  /// Wall time of the verify gate (plan every query once, lower,
+  /// verify): the duration of the "verify" span.
   int64_t verify_micros = 0;
 
   /// Parallel-execution detail, merged from the per-task timings of
@@ -76,14 +74,6 @@ struct RecencyReport {
   size_t relevance_parallelism = 1;        ///< Strands requested.
   std::vector<int64_t> relevance_task_micros;  ///< Wall time per task.
   int64_t relevance_busy_micros = 0;       ///< Sum over tasks.
-
-  /// Static bounds from the abstract interpretation of the session IR
-  /// (absint/absint.h), filled by the verify gate before anything runs:
-  /// a sound source-cardinality interval that contains the runtime
-  /// relevant-source count (the scenario-harness oracle asserts it).
-  uint64_t static_sources_lo = 0;
-  uint64_t static_sources_hi = 0;
-  bool static_sources_unbounded = false;
 
   /// The MVCC snapshot every part of this report (user query, recency
   /// queries, stats) was evaluated against — Section 3.2's consistency
@@ -97,13 +87,9 @@ struct RecencyReport {
   /// The session IR with runtime actual_rows=/actual_ns= annotations
   /// attached (options.profile; empty when profiling was disabled).
   /// Round-trips through ParsePlanIr — a profiled session is a plain
-  /// corpus artifact.
+  /// corpus artifact; AnalyzeProfileDrift over it yields the TRAC-P
+  /// estimate-drift findings.
   std::string profiled_ir;
-  /// Estimate-drift findings over `profiled_ir`: TRAC-P001 (an actual
-  /// outside the proven static cardinality interval — a soundness bug,
-  /// asserted empty by the scenario-harness oracle) and TRAC-P002
-  /// (scan misestimate advisory for the cost model).
-  std::vector<ProfileDiagnostic> profile_drift;
   /// IR nodes that received runtime annotations.
   size_t profiled_nodes = 0;
 

@@ -164,8 +164,7 @@ std::string ProfileDiagnostic::Format() const {
   return out;
 }
 
-std::vector<ProfileDiagnostic> AnalyzeProfileDrift(
-    const PlanIr& ir, const ProfileDriftOptions& options) {
+std::vector<ProfileDiagnostic> AnalyzeProfileDrift(const PlanIr& ir) {
   std::vector<ProfileDiagnostic> out;
   const absint::AbsintResult analysis = absint::AnalyzeIr(ir);
   for (const IrNode& node : ir.nodes) {
@@ -185,10 +184,9 @@ std::vector<ProfileDiagnostic> AnalyzeProfileDrift(
                   "]";
       out.push_back(std::move(d));
     }
-    if (node.kind == IrNodeKind::kScan && node.has_rows &&
-        options.misestimate_factor > 0) {
+    if (node.kind == IrNodeKind::kScan && node.has_rows) {
       const uint64_t actual = std::max<uint64_t>(node.actual_rows, 1);
-      if (node.rows / actual >= options.misestimate_factor) {
+      if (node.rows / actual >= kMisestimateFactor) {
         ProfileDiagnostic d;
         d.code = ProfileCode::kMisestimate;
         d.node = node.id;
@@ -196,7 +194,7 @@ std::vector<ProfileDiagnostic> AnalyzeProfileDrift(
         d.message = "estimate rows=" + std::to_string(node.rows) +
                     " overshoots actual_rows=" +
                     std::to_string(node.actual_rows) + " by >= " +
-                    std::to_string(options.misestimate_factor) + "x";
+                    std::to_string(kMisestimateFactor) + "x";
         out.push_back(std::move(d));
       }
     }

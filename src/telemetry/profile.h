@@ -127,10 +127,13 @@ enum class ProfileCode {
   /// scenario harness wires it as a hard oracle.
   kActualOutsideStaticBounds = 1,
   /// TRAC-P002: a scan's planning-time row estimate overshoots the
-  /// observed row count by at least the misestimate factor. Advisory:
-  /// feeds the cost model in src/opt/, never an error.
+  /// observed row count by at least kMisestimateFactor. Advisory only:
+  /// printed for a human reading the profile, never an error.
   kMisestimate = 2,
 };
+
+/// TRAC-P002 fires when estimate >= kMisestimateFactor * max(actual, 1).
+inline constexpr uint64_t kMisestimateFactor = 16;
 
 std::string_view ProfileCodeId(ProfileCode code);
 
@@ -145,19 +148,14 @@ struct ProfileDiagnostic {
   std::string Format() const;
 };
 
-struct ProfileDriftOptions {
-  /// TRAC-P002 fires when estimate >= misestimate_factor * max(actual, 1).
-  uint64_t misestimate_factor = 16;
-};
-
 /// Runs the abstract interpreter over `ir` and compares every annotated
 /// actual_rows against the proven static cardinality interval (P001) and
 /// every annotated scan against its rows= estimate (P002). The returned
 /// list is canonical: deduplicated by (code, node), stable-sorted by
 /// (node, code). An IR with no actual annotations yields no findings.
-std::vector<ProfileDiagnostic> AnalyzeProfileDrift(
-    const PlanIr& ir,
-    const ProfileDriftOptions& options = ProfileDriftOptions());
+/// The report path never calls this: readers of a recorded session
+/// (trac_profile, trac_top, the scenario oracles) analyse its IR.
+std::vector<ProfileDiagnostic> AnalyzeProfileDrift(const PlanIr& ir);
 
 /// One flight-recorder entry: a fully profiled session, self-contained
 /// (the IR text re-parses into the annotated plan).
@@ -166,8 +164,6 @@ struct SessionProfileRecord {
   uint64_t snapshot = 0;
   std::string profiled_ir;  ///< Dump() of the annotated session IR.
   size_t annotated_nodes = 0;
-  size_t p001_count = 0;
-  size_t p002_count = 0;
 };
 
 /// Bounded ring of the last K profiled report sessions, for post-hoc

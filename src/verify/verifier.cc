@@ -319,8 +319,7 @@ std::string VerifyReport::Format(const PlanIr& ir) const {
   return out;
 }
 
-VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options,
-                      absint::AbsintResult* fixpoint) {
+VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options) {
   VerifyReport report;
   if (!CheckStructure(ir, &report)) {
     CanonicalizeDiagnostics(&report);
@@ -331,9 +330,7 @@ VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options,
   CheckDeterministicMerge(ir, &report);
   CheckProvenance(ir, &report);
   if (options.absint) {
-    absint::AbsintResult res = absint::AnalyzeIr(ir);
-    CheckAbsint(ir, res, &report);
-    if (fixpoint != nullptr) *fixpoint = std::move(res);
+    CheckAbsint(ir, absint::AnalyzeIr(ir), &report);
   }
   CanonicalizeDiagnostics(&report);
   return report;

@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "absint/absint.h"
 #include "common/result.h"
 #include "ir/lower.h"
 #include "ir/plan_ir.h"
@@ -121,12 +120,8 @@ struct VerifyOptions {
 /// Runs the full pass pipeline over `ir`. A TRAC-V000 finding
 /// short-circuits the remaining passes (they assume a well-formed
 /// graph). Never fails as a function — failures are diagnostics.
-/// `fixpoint`, when non-null, receives the abstract interpreter's
-/// result the semantic rules ran on (left untouched when they did not
-/// run), so a caller needing the facts does not compute them again.
 VerifyReport VerifyIr(const PlanIr& ir,
-                      const VerifyOptions& options = VerifyOptions(),
-                      absint::AbsintResult* fixpoint = nullptr);
+                      const VerifyOptions& options = VerifyOptions());
 
 /// Convenience gate: VerifyIr(ir).ToStatus().
 [[nodiscard]] Status VerifyIrStatus(const PlanIr& ir);

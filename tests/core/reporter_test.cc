@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "absint/absint.h"
 #include "exec/statement.h"
+#include "ir/plan_ir.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -340,9 +342,9 @@ TEST(ReporterTest, EmptyRelevantSetProducesEmptyReport) {
 }
 
 // No source has reported yet: the Heartbeat registry is empty. The
-// report still carries its static source-count bounds, and they are
-// exact: nothing can be relevant.
-TEST(ReporterTest, EmptyRegistryReportCarriesStaticBounds) {
+// abstract interpreter over the recorded session IR proves the merge's
+// source count exactly: nothing can be relevant.
+TEST(ReporterTest, EmptyRegistryProfiledMergeIsProvenEmpty) {
   Database db;
   TRAC_ASSERT_OK(HeartbeatTable::Create(&db).status());
   TableSchema schema("activity", {ColumnDef("mach_id", TypeId::kString),
@@ -356,9 +358,19 @@ TEST(ReporterTest, EmptyRegistryReportCarriesStaticBounds) {
                             reporter.Run("SELECT mach_id FROM activity"));
   EXPECT_EQ(report.result.num_rows(), 1u);
   EXPECT_TRUE(report.relevance.sources.empty());
-  EXPECT_EQ(report.static_sources_lo, 0u);
-  EXPECT_FALSE(report.static_sources_unbounded);
-  EXPECT_EQ(report.static_sources_hi, 0u);
+  TRAC_ASSERT_OK_AND_ASSIGN(PlanIr ir, ParsePlanIr(report.profiled_ir));
+  const absint::AbsintResult facts = absint::AnalyzeIr(ir);
+  size_t merges = 0;
+  for (const IrNode& node : ir.nodes) {
+    if (node.kind != IrNodeKind::kMerge) continue;
+    ++merges;
+    const absint::CardInterval& card = facts.facts[node.id].card;
+    EXPECT_EQ(card.lo, 0u);
+    EXPECT_FALSE(card.unbounded);
+    EXPECT_EQ(card.hi, 0u);
+    EXPECT_EQ(node.actual_rows, 0u);
+  }
+  EXPECT_EQ(merges, 1u);
 }
 
 }  // namespace

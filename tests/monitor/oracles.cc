@@ -420,28 +420,6 @@ OracleOutcome CheckTrace(const Tracer& tracer, const RecencyReport& report) {
   return out;
 }
 
-OracleOutcome CheckStaticBounds(const RecencyReport& report) {
-  OracleOutcome out;
-  const uint64_t observed = report.relevance.sources.size();
-  ++out.checks;
-  if (observed < report.static_sources_lo) {
-    Violation(&out, "observed " + std::to_string(observed) +
-                        " relevant sources, below the static minimum " +
-                        std::to_string(report.static_sources_lo));
-  }
-  if (report.static_sources_unbounded) {
-    ++out.exemptions;  // No upper bound to check against.
-  } else {
-    ++out.checks;
-    if (observed > report.static_sources_hi) {
-      Violation(&out, "observed " + std::to_string(observed) +
-                          " relevant sources, above the static maximum " +
-                          std::to_string(report.static_sources_hi));
-    }
-  }
-  return out;
-}
-
 OracleOutcome CheckProfileSoundness(const RecencyReport& report) {
   OracleOutcome out;
   if (report.profiled_ir.empty()) {
@@ -469,18 +447,12 @@ OracleOutcome CheckProfileSoundness(const RecencyReport& report) {
   if (annotated == 0) {
     Violation(&out, "profiled session IR carries no runtime annotations");
   }
-  // Re-run the drift pass on the *parsed* IR: this exercises the whole
-  // artifact path, not just the in-memory annotations.
+  // The report runs no drift pass; run it here on the *parsed* IR, which
+  // exercises the whole artifact path, not just in-memory annotations.
   for (const ProfileDiagnostic& d : AnalyzeProfileDrift(*parsed)) {
     if (d.code != ProfileCode::kActualOutsideStaticBounds) continue;
     ++out.checks;
     Violation(&out, "profile soundness: " + d.Format());
-  }
-  ++out.checks;
-  for (const ProfileDiagnostic& d : report.profile_drift) {
-    if (d.code == ProfileCode::kActualOutsideStaticBounds) {
-      Violation(&out, "report carries a TRAC-P001 finding: " + d.Format());
-    }
   }
   return out;
 }
@@ -492,7 +464,6 @@ OracleOutcome CheckReport(const ScenarioRunner& runner,
   out.Merge(CheckBoundDominance(runner, report));
   out.Merge(CheckZscoreAgreement(report.stats));
   out.Merge(CheckGuarantee(report, true_sources));
-  out.Merge(CheckStaticBounds(report));
   out.Merge(CheckProfileSoundness(report));
   return out;
 }

@@ -74,25 +74,20 @@ OracleOutcome CheckTelemetry(const ScenarioRunner& runner,
 /// "relevance-task" span parented under the relevance span.
 OracleOutcome CheckTrace(const Tracer& tracer, const RecencyReport& report);
 
-/// Oracle — static bounds dominate the runtime report. The abstract
-/// interpreter's facts (computed by the verify gate before anything
-/// ran) must over-approximate what execution then observed: the static
-/// source-cardinality interval contains the relevant-source count. An
-/// unbounded upper end is counted exempt.
-OracleOutcome CheckStaticBounds(const RecencyReport& report);
-
 /// Oracle — profile soundness. A profiled report (options.profile, the
 /// default) must yield a profiled session IR that (a) re-parses and
 /// round-trips byte-exactly through Dump/ParsePlanIr, (b) carries at
 /// least one runtime annotation, and (c) produces no TRAC-P001 drift
 /// finding — an actual_rows outside the abstract interpreter's proven
 /// cardinality interval would mean the static analysis (or the profiler
-/// attribution) is unsound. TRAC-P002 misestimate advisories are
-/// allowed. Unprofiled reports are counted exempt.
+/// attribution) is unsound. The merge node carries the relevant-source
+/// count, so (c) also checks that count against the proven source
+/// interval. TRAC-P002 misestimate advisories are allowed. Unprofiled
+/// reports are counted exempt.
 OracleOutcome CheckProfileSoundness(const RecencyReport& report);
 
-/// Composite: oracles 1-3 plus the static-bounds and profile-soundness
-/// oracles for one report (`true_sources` as in CheckGuarantee).
+/// Composite: oracles 1-3 plus the profile-soundness oracle for one
+/// report (`true_sources` as in CheckGuarantee).
 OracleOutcome CheckReport(const ScenarioRunner& runner,
                           const RecencyReport& report,
                           const std::vector<std::string>& true_sources);

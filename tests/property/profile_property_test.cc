@@ -138,17 +138,8 @@ class ProfilePropertyTest : public ::testing::Test {
     if (!parsed.ok()) return PlanIr{};
     EXPECT_EQ(parsed->Dump(), report.profiled_ir) << tag;
 
-    // Re-analysis determinism: the offline drift pass over the dumped IR
-    // reproduces the findings the live session reported.
-    const std::vector<ProfileDiagnostic> redrift = AnalyzeProfileDrift(*parsed);
-    EXPECT_EQ(redrift.size(), report.profile_drift.size()) << tag;
-    for (size_t i = 0;
-         i < std::min(redrift.size(), report.profile_drift.size()); ++i) {
-      EXPECT_EQ(redrift[i].code, report.profile_drift[i].code) << tag;
-      EXPECT_EQ(redrift[i].node, report.profile_drift[i].node) << tag;
-    }
     // No clean-corpus session may trip the soundness rule.
-    for (const ProfileDiagnostic& d : report.profile_drift) {
+    for (const ProfileDiagnostic& d : AnalyzeProfileDrift(*parsed)) {
       EXPECT_NE(d.code, ProfileCode::kActualOutsideStaticBounds)
           << tag << ": " << d.Format();
     }
@@ -257,7 +248,11 @@ TEST_F(ProfilePropertyTest, ConservationLawsHoldAtBothParallelismLevels) {
     auto parsed = ParsePlanIr(rec.profiled_ir);
     EXPECT_TRUE(parsed.ok());
     EXPECT_GE(rec.annotated_nodes, 1u);
-    EXPECT_EQ(rec.p001_count, 0u);
+    if (!parsed.ok()) continue;
+    for (const ProfileDiagnostic& d : AnalyzeProfileDrift(*parsed)) {
+      EXPECT_NE(d.code, ProfileCode::kActualOutsideStaticBounds)
+          << d.Format();
+    }
   }
 }
 
@@ -280,7 +275,6 @@ TEST_F(ProfilePropertyTest, DisablingProfilingLeavesNoTrace) {
     ASSERT_TRUE(report.ok()) << report.status().ToString() << "\n" << sql;
     EXPECT_TRUE(report->profiled_ir.empty()) << sql;
     EXPECT_EQ(report->profiled_nodes, 0u) << sql;
-    EXPECT_TRUE(report->profile_drift.empty()) << sql;
   }
   EXPECT_EQ(recorder.total_recorded(), 0u);
 }

@@ -12,9 +12,11 @@
 
 #include "../monitor/oracles.h"
 #include "../test_util.h"
+#include "absint/absint.h"
 #include "core/brute_force.h"
 #include "core/recency_reporter.h"
 #include "expr/binder.h"
+#include "ir/plan_ir.h"
 #include "monitor/fault_injector.h"
 #include "monitor/scenario.h"
 
@@ -439,21 +441,35 @@ TEST_F(OracleMutationTest, CatchesOverclaimedGuarantee) {
       << "EXACT_MINIMUM with a missing relevant source must be flagged";
 }
 
-TEST_F(OracleMutationTest, CatchesSourceCountOutsideStaticBounds) {
-  const uint64_t observed = report_.relevance.sources.size();
-  ASSERT_GT(observed, 0u);
-  ASSERT_TRUE(oracle::CheckStaticBounds(report_).ok());
-  // A static maximum below the observed source count...
-  RecencyReport above = report_;
-  above.static_sources_unbounded = false;
-  above.static_sources_hi = observed - 1;
-  EXPECT_FALSE(oracle::CheckStaticBounds(above).ok())
+// The profiled session IR's merge node carries the relevant-source
+// count; an actual_rows above the interval the abstract interpreter
+// proves for it is a TRAC-P001 soundness violation.
+TEST_F(OracleMutationTest, CatchesSourceCountAboveStaticBound) {
+  ASSERT_TRUE(oracle::CheckProfileSoundness(report_).ok());
+  TRAC_ASSERT_OK_AND_ASSIGN(PlanIr ir, ParsePlanIr(report_.profiled_ir));
+  const absint::AbsintResult facts = absint::AnalyzeIr(ir);
+  IrNode* merge = nullptr;
+  for (IrNode& node : ir.nodes) {
+    if (node.kind == IrNodeKind::kMerge) merge = &node;
+  }
+  ASSERT_NE(merge, nullptr);
+  ASSERT_TRUE(merge->has_actual_rows);
+  EXPECT_EQ(merge->actual_rows, report_.relevance.sources.size());
+  const absint::CardInterval& card = facts.facts[merge->id].card;
+  ASSERT_FALSE(card.unbounded);
+  merge->actual_rows = card.hi + 1;
+  RecencyReport broken = report_;
+  broken.profiled_ir = ir.Dump();
+  EXPECT_FALSE(oracle::CheckProfileSoundness(broken).ok())
       << "more sources than the static maximum must be flagged";
-  // ...and a static minimum above it.
-  RecencyReport below = report_;
-  below.static_sources_lo = observed + 1;
-  EXPECT_FALSE(oracle::CheckStaticBounds(below).ok())
-      << "fewer sources than the static minimum must be flagged";
+}
+
+TEST_F(OracleMutationTest, CatchesUnparsableProfiledIr) {
+  RecencyReport broken = report_;
+  broken.profiled_ir += "node bogus\n";
+  ASSERT_FALSE(ParsePlanIr(broken.profiled_ir).ok());
+  EXPECT_FALSE(oracle::CheckProfileSoundness(broken).ok())
+      << "a profiled IR that does not re-parse must be flagged";
 }
 
 }  // namespace

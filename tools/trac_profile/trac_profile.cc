@@ -288,7 +288,6 @@ int main(int argc, char** argv) {
       }
 
       annotated = report->profiled_nodes;
-      drift = report->profile_drift;
       auto profiled = trac::ParsePlanIr(report->profiled_ir);
       if (!profiled.ok()) {
         std::fprintf(stderr,
@@ -296,6 +295,7 @@ int main(int argc, char** argv) {
                      name.c_str(), profiled.status().ToString().c_str());
         return trac::cli::kExitUsage;
       }
+      drift = trac::AnalyzeProfileDrift(*profiled);
       char header[160];
       std::snprintf(header, sizeof(header),
                     "session: snapshot=%llu parallelism=%zu rows=%zu "
@@ -313,9 +313,15 @@ int main(int argc, char** argv) {
       block += "flight recorder: sessions=" +
                std::to_string(entries.size());
       if (!entries.empty()) {
-        const trac::SessionProfileRecord& last = entries.back();
-        block += " p001=" + std::to_string(last.p001_count) +
-                 " p002=" + std::to_string(last.p002_count);
+        // The recorder holds only this input's session, whose IR is the
+        // one `drift` analysed.
+        size_t p001 = 0;
+        size_t p002 = 0;
+        for (const trac::ProfileDiagnostic& d : drift) {
+          ++(d.code == trac::ProfileCode::kMisestimate ? p002 : p001);
+        }
+        block += " p001=" + std::to_string(p001) +
+                 " p002=" + std::to_string(p002);
       }
       block += "\n";
     }

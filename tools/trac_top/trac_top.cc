@@ -263,13 +263,21 @@ int main(int argc, char** argv) {
       out += "  (no profiled sessions)\n";
     } else {
       const trac::SessionProfileRecord& last = sessions.back();
+      auto profiled = trac::ParsePlanIr(last.profiled_ir);
+      size_t p001 = 0;
+      size_t p002 = 0;
+      if (profiled.ok()) {
+        for (const trac::ProfileDiagnostic& d :
+             trac::AnalyzeProfileDrift(*profiled)) {
+          ++(d.code == trac::ProfileCode::kMisestimate ? p002 : p001);
+        }
+      }
       out += "  sessions recorded=" +
              std::to_string(recorder.total_recorded()) +
              " retained=" + std::to_string(sessions.size()) +
              " annotated=" + std::to_string(last.annotated_nodes) +
-             " p001=" + std::to_string(last.p001_count) +
-             " p002=" + std::to_string(last.p002_count) + "\n";
-      auto profiled = trac::ParsePlanIr(last.profiled_ir);
+             " p001=" + std::to_string(p001) +
+             " p002=" + std::to_string(p002) + "\n";
       if (profiled.ok()) {
         std::vector<const trac::IrNode*> ranked;
         for (const trac::IrNode& node : profiled->nodes) {
