@@ -1,10 +1,10 @@
-// Translation-validated rewriter cost/benefit (src/opt): the same
-// aggregate range query planned and executed with the optimizer on and
-// off. Three quantities matter:
+// Cost-based rewriter cost/benefit (src/opt): the same aggregate range
+// query planned and executed with the optimizer on and off. Three
+// quantities matter:
 //
 //   - plan_us with the optimizer on vs off: what the rewrite pipeline
-//     (candidate generation + IR lowering + equivalence checking per
-//     attempt) costs at planning time;
+//     (table statistics + candidate generation + costing per attempt)
+//     costs at planning time;
 //   - exec_us with the optimizer on vs off: what the applied
 //     convert-to-range-scan rewrite buys at execution time (an ordered
 //     index walk over the selected fraction instead of a full scan);
@@ -128,7 +128,7 @@ void RunOne(benchmark::State& state, size_t percent, bool optimize) {
 void PrintSummary() {
   auto& reg = ResultRegistry::Instance();
   std::printf(
-      "\n=== Translation-validated rewriter (rows = %zu) ===\n"
+      "\n=== Cost-based rewriter (rows = %zu) ===\n"
       "%6s %12s %12s %12s %12s %10s\n",
       OptimizerEnv::Get().rows, "sel%", "plan_off_us", "plan_on_us",
       "exec_off_us", "exec_on_us", "exec_gain");
@@ -142,9 +142,9 @@ void PrintSummary() {
                 exec_on, exec_on > 0 ? exec_off / exec_on : 0.0);
   }
   std::printf(
-      "\nplan_on - plan_off is the full translation-validation bill "
-      "(candidates + lowering + equivalence proofs). exec_gain > 1 means "
-      "the verified convert-to-range-scan rewrite paid for it.\n");
+      "\nplan_on - plan_off is the full rewrite bill (statistics + "
+      "candidates + costing). exec_gain > 1 means the "
+      "convert-to-range-scan rewrite paid for it.\n");
 }
 
 }  // namespace

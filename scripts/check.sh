@@ -20,7 +20,8 @@
 #      a hard failure when clang-tidy is not installed (the tidy CI job
 #      gates on it; use --tidy-only to run just this step),
 #   7. build the `debug` preset (TRAC_DEBUG_INVARIANTS) and run the
-#      report, relevance, verifier, profile and property suites under it,
+#      report, relevance, verifier, profile, rewrite and property suites
+#      under it,
 #   8. if clang++ is available, build the `tsa` preset so Clang's
 #      thread-safety analysis runs with -Werror=thread-safety.
 #
@@ -86,24 +87,6 @@ echo "==> trac_verify --absint (abstract-interpretation goldens)"
 ./build/tools/trac_verify --golden examples/plans/golden/bad/absint \
   --dump-ir --absint --expect-findings examples/plans/bad/absint/bad_*.ir
 
-echo "==> trac_verify --equiv (translation-validation witness goldens)"
-# Clean witnesses must discharge TRAC-V009..V011; each seeded-bad pair
-# must pin exactly the diagnostic its golden records. Order matters:
-# before precedes after within a pair.
-equiv_clean=()
-for pair in pushdown redundant_elim dead_prune reorder; do
-  equiv_clean+=("examples/plans/rewrites/${pair}_before.ir"
-                "examples/plans/rewrites/${pair}_after.ir")
-done
-./build/tools/trac_verify --equiv --golden examples/plans/golden/rewrites \
-  "${equiv_clean[@]}"
-equiv_bad=()
-for pair in bad_residue bad_provenance bad_snapshot; do
-  equiv_bad+=("examples/plans/bad/rewrites/${pair}_before.ir"
-              "examples/plans/bad/rewrites/${pair}_after.ir")
-done
-./build/tools/trac_verify --equiv --expect-findings \
-  --golden examples/plans/golden/bad/rewrites "${equiv_bad[@]}"
 # The optimizer's decision trail over the clean corpus must stay empty
 # (no corpus query is aggregate-only, so no order-changing rule fires).
 ./build/tools/trac_verify --schema examples/plans/schema.sql \
@@ -231,16 +214,18 @@ ctest --preset ubsan -R \
   'absint_absint_test|property_absint_property_test|verify_verifier_determinism_test' \
   --output-on-failure
 
-echo "==> report, relevance, verifier and profile suites with TRAC_DEBUG_INVARIANTS"
+echo "==> report, relevance, verifier, profile and rewrite suites with TRAC_DEBUG_INVARIANTS"
 # A report verifies its plans only inside the session IR; this build is
-# where each executed plan is also verified alone (ExecutePlan), and
-# where every TRAC_DCHECK aborts instead of returning a Status.
+# where each executed plan is also verified alone (ExecutePlan), where
+# each attempted rewrite is checked to leave the lowered IR unchanged,
+# and where every TRAC_DCHECK aborts instead of returning a Status.
 debug_suites='core_reporter_test|core_report_telemetry_test|core_relevance_test'
 debug_suites+='|concurrency_parallel_relevance_test|property_verify_property_test'
 debug_suites+='|property_absint_property_test|property_executor_property_test'
 debug_suites+='|property_relevance_property_test|verify_verifier_determinism_test'
 debug_suites+='|verify_verify_integration_test|telemetry_profile_test'
-debug_suites+='|property_profile_property_test'
+debug_suites+='|property_profile_property_test|opt_rewrite_test'
+debug_suites+='|property_rewrite_property_test'
 cmake --preset debug
 cmake --build --preset debug -j"$(nproc)" --target ${debug_suites//|/ }
 ctest --preset debug -R "^(${debug_suites})\$" --output-on-failure

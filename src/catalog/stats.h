@@ -11,8 +11,8 @@ namespace trac {
 /// its ordered indexes (storage/index.h) and cached in the Catalog. The
 /// optimizer's cost model (opt/cost.h) consumes them for equality /
 /// range selectivity and join-output estimates; they are advisory only —
-/// no correctness property depends on their accuracy, because every
-/// rewrite they motivate is still translation-validated.
+/// no correctness property depends on their accuracy, because no
+/// rewrite they motivate changes the lowered plan IR.
 struct ColumnStats {
   size_t column = 0;  ///< Schema column index.
   /// Number of distinct non-NULL keys in the column's ordered index at

@@ -8,6 +8,54 @@
 
 namespace trac {
 
+namespace {
+
+/// The series every completed report updates, resolved together.
+struct ReportSeries {
+  Histogram* parse_generate;
+  Histogram* verify;
+  Histogram* user_query;
+  Histogram* relevance;
+  Histogram* merge;
+  Histogram* stats;
+  Histogram* relevance_busy;
+  Counter* reports;
+  Counter* exceptional_sources;
+};
+
+ReportSeries LookupReportSeries(MetricRegistry& metrics) {
+  auto phase = [&metrics](const char* name) {
+    return metrics.GetHistogram("trac_report_phase_micros",
+                                "Wall time of one recency-report phase",
+                                {{"phase", name}});
+  };
+  return ReportSeries{
+      phase("parse_generate"),
+      phase("verify"),
+      phase("user_query"),
+      phase("relevance"),
+      phase("merge"),
+      phase("stats"),
+      metrics.GetHistogram(
+          "trac_relevance_busy_micros",
+          "Summed task busy time per report (vs. the relevance phase wall "
+          "time: busy/wall = realized speedup)"),
+      metrics.GetCounter("trac_reports_total", "Recency reports completed"),
+      metrics.GetCounter(
+          "trac_report_exceptional_sources_total",
+          "Exceptional (z-score outlier) sources across reports"),
+  };
+}
+
+Counter* VerifySessions(MetricRegistry& metrics, const char* outcome) {
+  return metrics.GetCounter(
+      "trac_verify_sessions_total",
+      "Report sessions gated by the static plan-IR verifier",
+      {{"outcome", outcome}});
+}
+
+}  // namespace
+
 std::string RecencyReport::FormatNotices() const {
   std::string out;
   if (!exceptional_temp_table.empty()) {
@@ -125,11 +173,17 @@ Result<RecencyReport> RecencyReporter::Finish(
     TRAC_DCHECK(verified.ok(), verified.message().c_str());
   }
   report.verify_micros = verify_span.End();
-  tel.metrics
-      ->GetCounter("trac_verify_sessions_total",
-                   "Report sessions gated by the static plan-IR verifier",
-                   {{"outcome", verified.ok() ? "ok" : "reject"}})
-      ->Increment();
+  if (verified.ok()) {
+    ResolveSeries(tel.metrics, [](MetricRegistry& metrics) {
+      return VerifySessions(metrics, "ok");
+    })->Increment();
+  } else {
+    // Its own lookup, so the series is registered by the first rejected
+    // session only.
+    ResolveSeries(tel.metrics, [](MetricRegistry& metrics) {
+      return VerifySessions(metrics, "reject");
+    })->Increment();
+  }
   TRAC_RETURN_IF_ERROR(verified);
   ReportSession& vs = *planned;
   SessionProfile session_profile;
@@ -216,35 +270,29 @@ Result<RecencyReport> RecencyReporter::Finish(
                           write("sys_temp_e", report.stats.exceptional));
   }
 
-  // PR 1's ad-hoc timing fields stay on the struct (benches read them),
-  // but the canonical record is now the phase histograms below.
-  auto phase = [&tel](const char* name) {
-    return tel.metrics->GetHistogram(
-        "trac_report_phase_micros",
-        "Wall time of one recency-report phase", {{"phase", name}});
-  };
-  phase("parse_generate")->Observe(report.parse_generate_micros);
-  phase("verify")->Observe(report.verify_micros);
-  phase("user_query")->Observe(report.user_query_micros);
-  phase("relevance")->Observe(report.relevance_exec_micros);
-  phase("merge")->Observe(report.merge_micros);
-  phase("stats")->Observe(report.stats_micros);
-  tel.metrics
-      ->GetHistogram("trac_relevance_busy_micros",
-                     "Summed task busy time per report (vs. the relevance "
-                     "phase wall time: busy/wall = realized speedup)")
-      ->Observe(report.relevance_busy_micros);
-  tel.metrics
-      ->GetCounter("trac_reports_total", "Recency reports completed")
-      ->Increment();
-  tel.metrics
-      ->GetCounter("trac_report_exceptional_sources_total",
-                   "Exceptional (z-score outlier) sources across reports")
-      ->Add(static_cast<int64_t>(report.stats.exceptional.size()));
+  // The report's timing fields are its caller's view; the phase
+  // histograms are the record that /metrics and trac_top export.
+  const ReportSeries series =
+      ResolveSeries(tel.metrics, [](MetricRegistry& metrics) {
+        return LookupReportSeries(metrics);
+      });
+  series.parse_generate->Observe(report.parse_generate_micros);
+  series.verify->Observe(report.verify_micros);
+  series.user_query->Observe(report.user_query_micros);
+  series.relevance->Observe(report.relevance_exec_micros);
+  series.merge->Observe(report.merge_micros);
+  series.stats->Observe(report.stats_micros);
+  series.relevance_busy->Observe(report.relevance_busy_micros);
+  series.reports->Increment();
+  series.exceptional_sources->Add(
+      static_cast<int64_t>(report.stats.exceptional.size()));
   if (report.stats.least_recent.has_value()) {
-    tel.metrics
-        ->GetHistogram("trac_report_inconsistency_bound_micros",
-                       "Bound of inconsistency over normal sources")
+    ResolveSeries(tel.metrics,
+                  [](MetricRegistry& metrics) {
+                    return metrics.GetHistogram(
+                        "trac_report_inconsistency_bound_micros",
+                        "Bound of inconsistency over normal sources");
+                  })
         ->Observe(report.stats.inconsistency_bound_micros);
   }
 
@@ -263,9 +311,12 @@ Result<RecencyReport> RecencyReporter::Finish(
     record.profiled_ir = report.profiled_ir;
     record.annotated_nodes = report.profiled_nodes;
     ResolveFlightRecorder(tel).Record(std::move(record));
-    tel.metrics
-        ->GetCounter("trac_profile_sessions_total",
-                     "Report sessions profiled into the flight recorder")
+    ResolveSeries(tel.metrics,
+                  [](MetricRegistry& metrics) {
+                    return metrics.GetCounter(
+                        "trac_profile_sessions_total",
+                        "Report sessions profiled into the flight recorder");
+                  })
         ->Increment();
   }
   return report;

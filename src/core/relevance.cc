@@ -638,9 +638,12 @@ void LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
   // are thread-safe).
   const Telemetry& tel = ResolveTelemetry(options.telemetry);
   const ClockFn clock = tel.clock;
-  Histogram* task_histogram = tel.metrics->GetHistogram(
-      "trac_relevance_task_micros",
-      "Wall time of one relevance execution task (part or shard)");
+  Histogram* task_histogram =
+      ResolveSeries(tel.metrics, [](MetricRegistry& metrics) {
+        return metrics.GetHistogram(
+            "trac_relevance_task_micros",
+            "Wall time of one relevance execution task (part or shard)");
+      });
   Tracer* tracer = options.trace_id != 0 ? tel.tracer : nullptr;
   const uint64_t trace_id = options.trace_id;
   const uint64_t parent_span_id = options.parent_span_id;

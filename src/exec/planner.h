@@ -56,13 +56,12 @@ struct LevelPlan {
 
 /// One optimizer rule application attempt, recorded on the plan so
 /// tools can replay the decision trail (trac_verify --dump-rewrites).
-/// Every attempt was translation-validated (verify/equiv.h); `applied`
-/// is true only for witnesses that verified clean AND beat the
-/// incumbent's cost.
+/// No attempt changes the lowered IR (opt/rewrite.h); `applied` is true
+/// only for candidates that beat the incumbent's cost.
 struct PlanRewrite {
-  std::string rule;     ///< e.g. "join-reorder", "convert-to-range-scan".
+  std::string rule;     ///< "redundant-filter-elim" / "convert-to-range-scan".
   std::string detail;   ///< Deterministic rule-specific description.
-  std::string verdict;  ///< "applied" / "rejected TRAC-Vnnn" / "verified, not cheaper".
+  std::string verdict;  ///< "applied" / "not cheaper".
   double cost_before = 0;
   double cost_after = 0;
   bool applied = false;

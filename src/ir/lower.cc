@@ -54,9 +54,9 @@ ColumnProvenance ProvenanceOf(const Database& db, TableId table_id, size_t col,
 /// FNV-1a 64 over the canonical SQL renderings of a predicate
 /// conjunction, sorted, deduplicated, and joined with " AND " so that
 /// neither conjunct order nor a literally repeated conjunct changes the
-/// identity (TRAC-V007 and the TRAC-V009 equivalence residue compare
-/// these fingerprints; p AND p ≡ p, so dropping the duplicate must not
-/// change the filter's identity either).
+/// identity (TRAC-V007 compares these fingerprints; p AND p ≡ p, so the
+/// redundant-filter-elim rewrite, which drops the duplicate, leaves the
+/// filter's identity and the lowered IR unchanged).
 uint64_t PredFingerprint(const Database& db, const BoundQuery& query,
                          const std::vector<const BoundExpr*>& preds) {
   std::vector<std::string> terms;

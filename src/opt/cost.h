@@ -17,9 +17,10 @@ TableStats CollectTableStats(const Database& db, TableId id);
 /// Deterministic cost of one plan under the collected statistics: rows
 /// touched by each level's access path, charged per prefix row for
 /// index-nested-loop levels, plus hash build/probe work, with equi-join
-/// output estimated from the join columns' NDV. Advisory only — every
-/// cost-motivated rewrite is still translation-validated — but stable
-/// for a given database state, so candidate ranking is reproducible.
+/// output estimated from the join columns' NDV. Advisory only — no
+/// rewrite it motivates changes the lowered IR (opt/rewrite.h) — but
+/// stable for a given database state, so candidate ranking is
+/// reproducible.
 double PlanCost(const Database& db, const BoundQuery& query,
                 const QueryPlan& plan);
 

@@ -1,6 +1,5 @@
 #include "opt/rewrite.h"
 
-#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <set>
@@ -8,11 +7,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/dcheck.h"
 #include "ir/lower.h"
 #include "opt/cost.h"
-#include "opt/plan_build.h"
 #include "telemetry/metrics.h"
-#include "verify/equiv.h"
 
 namespace trac {
 namespace opt {
@@ -20,94 +18,40 @@ namespace opt {
 namespace {
 
 std::atomic<bool> g_optimizer_enabled{true};
-std::atomic<bool> g_force_witness_failure{false};
 
 /// Cost-motivated rules must clear this margin so estimate noise (and
-/// exact ties on tiny tables) keeps the incumbent — which is what pins
-/// the existing plan goldens byte-for-byte.
+/// exact ties on tiny tables) keeps the incumbent.
 constexpr double kStrictImprovement = 0.99;
 
-constexpr size_t kMaxReorderRelations = 4;
-
 /// Row order reaching the output is unobservable only when the query
-/// folds everything into aggregates; every order-changing rule gates on
-/// this so report bytes stay identical with the optimizer on and off.
+/// folds everything into aggregates; the range-scan rule, which changes
+/// row order, gates on this so report bytes stay identical with the
+/// optimizer on and off.
 bool OrderInsensitiveOutput(const BoundQuery& query) {
   return query.count_star || !query.aggregates.empty();
-}
-
-/// Deterministic corruption for TestOnlyForceWitnessFailure: flip a
-/// fingerprint (V009), else move a scan to a new epoch (V011), else
-/// flip an output provenance class (V010).
-void CorruptWitness(PlanIr* after) {
-  for (IrNode& n : after->nodes) {
-    if (n.kind == IrNodeKind::kFilter && n.has_pred) {
-      n.pred_fingerprint ^= 1;
-      return;
-    }
-  }
-  for (IrNode& n : after->nodes) {
-    if (n.kind == IrNodeKind::kScan) {
-      n.snapshot += 1;
-      return;
-    }
-  }
-  if (!after->nodes.empty() && !after->nodes.back().columns.empty()) {
-    IrColumn& c = after->nodes.back().columns[0];
-    c.provenance = c.provenance == ColumnProvenance::kDataSource
-                       ? ColumnProvenance::kRegular
-                       : ColumnProvenance::kDataSource;
-  }
-}
-
-struct WitnessVerdict {
-  bool ok = false;
-  std::string reject_code;  ///< "TRAC-Vnnn" of the first finding.
-};
-
-WitnessVerdict ValidateWitness(const Database& db, const BoundQuery& query,
-                               Snapshot snapshot, const QueryPlan& before,
-                               const QueryPlan& after) {
-  const PlanIr before_ir = LowerQueryPlan(db, query, before, snapshot);
-  PlanIr after_ir = LowerQueryPlan(db, query, after, snapshot);
-  if (g_force_witness_failure.load(std::memory_order_relaxed)) {
-    CorruptWitness(&after_ir);
-  }
-  const VerifyReport report = CheckIrEquivalence(before_ir, after_ir);
-  WitnessVerdict verdict;
-  verdict.ok = report.ok();
-  if (!report.ok()) {
-    verdict.reject_code = std::string(VerifyCodeId(report.diagnostics[0].code));
-  }
-  return verdict;
 }
 
 struct Counters {
   Counter* attempted;
   Counter* applied;
-  Counter* rejected;
 };
 
 Counters& OptCounters() {
   static Counters counters{
       MetricRegistry::Default().GetCounter(
           "trac_opt_rewrites_attempted",
-          "Optimizer rewrite candidates submitted for translation "
-          "validation"),
+          "Optimizer rewrite candidates costed against the incumbent plan"),
       MetricRegistry::Default().GetCounter(
           "trac_opt_rewrites_applied",
-          "Optimizer rewrites whose witness verified and that won on cost"),
-      MetricRegistry::Default().GetCounter(
-          "trac_opt_rewrites_rejected",
-          "Optimizer rewrites discarded because the equivalence witness "
-          "failed verification"),
+          "Optimizer rewrites that won on cost"),
   };
   return counters;
 }
 
-/// Shared application discipline: validate the witness, compare costs,
-/// keep the incumbent on any doubt. Returns true when `cand` replaced
-/// `*plan`.
+/// Shared application discipline: compare costs, keep the incumbent on
+/// any doubt, and record every attempt. A candidate never changes the
+/// lowered IR (checked under TRAC_DEBUG_INVARIANTS), so no equivalence
+/// proof is needed to apply it.
 class RewriteSession {
  public:
   RewriteSession(const Database& db, const BoundQuery& query,
@@ -116,9 +60,8 @@ class RewriteSession {
     current_cost_ = PlanCost(db_, query_, *plan_);
   }
 
-  double current_cost() const { return current_cost_; }
-
-  bool Attempt(const char* rule, std::string detail, QueryPlan cand,
+  /// Replaces `*plan` with `cand` if it wins on cost.
+  void Attempt(const char* rule, std::string detail, QueryPlan cand,
                bool require_strictly_cheaper) {
     OptCounters().attempted->Increment();
     PlanRewrite log;
@@ -127,22 +70,17 @@ class RewriteSession {
     log.cost_before = current_cost_;
     cand.rewrites.clear();
     log.cost_after = PlanCost(db_, query_, cand);
+    TRAC_DCHECK(LowerQueryPlan(db_, query_, *plan_, snapshot_).Dump() ==
+                    LowerQueryPlan(db_, query_, cand, snapshot_).Dump(),
+                "a rewrite changed the lowered plan IR");
 
-    const WitnessVerdict verdict =
-        ValidateWitness(db_, query_, snapshot_, *plan_, cand);
-    if (!verdict.ok) {
-      OptCounters().rejected->Increment();
-      log.verdict = "rejected " + verdict.reject_code;
-      plan_->rewrites.push_back(std::move(log));
-      return false;
-    }
     const bool wins = require_strictly_cheaper
                           ? log.cost_after < current_cost_ * kStrictImprovement
                           : log.cost_after <= current_cost_;
     if (!wins) {
-      log.verdict = "verified, not cheaper";
+      log.verdict = "not cheaper";
       plan_->rewrites.push_back(std::move(log));
-      return false;
+      return;
     }
     OptCounters().applied->Increment();
     log.verdict = "applied";
@@ -152,7 +90,6 @@ class RewriteSession {
     trail.push_back(std::move(log));
     *plan_ = std::move(cand);
     plan_->rewrites = std::move(trail);
-    return true;
   }
 
  private:
@@ -167,7 +104,9 @@ class RewriteSession {
 // Rule: redundant-filter elimination. Identity is the canonical SQL
 // rendering of a conjunct — the same identity the V007 fingerprint facts
 // are built from — so a conjunct evaluated twice anywhere in the plan is
-// evaluated once after the rewrite.
+// evaluated once after the rewrite. A filter's `pred=` fingerprint is a
+// sorted, de-duplicated set of those renderings, so the lowered IR does
+// not change.
 
 void RuleRedundantFilterElim(const Database& db, const BoundQuery& query,
                              RewriteSession* session, QueryPlan* plan) {
@@ -198,107 +137,9 @@ void RuleRedundantFilterElim(const Database& db, const BoundQuery& query,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: predicate pushdown. The planner already places every unit at the
-// earliest checkable level, so this fires only on plans built elsewhere
-// (tests, tools, rewritten candidates) — but when it fires, evaluating
-// the predicate below the join shrinks every level above it.
-
-void RulePredicatePushdown(RewriteSession* session, QueryPlan* plan) {
-  QueryPlan cand = *plan;
-  // prefix_mask[i]: relations bound once level i has run.
-  std::vector<uint64_t> prefix_mask(cand.levels.size(), 0);
-  uint64_t mask = 0;
-  for (size_t i = 0; i < cand.levels.size(); ++i) {
-    mask |= uint64_t{1} << cand.levels[i].relation;
-    prefix_mask[i] = mask;
-  }
-  size_t moved = 0;
-  for (size_t j = 0; j < cand.levels.size(); ++j) {
-    std::vector<const BoundExpr*> remaining;
-    for (const BoundExpr* p : cand.levels[j].level_preds) {
-      const uint64_t refs = p->ReferencedRelations();
-      size_t earliest = j;
-      for (size_t k = 0; k < j; ++k) {
-        if ((refs & ~prefix_mask[k]) == 0) {
-          earliest = k;
-          break;
-        }
-      }
-      if (earliest == j) {
-        remaining.push_back(p);
-        continue;
-      }
-      ++moved;
-      LevelPlan& target = cand.levels[earliest];
-      if (refs == (uint64_t{1} << target.relation)) {
-        target.local_preds.push_back(p);
-      } else {
-        target.level_preds.push_back(p);
-      }
-    }
-    cand.levels[j].level_preds = std::move(remaining);
-  }
-  if (moved == 0) return;
-  session->Attempt("predicate-pushdown",
-                   "sank " + std::to_string(moved) +
-                       " predicate(s) below the join they were checked at",
-                   std::move(cand), /*require_strictly_cheaper=*/false);
-}
-
-// ---------------------------------------------------------------------------
-// Rule: join reordering. Exhaustive over left-deep orders for small
-// joins; every candidate is rebuilt through the shared construction path
-// (opt/plan_build.h) so predicate placement discipline is identical to
-// the planner's, then costed with the catalog row/NDV statistics.
-
-void RuleJoinReorder(const Database& db, const BoundQuery& query,
-                     RewriteSession* session, QueryPlan* plan) {
-  const size_t num_rels = query.relations.size();
-  if (num_rels < 2 || num_rels > kMaxReorderRelations) return;
-  if (!OrderInsensitiveOutput(query)) return;
-
-  auto order_of = [&](const QueryPlan& p) {
-    std::vector<size_t> order;
-    order.reserve(p.levels.size());
-    for (const LevelPlan& level : p.levels) order.push_back(level.relation);
-    return order;
-  };
-  auto order_name = [&](const std::vector<size_t>& order) {
-    std::string out;
-    for (size_t i = 0; i < order.size(); ++i) {
-      if (i != 0) out += ',';
-      out += query.relations[order[i]].display_name;
-    }
-    return out;
-  };
-
-  std::vector<size_t> perm(num_rels);
-  for (size_t i = 0; i < num_rels; ++i) perm[i] = i;
-  do {
-    if (perm == order_of(*plan)) continue;
-    QueryPlan cand;
-    cand.provably_empty = plan->provably_empty;
-    std::vector<PredUnit> units = SplitWhereUnits(query, &cand);
-    const std::vector<RelAccess> info = ComputeRelAccess(db, query, units);
-    const Status built = BuildJoinLevels(db, query, info, std::move(units),
-                                         &perm, &cand);
-    if (!built.ok()) continue;
-    // Only surface candidates that would actually change the bill: the
-    // full permutation sweep would flood the decision trail with
-    // obviously-losing orders.
-    if (PlanCost(db, query, cand) >=
-        session->current_cost() * kStrictImprovement) {
-      continue;
-    }
-    session->Attempt(
-        "join-reorder",
-        "order " + order_name(order_of(*plan)) + " -> " + order_name(perm),
-        std::move(cand), /*require_strictly_cheaper=*/true);
-  } while (std::next_permutation(perm.begin(), perm.end()));
-}
-
-// ---------------------------------------------------------------------------
-// Rule: convert-to-range-scan.
+// Rule: convert-to-range-scan. Lowering ignores `use_range_index` (the
+// supplying conjunct stays in local_preds and is re-checked per row), so
+// the lowered IR does not change.
 
 struct RangeBounds {
   std::optional<Value> lo;
@@ -432,17 +273,11 @@ void SetOptimizerEnabled(bool enabled) {
   g_optimizer_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-void TestOnlyForceWitnessFailure(bool fail) {
-  g_force_witness_failure.store(fail, std::memory_order_relaxed);
-}
-
 void OptimizePlan(const Database& db, const BoundQuery& query,
                   Snapshot snapshot, QueryPlan* plan) {
   if (!OptimizerEnabled()) return;
   RewriteSession session(db, query, snapshot, plan);
   RuleRedundantFilterElim(db, query, &session, plan);
-  RulePredicatePushdown(&session, plan);
-  RuleJoinReorder(db, query, &session, plan);
   RuleConvertToRangeScan(db, query, &session, plan);
 }
 

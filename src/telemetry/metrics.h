@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -197,6 +198,24 @@ class MetricRegistry {
   mutable Mutex mu_{lock_rank::kTelemetry, "MetricRegistry::mu_"};
   std::map<std::string, Family, std::less<>> families_ TRAC_GUARDED_BY(mu_);
 };
+
+/// Resolves one fixed set of series through `lookup`, a captureless
+/// callable taking a MetricRegistry&. For the process-default registry,
+/// which is never destroyed, the first call resolves them and later calls
+/// reuse the pointers, skipping the by-name lookup and its mutex. Each
+/// lookup type (each lambda) is its own instantiation with its own cache,
+/// filled on first use, so a series that only some calls reach is still
+/// registered only when one does. Any other registry is looked up by
+/// name on every call: it may be destroyed, and a later one may take its
+/// address.
+template <typename Lookup>
+[[nodiscard]] auto ResolveSeries(MetricRegistry* registry, Lookup lookup) {
+  static_assert(std::is_empty_v<Lookup>,
+                "a cached lookup must name one fixed series: no captures");
+  if (registry != &MetricRegistry::Default()) return lookup(*registry);
+  static const auto cached = lookup(MetricRegistry::Default());
+  return cached;
+}
 
 }  // namespace trac
 

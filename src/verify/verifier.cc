@@ -289,12 +289,6 @@ std::string_view VerifyCodeId(VerifyCode code) {
       return "TRAC-V006";
     case VerifyCode::kRedundantFilter:
       return "TRAC-V007";
-    case VerifyCode::kPredicateResidueMismatch:
-      return "TRAC-V009";
-    case VerifyCode::kProvenanceNotPreserved:
-      return "TRAC-V010";
-    case VerifyCode::kSnapshotContractChanged:
-      return "TRAC-V011";
   }
   return "TRAC-V???";
 }

@@ -44,25 +44,8 @@ namespace trac {
 ///              a dataflow path that already applied it on the same
 ///              provenance set.
 ///
-/// Rules V009..V011 are pairwise: they are the proof obligations the
-/// translation-validating equivalence checker (verify/equiv.h)
-/// discharges over a (before, after) rewrite witness. They never fire
-/// from the single-IR pipeline, but they share the diagnostic codespace
-/// so goldens, --json output, and the doc-drift lint treat them
-/// uniformly:
-///
-///   TRAC-V009  predicate-residue mismatch: the set of predicate
-///              fingerprints applied by filters changed — a conjunct was
-///              dropped or invented rather than merely re-placed.
-///   TRAC-V010  provenance not preserved (Definition 2): the rewritten
-///              plan's output frame differs at some column — name,
-///              provenance class, or inferred data-source set.
-///   TRAC-V011  snapshot or merge contract changed: the rewrite reads a
-///              different snapshot-epoch set or altered a merge's
-///              determinism contract (set/sorted flags).
-///
-/// TRAC-V005, TRAC-V008, TRAC-V012 and TRAC-V013..V016 are retired and
-/// never reused.
+/// TRAC-V005, TRAC-V008 and TRAC-V009..V016 are retired and never
+/// reused.
 enum class VerifyCode {
   kMalformedGraph = 0,     ///< TRAC-V000
   kSnapshotMismatch,       ///< TRAC-V001
@@ -72,9 +55,6 @@ enum class VerifyCode {
   kProvenanceLeak,         ///< TRAC-V004
   kDeadMergeInput,         ///< TRAC-V006
   kRedundantFilter,        ///< TRAC-V007
-  kPredicateResidueMismatch,  ///< TRAC-V009 (equivalence witness)
-  kProvenanceNotPreserved,    ///< TRAC-V010 (equivalence witness)
-  kSnapshotContractChanged,   ///< TRAC-V011 (equivalence witness)
 };
 
 /// Stable identifier, e.g. "TRAC-V001".

@@ -1,7 +1,7 @@
-// Unit tests for the translation-validated rewriter (opt/rewrite.h):
-// each rule fires only on plans it provably improves, every attempt is
-// recorded in the plan's rewrite trail, and a corrupted witness is
-// rejected without ever touching the incumbent plan.
+// Unit tests for the cost-based rewriter (opt/rewrite.h): each rule
+// fires only on plans it improves, and every attempt is recorded in the
+// plan's rewrite trail. Under TRAC_DEBUG_INVARIANTS every attempt also
+// checks that the rewrite leaves the lowered IR unchanged.
 
 #include "opt/rewrite.h"
 
@@ -34,9 +34,8 @@ class RewriteTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    // Leave process-wide toggles the way other tests expect them.
+    // Leave the process-wide toggle the way other tests expect it.
     opt::SetOptimizerEnabled(true);
-    opt::TestOnlyForceWitnessFailure(false);
   }
 
   void Exec(const std::string& sql) {
@@ -118,22 +117,6 @@ TEST_F(RewriteTest, OrderSensitiveOutputBlocksRangeScan) {
   EXPECT_EQ(FindRule(plan, "convert-to-range-scan"), nullptr);
   ASSERT_EQ(plan.levels.size(), 1u);
   EXPECT_FALSE(plan.levels[0].use_range_index);
-}
-
-TEST_F(RewriteTest, RejectedWitnessNeverApplies) {
-  opt::TestOnlyForceWitnessFailure(true);
-  const QueryPlan plan =
-      Plan("SELECT value FROM activity WHERE value = 'v100' AND "
-           "value = 'v100'");
-  // Every attempt must be recorded as rejected with the obligation that
-  // failed, and the incumbent plan must be untouched.
-  ASSERT_FALSE(plan.rewrites.empty());
-  for (const PlanRewrite& r : plan.rewrites) {
-    EXPECT_FALSE(r.applied);
-    EXPECT_EQ(r.verdict.rfind("rejected TRAC-V", 0), 0u) << r.verdict;
-  }
-  ASSERT_EQ(plan.levels.size(), 1u);
-  EXPECT_EQ(plan.levels[0].local_preds.size(), 2u);
 }
 
 TEST_F(RewriteTest, ExplainShowsRangeScan) {

@@ -1,13 +1,12 @@
-// Property: over the examples/queries/ corpus, the optimizer is
-// invisible except in cost. For every query, at parallelism 1 and 4:
-//   - the optimized plan is provably equivalent to the unoptimized one
-//     (CheckIrEquivalence over their lowered IRs is clean);
-//   - no corpus rewrite is ever rejected (the rules only propose
-//     candidates the checker accepts — a rejection here means rule and
-//     checker disagree about safety);
+// Property: the optimizer is invisible except in cost. For every query
+// of the examples/queries/ corpus, and for inline queries on which the
+// two rules fire (no corpus query makes either fire), at parallelism 1
+// and 4:
+//   - the plan lowers to a byte-identical IR with the optimizer on and
+//     off (the rewriter's contract, opt/rewrite.h);
 //   - the optimized plan still passes the full V000..V007 pipeline;
-//   - the rendered report — user rows plus the NOTICE block — is
-//     byte-identical with the optimizer on and off.
+//   - the rendered report (corpus queries) — user rows plus the NOTICE
+//     block — is byte-identical with the optimizer on and off.
 
 #include <filesystem>
 #include <fstream>
@@ -24,7 +23,6 @@
 #include "ir/lower.h"
 #include "opt/rewrite.h"
 #include "storage/database.h"
-#include "verify/equiv.h"
 #include "verify/verifier.h"
 
 namespace trac {
@@ -120,11 +118,36 @@ class RewritePropertyTest : public ::testing::TestWithParam<size_t> {
 };
 
 TEST_P(RewritePropertyTest, OptimizedPlanIsProvablyEquivalent) {
+  // Inputs on which each rule fires: a repeated conjunct at a scan and
+  // at a join level, and COUNT(*) with a range on an indexed column.
+  struct Input {
+    std::string name;
+    std::string sql;
+    const char* fires;  ///< Rule that must apply, or nullptr.
+  };
+  std::vector<Input> inputs = {
+      {"repeated-local-conjunct",
+       "SELECT a.mach_id FROM activity a WHERE a.value = 'idle' AND "
+       "a.value = 'idle'",
+       "redundant-filter-elim"},
+      {"repeated-join-conjunct",
+       "SELECT a.mach_id FROM activity a, routing r WHERE "
+       "a.mach_id = r.mach_id AND a.event_time < r.event_time AND "
+       "a.event_time < r.event_time",
+       "redundant-filter-elim"},
+      {"count-over-indexed-range",
+       "SELECT COUNT(*) FROM heartbeat WHERE source_id >= 'm100'",
+       "convert-to-range-scan"},
+  };
   for (const fs::path& qpath : CorpusQueries()) {
-    SCOPED_TRACE(qpath.filename().string());
     const std::vector<std::string> stmts = SqlStatements(ReadFileOrDie(qpath));
-    ASSERT_EQ(stmts.size(), 1u);
-    auto query = BindSql(db_, stmts[0]);
+    ASSERT_EQ(stmts.size(), 1u) << qpath;
+    inputs.push_back({qpath.filename().string(), stmts[0], nullptr});
+  }
+
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    auto query = BindSql(db_, input.sql);
     ASSERT_TRUE(query.ok()) << query.status();
     const Snapshot snapshot = db_.LatestSnapshot();
 
@@ -136,18 +159,17 @@ TEST_P(RewritePropertyTest, OptimizedPlanIsProvablyEquivalent) {
     opt::SetOptimizerEnabled(true);
     auto optimized = PlanQuery(db_, *query, snapshot);
     ASSERT_TRUE(optimized.ok()) << optimized.status();
-
-    // Rule and checker must agree on the corpus: a rewrite may be
-    // applied or verified-but-not-cheaper, never rejected.
-    for (const PlanRewrite& r : optimized->rewrites) {
-      EXPECT_EQ(r.verdict.rfind("rejected", 0), std::string::npos)
-          << r.rule << " (" << r.detail << "): " << r.verdict;
+    if (input.fires != nullptr) {
+      bool applied = false;
+      for (const PlanRewrite& r : optimized->rewrites) {
+        applied |= r.rule == input.fires && r.applied;
+      }
+      EXPECT_TRUE(applied) << input.fires << " did not apply";
     }
 
     const PlanIr before = LowerQueryPlan(db_, *query, *baseline, snapshot);
     const PlanIr after = LowerQueryPlan(db_, *query, *optimized, snapshot);
-    const VerifyReport equiv = CheckIrEquivalence(before, after);
-    EXPECT_TRUE(equiv.ok()) << equiv.Format(after) << "\n" << after.Dump();
+    EXPECT_EQ(before.Dump(), after.Dump());
 
     // The optimized plan is still a valid plan on its own terms.
     const VerifyReport report = VerifyIr(after);

@@ -17,16 +17,6 @@
 //          format: examples/plans/bad/*.ir pin one TRAC-V diagnostic
 //          each.
 //
-// A third mode checks rewrite witnesses instead of single plans:
-//
-//   --equiv           consume the .ir inputs in (before, after) pairs
-//                     and run the static equivalence checker
-//                     (src/verify/equiv.h) over each pair. A clean pair
-//                     proves the rewrite preserved the predicate
-//                     residue, provenance and snapshot contract
-//                     (TRAC-V009..V011); golden files
-//                     are keyed by the after-file's stem.
-//
 //   --dump-ir         print the lowered/parsed IR before the report
 //   --dump-rewrites   append the planner's rewrite decision trail for
 //                     each .sql input (rule, detail, verdict per
@@ -66,7 +56,6 @@
 #include "exec/statement.h"
 #include "expr/binder.h"
 #include "storage/database.h"
-#include "verify/equiv.h"
 #include "verify/verifier.h"
 
 namespace {
@@ -82,7 +71,7 @@ int Usage(const char* argv0) {
                "usage: %s --schema <schema.sql> [--golden <dir>] [--update] "
                "[--dump-ir] [--dump-rewrites] [--absint] [--dump-absint] "
                "[--json] [--parallelism N] [--expect-findings] "
-               "[--equiv] <file.sql|file.ir>...\n",
+               "<file.sql|file.ir>...\n",
                argv0);
   return trac::cli::kExitUsage;
 }
@@ -151,7 +140,6 @@ int main(int argc, char** argv) {
   bool dump_absint = false;
   bool json = false;
   bool expect_findings = false;
-  bool equiv = false;
   size_t parallelism = 1;
   std::vector<std::string> input_files;
   for (int i = 1; i < argc; ++i) {
@@ -166,8 +154,6 @@ int main(int argc, char** argv) {
       dump_ir = true;
     } else if (arg == "--dump-rewrites") {
       dump_rewrites = true;
-    } else if (arg == "--equiv") {
-      equiv = true;
     } else if (arg == "--absint") {
       absint = true;
     } else if (arg == "--dump-absint") {
@@ -218,83 +204,6 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   std::string json_out = "[\n";
   bool json_first = true;
-
-  if (equiv) {
-    // Rewrite-witness mode: inputs come in (before, after) .ir pairs.
-    if (input_files.size() % 2 != 0) {
-      std::fprintf(stderr,
-                   "trac_verify: --equiv needs an even number of .ir "
-                   "inputs (before/after pairs), got %zu\n",
-                   input_files.size());
-      return trac::cli::kExitUsage;
-    }
-    for (size_t p = 0; p + 1 < input_files.size(); p += 2) {
-      trac::PlanIr irs[2];
-      for (size_t k = 0; k < 2; ++k) {
-        const fs::path path(input_files[p + k]);
-        std::string text;
-        if (!ReadFile(path, &text)) {
-          std::fprintf(stderr, "trac_verify: cannot read input: %s\n",
-                       path.string().c_str());
-          return trac::cli::kExitUsage;
-        }
-        if (path.extension() != ".ir") {
-          std::fprintf(stderr, "trac_verify: --equiv takes .ir inputs: %s\n",
-                       path.string().c_str());
-          return trac::cli::kExitUsage;
-        }
-        auto parsed = trac::ParsePlanIr(text);
-        if (!parsed.ok()) {
-          std::fprintf(stderr, "trac_verify: %s: %s\n", path.string().c_str(),
-                       parsed.status().ToString().c_str());
-          return trac::cli::kExitUsage;
-        }
-        irs[k] = std::move(*parsed);
-      }
-      const fs::path before_path(input_files[p]);
-      const fs::path after_path(input_files[p + 1]);
-      const std::string before_name = before_path.filename().string();
-      const std::string after_name = after_path.filename().string();
-      const trac::VerifyReport report =
-          trac::CheckIrEquivalence(irs[0], irs[1]);
-      if (expect_findings ? report.ok() : !report.ok()) {
-        if (expect_findings) {
-          std::printf("FAIL %s: expected findings, got a clean witness\n",
-                      after_name.c_str());
-        }
-        exit_code = trac::cli::kExitFindings;
-      }
-      std::string block = "equiv " + before_name + " -> " + after_name + "\n";
-      if (dump_ir) {
-        block += trac::NormalizeIr(irs[0]).Dump();
-        block += trac::NormalizeIr(irs[1]).Dump();
-      }
-      block += report.Format(irs[1]);
-      if (json) {
-        if (!json_first) json_out += ",\n";
-        json_first = false;
-        json_out += JsonForFile(after_name, irs[1], report);
-      } else {
-        std::printf("== %s -> %s\n%s", before_name.c_str(),
-                    after_name.c_str(), block.c_str());
-      }
-      // The golden is keyed by the after file's stem: the pair's one
-      // distinctive name (before stems repeat across witness variants).
-      if (!golden_dir.empty() &&
-          !trac::cli::GateGoldenDir("trac_verify", golden_dir, after_path,
-                                    block, update, &exit_code)) {
-        return trac::cli::kExitUsage;
-      }
-    }
-    if (json) {
-      json_out += "\n]\n";
-      std::printf("%s", json_out.c_str());
-    } else if (exit_code == 0) {
-      std::printf("trac_verify: OK (%zu pair%s)\n", input_files.size() / 2,
-                  input_files.size() == 2 ? "" : "s");
-    }
-    return exit_code;
-  }
 
   for (const std::string& input_file : input_files) {
     const fs::path ipath(input_file);
