@@ -1,7 +1,7 @@
 // Profiler-overhead smoke: runs every workload query as a full report
 // session with per-operator profiling on and off and compares the
 // min-of-N wall times. The profile collector is plain counters plus a
-// handful of ClockFn reads, and the per-session attach/drift/record
+// handful of ClockFn reads, and the per-session lower/attach/dump/record
 // tail is fixed-cost, so the summed delta must stay small — check.sh
 // gates on --max-delta-pct (the DESIGN.md section 5.1 overhead
 // contract).

@@ -20,8 +20,8 @@
 #      a hard failure when clang-tidy is not installed (the tidy CI job
 #      gates on it; use --tidy-only to run just this step),
 #   7. build the `debug` preset (TRAC_DEBUG_INVARIANTS) and run the
-#      report, relevance, verifier, profile, rewrite and property suites
-#      under it,
+#      whole ctest suite under it: a release build verifies no plan, so
+#      this is where every report in every suite gets verified,
 #   8. if clang++ is available, build the `tsa` preset so Clang's
 #      thread-safety analysis runs with -Werror=thread-safety.
 #
@@ -214,21 +214,15 @@ ctest --preset ubsan -R \
   'absint_absint_test|property_absint_property_test|verify_verifier_determinism_test' \
   --output-on-failure
 
-echo "==> report, relevance, verifier, profile and rewrite suites with TRAC_DEBUG_INVARIANTS"
-# A report verifies its plans only inside the session IR; this build is
-# where each executed plan is also verified alone (ExecutePlan), where
-# each attempted rewrite is checked to leave the lowered IR unchanged,
-# and where every TRAC_DCHECK aborts instead of returning a Status.
-debug_suites='core_reporter_test|core_report_telemetry_test|core_relevance_test'
-debug_suites+='|concurrency_parallel_relevance_test|property_verify_property_test'
-debug_suites+='|property_absint_property_test|property_executor_property_test'
-debug_suites+='|property_relevance_property_test|verify_verifier_determinism_test'
-debug_suites+='|verify_verify_integration_test|telemetry_profile_test'
-debug_suites+='|property_profile_property_test|opt_rewrite_test'
-debug_suites+='|property_rewrite_property_test'
+echo "==> whole ctest suite with TRAC_DEBUG_INVARIANTS (debug preset)"
+# A release build plans once and verifies nothing. This build is where
+# every report lowers and verifies its session IR, where each executed
+# plan is also verified alone (ExecutePlan), where each attempted
+# rewrite is checked to leave the lowered IR unchanged, and where every
+# TRAC_DCHECK aborts instead of returning a Status.
 cmake --preset debug
-cmake --build --preset debug -j"$(nproc)" --target ${debug_suites//|/ }
-ctest --preset debug -R "^(${debug_suites})\$" --output-on-failure
+cmake --build --preset debug -j"$(nproc)"
+ctest --preset debug -j"$(nproc)" --output-on-failure
 
 if [[ "$run_tidy" -eq 1 ]]; then
   run_tidy_pass

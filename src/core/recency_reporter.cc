@@ -13,7 +13,7 @@ namespace {
 /// The series every completed report updates, resolved together.
 struct ReportSeries {
   Histogram* parse_generate;
-  Histogram* verify;
+  Histogram* plan;
   Histogram* user_query;
   Histogram* relevance;
   Histogram* merge;
@@ -31,7 +31,7 @@ ReportSeries LookupReportSeries(MetricRegistry& metrics) {
   };
   return ReportSeries{
       phase("parse_generate"),
-      phase("verify"),
+      phase("plan"),
       phase("user_query"),
       phase("relevance"),
       phase("merge"),
@@ -45,13 +45,6 @@ ReportSeries LookupReportSeries(MetricRegistry& metrics) {
           "trac_report_exceptional_sources_total",
           "Exceptional (z-score outlier) sources across reports"),
   };
-}
-
-Counter* VerifySessions(MetricRegistry& metrics, const char* outcome) {
-  return metrics.GetCounter(
-      "trac_verify_sessions_total",
-      "Report sessions gated by the static plan-IR verifier",
-      {{"outcome", outcome}});
 }
 
 }  // namespace
@@ -114,8 +107,8 @@ Result<RecencyReport> RecencyReporter::GenerateAndFinish(
     const BoundQuery& user_query, const RecencyReportOptions& options,
     int64_t t0, TraceSpan root) {
   const Telemetry& tel = ResolveTelemetry(options.telemetry);
-  TraceSpan plan_span(tel.tracer, tel.clock, "plan", root.trace_id(),
-                      root.id());
+  TraceSpan generate_span(tel.tracer, tel.clock, "generate", root.trace_id(),
+                          root.id());
   RecencyQueryPlan plan;
   if (options.method == RecencyMethod::kNaive) {
     // The Naive method pays no generation cost in the paper's
@@ -125,7 +118,7 @@ Result<RecencyReport> RecencyReporter::GenerateAndFinish(
     TRAC_ASSIGN_OR_RETURN(
         plan, GenerateRecencyQueries(*db_, user_query, options.relevance));
   }
-  plan_span.End();
+  generate_span.End();
   Snapshot snapshot = db_->LatestSnapshot();
   return Finish(user_query, plan, snapshot, options, tel.clock() - t0,
                 std::move(root));
@@ -160,34 +153,29 @@ Result<RecencyReport> RecencyReporter::Finish(
   report.snapshot = snapshot;
   report.parse_generate_micros = parse_generate_micros;
 
-  // Plan every query once and verify the session before anything runs:
-  // hard error with invariants armed, Status in release.
-  TraceSpan verify_span(tel.tracer, tel.clock, "verify", trace_id, root.id());
-  Result<ReportSession> planned = PlanReportSession(
-      *db_, user_query, plan, snapshot, options.relevance.parallelism,
-      options.relevance.heartbeat_table,
-      options.create_temp_tables ? session_->id() : 0);
-  Status verified = planned.status();
-  if (verified.ok()) {
-    verified = VerifyIrStatus(planned->ir);
-    TRAC_DCHECK(verified.ok(), verified.message().c_str());
-  }
-  report.verify_micros = verify_span.End();
-  if (verified.ok()) {
-    ResolveSeries(tel.metrics, [](MetricRegistry& metrics) {
-      return VerifySessions(metrics, "ok");
-    })->Increment();
-  } else {
-    // Its own lookup, so the series is registered by the first rejected
-    // session only.
-    ResolveSeries(tel.metrics, [](MetricRegistry& metrics) {
-      return VerifySessions(metrics, "reject");
-    })->Increment();
-  }
-  TRAC_RETURN_IF_ERROR(verified);
-  ReportSession& vs = *planned;
-  SessionProfile session_profile;
+  // Plan every query once. The session IR is lowered only for a reader:
+  // the profiler, or the debug build's verifier.
+  TraceSpan plan_span(tel.tracer, tel.clock, "plan", trace_id, root.id());
+  TRAC_ASSIGN_OR_RETURN(
+      ReportSession planned,
+      PlanReportSession(*db_, user_query, plan, snapshot,
+                        options.relevance.parallelism));
   const bool profiling = options.profile;
+  bool lower = profiling;
+#if defined(TRAC_DEBUG_INVARIANTS)
+  lower = true;  // Every report session is verified.
+#endif
+  PlanIr ir;
+  SessionLayout layout;
+  if (lower) {
+    ir = LowerReportSessionPlans(
+        *db_, user_query, plan, planned, snapshot,
+        options.relevance.heartbeat_table,
+        options.create_temp_tables ? session_->id() : 0, &layout);
+    TRAC_DCHECK(VerifyIr(ir).ok(), VerifyIr(ir).Format(ir).c_str());
+  }
+  report.plan_micros = plan_span.End();
+  SessionProfile session_profile;
 
   // 1. The user query, on the shared snapshot.
   TraceSpan user_span(tel.tracer, tel.clock, "user-query", trace_id,
@@ -195,7 +183,8 @@ Result<RecencyReport> RecencyReporter::Finish(
   int64_t t = tel.clock();
   TRAC_ASSIGN_OR_RETURN(
       report.result,
-      ExecutePlan(*db_, user_query, vs.user_plan, snapshot, /*row_limit=*/0,
+      ExecutePlan(*db_, user_query, planned.user_plan, snapshot,
+                  /*row_limit=*/0,
                   profiling ? &session_profile.user : nullptr, tel.clock));
   session_profile.ran_user = profiling;
   report.user_query_micros = tel.clock() - t;
@@ -212,10 +201,10 @@ Result<RecencyReport> RecencyReporter::Finish(
   relevance_options.parent_span_id = relevance_span.id();
   relevance_options.profile = profiling;
   t = tel.clock();
-  TRAC_ASSIGN_OR_RETURN(RecencyExecution exec,
-                        ExecuteRecencyQueriesDetailed(*db_, plan, vs.parts,
-                                                      snapshot,
-                                                      relevance_options));
+  TRAC_ASSIGN_OR_RETURN(
+      RecencyExecution exec,
+      ExecuteRecencyQueriesDetailed(*db_, plan, planned.parts, snapshot,
+                                    relevance_options));
   report.relevance_exec_micros = tel.clock() - t;
   report.merge_micros = exec.merge_micros;
   std::vector<SourceRecency> sources = std::move(exec.sources);
@@ -277,7 +266,7 @@ Result<RecencyReport> RecencyReporter::Finish(
         return LookupReportSeries(metrics);
       });
   series.parse_generate->Observe(report.parse_generate_micros);
-  series.verify->Observe(report.verify_micros);
+  series.plan->Observe(report.plan_micros);
   series.user_query->Observe(report.user_query_micros);
   series.relevance->Observe(report.relevance_exec_micros);
   series.merge->Observe(report.merge_micros);
@@ -297,14 +286,13 @@ Result<RecencyReport> RecencyReporter::Finish(
   }
 
   if (profiling) {
-    // Write the runtime counters back onto the verify gate's own
-    // lowering (byte-for-byte the graph the verifier passed, so a drift
-    // finding can never be blamed on a second lowering) and preserve the
-    // whole profiled session in the flight recorder. Readers of the
-    // recorded IR run the estimate-drift pass (AnalyzeProfileDrift).
-    report.profiled_nodes =
-        AttachSessionProfile(&vs.ir, vs.layout, session_profile);
-    report.profiled_ir = vs.ir.Dump();
+    // Write the runtime counters back onto the session's one lowering
+    // (under TRAC_DEBUG_INVARIANTS, byte-for-byte the graph the verifier
+    // passed) and preserve the whole profiled session in the flight
+    // recorder. Readers of the recorded IR run the estimate-drift pass
+    // (AnalyzeProfileDrift).
+    report.profiled_nodes = AttachSessionProfile(&ir, layout, session_profile);
+    report.profiled_ir = ir.Dump();
     SessionProfileRecord record;
     record.trace_id = trace_id;
     record.snapshot = snapshot.version;

@@ -32,17 +32,16 @@ struct RecencyReportOptions {
   /// default is on.
   bool create_temp_tables = true;
   /// Telemetry sinks and clock; nullptr = the process defaults. Every
-  /// report records a span tree (report > parse/plan/verify/user-query/
-  /// relevance/stats) under RecencyReport::trace_id and feeds the
-  /// trac_report_* histograms.
+  /// report records a span tree (report > parse/generate/plan/
+  /// user-query/relevance/stats) under RecencyReport::trace_id and feeds
+  /// the trac_report_* histograms.
   const Telemetry* telemetry = nullptr;
   /// Collect a per-operator execution profile for the session
-  /// (telemetry/profile.h), attach it onto the session IR as
-  /// actual_rows=/actual_ns= annotations (RecencyReport::profiled_ir),
-  /// and record the session into the flight recorder. On by default:
-  /// the collector is a set of plain counters, and the stage clock reads
-  /// go through the telemetry bundle's ClockFn.
-  bool profile = true;
+  /// (telemetry/profile.h), lower the session IR, attach the profile
+  /// onto it as actual_rows=/actual_ns= annotations
+  /// (RecencyReport::profiled_ir), and record the session into the
+  /// flight recorder. Off by default: a plain report lowers no IR.
+  bool profile = false;
 };
 
 /// Everything the paper's recencyReport() table function returns: the
@@ -62,9 +61,10 @@ struct RecencyReport {
   int64_t merge_micros = 0;  ///< Set merge into A(Q), within relevance.
   int64_t stats_micros = 0;           ///< Outlier detection + min/max.
   int64_t user_query_micros = 0;      ///< The user query alone.
-  /// Wall time of the verify gate (plan every query once, lower,
-  /// verify): the duration of the "verify" span.
-  int64_t verify_micros = 0;
+  /// Wall time of planning every query once (plus lowering the session
+  /// IR when profiling or under TRAC_DEBUG_INVARIANTS, and verifying it
+  /// under TRAC_DEBUG_INVARIANTS): the duration of the "plan" span.
+  int64_t plan_micros = 0;
 
   /// Parallel-execution detail, merged from the per-task timings of
   /// ExecuteRecencyQueriesDetailed. With parallelism 1 there is one task
@@ -85,7 +85,7 @@ struct RecencyReport {
   uint64_t trace_id = 0;
 
   /// The session IR with runtime actual_rows=/actual_ns= annotations
-  /// attached (options.profile; empty when profiling was disabled).
+  /// attached (options.profile; empty by default, when profiling is off).
   /// Round-trips through ParsePlanIr — a profiled session is a plain
   /// corpus artifact; AnalyzeProfileDrift over it yields the TRAC-P
   /// estimate-drift findings.

@@ -512,11 +512,11 @@ size_t PlannedHeartbeatShards(const Database& db,
       out.shards = PlannedHeartbeatShards(db, part, parallelism);
       continue;
     }
-    TRAC_ASSIGN_OR_RETURN(out.main, BuildQueryPlan(db, part.query, snapshot));
+    TRAC_ASSIGN_OR_RETURN(out.main, PlanQuery(db, part.query, snapshot));
     out.guards.resize(part.guards.size());
     for (size_t g = 0; g < part.guards.size(); ++g) {
       TRAC_ASSIGN_OR_RETURN(out.guards[g],
-                            BuildQueryPlan(db, part.guards[g], snapshot));
+                            PlanQuery(db, part.guards[g], snapshot));
     }
   }
   return planned;
@@ -524,32 +524,30 @@ size_t PlannedHeartbeatShards(const Database& db,
 
 [[nodiscard]] Result<ReportSession> PlanReportSession(
     const Database& db, const BoundQuery& user_query,
-    const RecencyQueryPlan& plan, Snapshot snapshot, size_t parallelism,
-    std::string_view heartbeat_table, uint64_t session_id) {
+    const RecencyQueryPlan& plan, Snapshot snapshot, size_t parallelism) {
   ReportSession session;
   // A proven-unsatisfiable user predicate plans to an empty result.
   PlanningHints hints;
   hints.guarantee = &plan.analysis;
   TRAC_ASSIGN_OR_RETURN(session.user_plan,
-                        BuildQueryPlan(db, user_query, snapshot, hints));
+                        PlanQuery(db, user_query, snapshot, hints));
   TRAC_ASSIGN_OR_RETURN(session.parts,
                         PlanRecencyParts(db, plan, snapshot, parallelism));
-  LowerReportSessionPlans(db, user_query, plan, snapshot, heartbeat_table,
-                          session_id, &session);
   return session;
 }
 
-void LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
-                             const RecencyQueryPlan& plan, Snapshot snapshot,
-                             std::string_view heartbeat_table,
-                             uint64_t session_id, ReportSession* session) {
+PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
+                               const RecencyQueryPlan& plan,
+                               const ReportSession& session, Snapshot snapshot,
+                               std::string_view heartbeat_table,
+                               uint64_t session_id, SessionLayout* layout) {
   ReportSessionInput input;
   input.user_query = &user_query;
-  input.user_plan = &session->user_plan;
+  input.user_plan = &session.user_plan;
   input.snapshot = snapshot;
   input.parts.resize(plan.parts.size());
   for (size_t i = 0; i < plan.parts.size(); ++i) {
-    const PlannedPart& planned = session->parts[i];
+    const PlannedPart& planned = session.parts[i];
     SessionPartInput& in = input.parts[i];
     in.query = &plan.parts[i].query;
     if (planned.shards > 0) {
@@ -569,7 +567,7 @@ void LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
   }
   LowerOptions lower;
   lower.heartbeat_table = std::string(heartbeat_table);
-  session->ir = LowerReportSession(db, input, lower, &session->layout);
+  return LowerReportSession(db, input, lower, layout);
 }
 
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
@@ -578,16 +576,6 @@ void LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
   TRAC_ASSIGN_OR_RETURN(
       std::vector<PlannedPart> planned,
       PlanRecencyParts(db, plan, snapshot, options.parallelism));
-  for (size_t i = 0; i < planned.size(); ++i) {
-    if (planned[i].shards > 0) continue;
-    const RecencyQueryPlan::Part& part = plan.parts[i];
-    TRAC_RETURN_IF_ERROR(
-        GateQueryPlan(db, part.query, planned[i].main, snapshot));
-    for (size_t g = 0; g < part.guards.size(); ++g) {
-      TRAC_RETURN_IF_ERROR(
-          GateQueryPlan(db, part.guards[g], planned[i].guards[g], snapshot));
-    }
-  }
   return ExecuteRecencyQueriesDetailed(db, plan, planned, snapshot, options);
 }
 

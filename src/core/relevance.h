@@ -137,7 +137,7 @@ struct SourceRecency {
 /// heartbeat`: the Naive plan, or a conjunct with no source-column
 /// predicate) runs as `shards` version-range scans off the version log
 /// and is never planned; any other part runs `main` behind its EXISTS
-/// `guards`. The verify gate lowers exactly these and the executor runs
+/// `guards`. The executor runs exactly these, and the session IR lowers
 /// exactly these. Points into the Part it was built from.
 struct PlannedPart {
   size_t shards = 0;  ///< > 0 iff the part is a pure Heartbeat scan.
@@ -145,36 +145,36 @@ struct PlannedPart {
   std::vector<QueryPlan> guards;  ///< Parallel to Part::guards.
 };
 
-/// Builds the unverified PlannedPart of every part of `plan` for
-/// execution at `snapshot` with `parallelism` strands, in part order.
+/// Builds the PlannedPart of every part of `plan` for execution at
+/// `snapshot` with `parallelism` strands, in part order.
 [[nodiscard]] Result<std::vector<PlannedPart>> PlanRecencyParts(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
     size_t parallelism);
 
-/// The plans one report session runs and their lowering into one IR
-/// (`layout`: one subgraph per planned query). No plan was verified
-/// alone: the session IR is their gate.
+/// The plans one report session runs. No plan is verified: a release
+/// report trusts its planner, and LowerReportSessionPlans builds the
+/// session IR for the code that reads it.
 struct ReportSession {
   QueryPlan user_plan;
   std::vector<PlannedPart> parts;  ///< Parallel to RecencyQueryPlan::parts.
-  PlanIr ir;
-  SessionLayout layout;
 };
 
 /// Plans `user_query` (hinted with `plan.analysis`) and every part and
-/// guard of `plan` once, then LowerReportSessionPlans: the one place a
-/// report session is assembled. `session_id` 0: no temp-table writes.
+/// guard of `plan` once: the one place a report session is planned.
 [[nodiscard]] Result<ReportSession> PlanReportSession(
     const Database& db, const BoundQuery& user_query,
-    const RecencyQueryPlan& plan, Snapshot snapshot, size_t parallelism,
-    std::string_view heartbeat_table, uint64_t session_id);
+    const RecencyQueryPlan& plan, Snapshot snapshot, size_t parallelism);
 
-/// (Re)lowers `session`'s plans into its `ir` and `layout`, every read
-/// pinned to `snapshot`.
-void LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
-                             const RecencyQueryPlan& plan, Snapshot snapshot,
-                             std::string_view heartbeat_table,
-                             uint64_t session_id, ReportSession* session);
+/// Lowers `session`'s plans into one session IR, every read pinned to
+/// `snapshot`; `layout` receives one subgraph per planned query. For
+/// the IR's readers (the profiler, the debug build's verifier,
+/// trac_verify and the tests), never on a default release report.
+/// `session_id` 0: no temp-table writes.
+PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
+                               const RecencyQueryPlan& plan,
+                               const ReportSession& session, Snapshot snapshot,
+                               std::string_view heartbeat_table,
+                               uint64_t session_id, SessionLayout* layout);
 
 /// Result of executing a plan's parts against one snapshot: the union
 /// of their sources, sorted by source id (std::string byte order), plus
@@ -198,15 +198,15 @@ struct RecencyExecution {
   /// then one string copy per source); always measured.
   int64_t merge_micros = 0;
 };
-/// PlanRecencyParts at options.parallelism, GateQueryPlan on each plan,
-/// then the overload below. With parallelism > 1 the parts run as pool
-/// tasks against the *same* snapshot, pure Heartbeat scans sharded so
-/// even single-part plans fan out; the result is identical to serial.
+/// PlanRecencyParts at options.parallelism, then the overload below.
+/// With parallelism > 1 the parts run as pool tasks against the *same*
+/// snapshot, pure Heartbeat scans sharded so even single-part plans fan
+/// out; the result is identical to serial.
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
     const RelevanceOptions& options = RelevanceOptions());
 /// Runs `plan`'s parts from `planned` (PlanRecencyParts' output for
-/// this plan and snapshot): no part is planned or verified again.
+/// this plan and snapshot): no part is planned again.
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan,
     const std::vector<PlannedPart>& planned, Snapshot snapshot,

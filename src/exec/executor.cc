@@ -615,9 +615,9 @@ class Execution {
       "Bound queries executed (user, recency, and guard queries)");
   queries_executed->Increment();
 #if defined(TRAC_DEBUG_INVARIANTS)
-  // The plan was verified alone (PlanQuery) or in its report session;
-  // with invariants armed, verify it alone here too, so a plan mutated
-  // (or hand-built) between planning and execution cannot slip through.
+  // No release path verifies a plan. With invariants armed, every
+  // executed plan is verified alone here, so neither a planner bug nor a
+  // plan mutated (or hand-built) after planning can slip through.
   const Status reverified = VerifyPlan(db, query, plan, snapshot);
   TRAC_DCHECK(reverified.ok(), reverified.message().c_str());
 #endif

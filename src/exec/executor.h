@@ -53,7 +53,7 @@ struct ResultSet {
 
 /// Executes `plan`, PlanQuery's output for `query` at `snapshot`.
 /// ExecuteQuery and QueryHasResults are PlanQuery followed by this; the
-/// recency reporter calls it with the plans its verify gate passed.
+/// recency reporter calls it with the user plan PlanReportSession built.
 /// Stops once `row_limit` output rows (or counted tuples, for COUNT(*))
 /// have been produced (0 = unlimited; 1 powers EXISTS-style guards).
 /// `profile`/`clock` as above.

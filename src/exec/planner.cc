@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "common/dcheck.h"
 #include "opt/rewrite.h"
-#include "telemetry/metrics.h"
-#include "verify/verifier.h"
 
 namespace trac {
 
@@ -247,9 +244,8 @@ std::vector<RelAccess> ComputeRelAccess(const Database& db,
 
 }  // namespace
 
-[[nodiscard]] Result<QueryPlan> BuildQueryPlan(
-    const Database& db, const BoundQuery& query, Snapshot snapshot,
-    const PlanningHints& hints) {
+[[nodiscard]] Result<QueryPlan> PlanQuery(const Database& db, const BoundQuery& query,
+                            Snapshot snapshot, const PlanningHints& hints) {
   QueryPlan plan;
   const size_t num_rels = query.relations.size();
   if (num_rels > 63) {
@@ -280,30 +276,6 @@ std::vector<RelAccess> ComputeRelAccess(const Database& db,
 
   // Cost-based rewrites (opt/rewrite.h); none changes the lowered IR.
   opt::OptimizePlan(db, query, snapshot, &plan);
-  return plan;
-}
-
-[[nodiscard]] Status GateQueryPlan(const Database& db, const BoundQuery& query,
-                                   const QueryPlan& plan, Snapshot snapshot) {
-  const Status verified = VerifyPlan(db, query, plan, snapshot);
-  // Outcome counters resolved once: metric lookup stays off the per-plan
-  // path after the first call.
-  static Counter* verify_ok = MetricRegistry::Default().GetCounter(
-      "trac_plan_verify_total", "Plan-IR verifier outcomes at plan time",
-      {{"outcome", "ok"}});
-  static Counter* verify_reject = MetricRegistry::Default().GetCounter(
-      "trac_plan_verify_total", "Plan-IR verifier outcomes at plan time",
-      {{"outcome", "reject"}});
-  (verified.ok() ? verify_ok : verify_reject)->Increment();
-  TRAC_DCHECK(verified.ok(), verified.message().c_str());
-  return verified;
-}
-
-[[nodiscard]] Result<QueryPlan> PlanQuery(const Database& db, const BoundQuery& query,
-                            Snapshot snapshot, const PlanningHints& hints) {
-  TRAC_ASSIGN_OR_RETURN(QueryPlan plan,
-                        BuildQueryPlan(db, query, snapshot, hints));
-  TRAC_RETURN_IF_ERROR(GateQueryPlan(db, query, plan, snapshot));
   return plan;
 }
 

@@ -101,18 +101,10 @@ struct PlanningHints {
 /// predicates on indexed columns, greedy join ordering by estimated
 /// cardinality preferring equi-join-connected relations, hash joins for
 /// equi-joins, and index nested-loop joins when the prefix is small and
-/// the build side is indexed on the join column. Unverified: a plan is
-/// verified alone (GateQueryPlan) or in its report session, never both.
-[[nodiscard]] Result<QueryPlan> BuildQueryPlan(
-    const Database& db, const BoundQuery& query, Snapshot snapshot,
-    const PlanningHints& hints = PlanningHints());
-
-/// VerifyPlan, counted in `trac_plan_verify_total`; a hard error under
-/// TRAC_DEBUG_INVARIANTS (a rejected plan is a planner bug).
-[[nodiscard]] Status GateQueryPlan(const Database& db, const BoundQuery& query,
-                                   const QueryPlan& plan, Snapshot snapshot);
-
-/// BuildQueryPlan, then GateQueryPlan: a standalone query's plan.
+/// the build side is indexed on the join column. Unverified: a release
+/// build trusts its planner; TRAC_DEBUG_INVARIANTS builds verify every
+/// executed plan (ExecutePlan), and trac_verify and the property suites
+/// verify the report sessions.
 [[nodiscard]] Result<QueryPlan> PlanQuery(const Database& db, const BoundQuery& query,
                             Snapshot snapshot,
                             const PlanningHints& hints = PlanningHints());

@@ -12,8 +12,9 @@
 namespace trac {
 
 /// Static verifier over the plan dataflow IR (ir/plan_ir.h), run before
-/// a plan executes — the way LLVM/HLO verifiers gate a compiler
-/// pipeline. Each rule turns one clause of the reporting layer's
+/// a plan executes in TRAC_DEBUG_INVARIANTS builds — the way LLVM/HLO
+/// verifiers gate a compiler pipeline in its debug builds — and by
+/// trac_verify and the tests. Each rule turns one clause of the reporting layer's
 /// correctness contract into a machine check:
 ///
 ///   TRAC-V000  well-formed graph: every input edge references an
@@ -91,9 +92,9 @@ struct VerifyReport {
 
 struct VerifyOptions {
   /// Run the abstract interpreter and the semantic rules V006/V007 it
-  /// feeds. On by default so the library gates (VerifyPlan, the
-  /// reporter's session gate) get full checking; trac_verify exposes it as
-  /// the opt-in --absint flag to keep the structural view separable.
+  /// feeds. On by default so the debug-build checks (VerifyPlan, the
+  /// reporter's session check) get full checking; trac_verify exposes it
+  /// as the opt-in --absint flag to keep the structural view separable.
   bool absint = true;
 };
 
@@ -106,9 +107,14 @@ VerifyReport VerifyIr(const PlanIr& ir,
 /// Convenience gate: VerifyIr(ir).ToStatus().
 [[nodiscard]] Status VerifyIrStatus(const PlanIr& ir);
 
-/// The planner/executor gate: lowers one planned query (LowerQueryPlan,
-/// no Heartbeat table named) and verifies it. Callers escalate to a hard
-/// error under TRAC_DEBUG_INVARIANTS and propagate the Status otherwise.
+/// Lowers one planned query (LowerQueryPlan, no Heartbeat table named)
+/// and verifies it. Debug- and test-only: ExecutePlan calls it on every
+/// plan under TRAC_DEBUG_INVARIANTS; no release path does. Known gap
+/// (TRAC-V007): with no Heartbeat table the registry's source_id
+/// carries no provenance, so a conjunct set re-applied after a join with
+/// the registry is flagged here while the report session, which lowers
+/// with the registry, is not. Only hand-mutated plans hit it; the
+/// planner never re-applies a conjunct set.
 [[nodiscard]] Status VerifyPlan(const Database& db, const BoundQuery& query,
                                 const QueryPlan& plan, Snapshot snapshot);
 

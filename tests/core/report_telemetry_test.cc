@@ -1,10 +1,10 @@
 // Regression tests for the report-lifecycle telemetry: one Run() must
-// produce a complete span tree (parse/plan/verify/user-query/relevance/
-// stats under one root, relevance-task leaves under relevance), the
-// spans must nest inside their parents, and the per-task spans must sum
-// EXACTLY to the report's busy time and to the registry histogram —
-// the validated replacement for the ad-hoc busy/wall fields that were
-// populated but never checked.
+// produce a complete span tree (parse/generate/plan/user-query/
+// relevance/stats under one root, relevance-task leaves under
+// relevance), the spans must nest inside their parents, and the
+// per-task spans must sum EXACTLY to the report's busy time and to the
+// registry histogram — the validated replacement for the ad-hoc
+// busy/wall fields that were populated but never checked.
 
 #include <algorithm>
 #include <atomic>
@@ -77,7 +77,7 @@ TEST_F(ReportTelemetryTest, SpanTreeIsCompleteAndNested) {
             static_cast<int64_t>(report.relevance.sources.size()));
 
   for (const char* phase :
-       {"parse", "plan", "verify", "user-query", "relevance", "stats"}) {
+       {"parse", "generate", "plan", "user-query", "relevance", "stats"}) {
     ASSERT_NE(by_name.count(phase), 0u) << "missing span " << phase;
     const SpanRecord* s = by_name[phase];
     EXPECT_EQ(s->parent_id, root->span_id) << phase;
@@ -86,8 +86,8 @@ TEST_F(ReportTelemetryTest, SpanTreeIsCompleteAndNested) {
     EXPECT_LE(s->end_micros, root->end_micros) << phase;
     EXPECT_LE(s->start_micros, s->end_micros) << phase;
   }
-  const SpanRecord* verify = by_name["verify"];
-  EXPECT_EQ(report.verify_micros, verify->end_micros - verify->start_micros);
+  const SpanRecord* plan = by_name["plan"];
+  EXPECT_EQ(report.plan_micros, plan->end_micros - plan->start_micros);
 
   // Every relevance task hangs off the relevance span and nests in it.
   const SpanRecord* relevance = by_name["relevance"];
@@ -134,17 +134,17 @@ TEST_F(ReportTelemetryTest, TaskSpansSumToBusyTime) {
 
 TEST_F(ReportTelemetryTest, PhaseHistogramsAndCountersPopulate) {
   RecencyReport report = RunReport(/*parallelism=*/1);
-  for (const char* phase : {"parse_generate", "verify", "user_query",
+  for (const char* phase : {"parse_generate", "plan", "user_query",
                             "relevance", "merge", "stats"}) {
     Histogram* h = metrics_.GetHistogram(
         "trac_report_phase_micros", "Wall time of one recency-report phase",
         {{"phase", phase}});
     EXPECT_EQ(h->Count(), 1) << phase;
   }
-  Histogram* verify_phase = metrics_.GetHistogram(
+  Histogram* plan_phase = metrics_.GetHistogram(
       "trac_report_phase_micros", "Wall time of one recency-report phase",
-      {{"phase", "verify"}});
-  EXPECT_EQ(verify_phase->Sum(), report.verify_micros);
+      {{"phase", "plan"}});
+  EXPECT_EQ(plan_phase->Sum(), report.plan_micros);
   Histogram* relevance_phase = metrics_.GetHistogram(
       "trac_report_phase_micros", "Wall time of one recency-report phase",
       {{"phase", "relevance"}});
@@ -160,13 +160,6 @@ TEST_F(ReportTelemetryTest, PhaseHistogramsAndCountersPopulate) {
                 .GetCounter("trac_reports_total", "Recency reports completed")
                 ->Value(),
             1);
-  EXPECT_EQ(
-      metrics_
-          .GetCounter("trac_verify_sessions_total",
-                      "Report sessions through the plan verifier",
-                      {{"outcome", "ok"}})
-          ->Value(),
-      1);
 }
 
 TEST_F(ReportTelemetryTest, MergeNestsInRelevanceAndPhasesTileTheRoot) {

@@ -402,7 +402,7 @@ OracleOutcome CheckTrace(const Tracer& tracer, const RecencyReport& report) {
     if (span.name == "relevance") relevance_id = span.span_id;
   }
   for (const char* want :
-       {"parse", "plan", "verify", "user-query", "relevance", "stats"}) {
+       {"parse", "generate", "plan", "user-query", "relevance", "stats"}) {
     ++out.checks;
     if (child_names.count(want) == 0) {
       Violation(&out, std::string("missing '") + want +

@@ -70,12 +70,12 @@ OracleOutcome CheckTelemetry(const ScenarioRunner& runner,
                              MetricRegistry& registry);
 
 /// The report's span tree is complete: a single root "report" span with
-/// parse/plan/verify/user-query/relevance/stats children, and every
+/// parse/generate/plan/user-query/relevance/stats children, and every
 /// "relevance-task" span parented under the relevance span.
 OracleOutcome CheckTrace(const Tracer& tracer, const RecencyReport& report);
 
-/// Oracle — profile soundness. A profiled report (options.profile, the
-/// default) must yield a profiled session IR that (a) re-parses and
+/// Oracle — profile soundness. A profiled report (options.profile set)
+/// must yield a profiled session IR that (a) re-parses and
 /// round-trips byte-exactly through Dump/ParsePlanIr, (b) carries at
 /// least one runtime annotation, and (c) produces no TRAC-P001 drift
 /// finding — an actual_rows outside the abstract interpreter's proven

@@ -136,12 +136,14 @@ TEST_P(AbsintPropertyTest, CleanlinessOnCorpus) {
 
     auto plan = GenerateRecencyQueries(db_, *query);
     ASSERT_TRUE(plan.ok()) << plan.status();
+    const Snapshot snapshot = db_.LatestSnapshot();
     auto session =
-        PlanReportSession(db_, *query, *plan, db_.LatestSnapshot(),
-                          parallelism, HeartbeatTable::kDefaultName,
-                          /*session_id=*/1);
+        PlanReportSession(db_, *query, *plan, snapshot, parallelism);
     ASSERT_TRUE(session.ok()) << session.status();
-    const PlanIr& ir = session->ir;
+    SessionLayout layout;
+    const PlanIr ir = LowerReportSessionPlans(
+        db_, *query, *plan, *session, snapshot, HeartbeatTable::kDefaultName,
+        /*session_id=*/1, &layout);
 
     // 1. The engine covers the full session graph.
     const absint::AbsintResult result = absint::AnalyzeIr(ir);

@@ -119,6 +119,7 @@ class ProfilePropertyTest : public ::testing::Test {
     options.create_temp_tables = false;
     options.relevance.parallelism = parallelism;
     options.telemetry = telemetry;
+    options.profile = true;
     auto report = reporter->Run(sql, options);
     EXPECT_TRUE(report.ok()) << report.status().ToString() << "\n" << sql;
     return report.ok() ? *report : RecencyReport{};
@@ -256,6 +257,10 @@ TEST_F(ProfilePropertyTest, ConservationLawsHoldAtBothParallelismLevels) {
   }
 }
 
+// Profiling is opt-in and only observes: with it on and off, at
+// parallelism 1 and 4, a report says the same thing, and only the
+// profiled run leaves an IR or a flight-recorder entry. Default options
+// profile nothing.
 TEST_F(ProfilePropertyTest, DisablingProfilingLeavesNoTrace) {
   RecencyReporter reporter(&db_, nullptr);
   MetricRegistry metrics;
@@ -266,17 +271,42 @@ TEST_F(ProfilePropertyTest, DisablingProfilingLeavesNoTrace) {
   telemetry.tracer = &tracer;
   telemetry.clock = &FakeNowMicros;
   telemetry.recorder = &recorder;
+  uint64_t profiled = 0;
   for (const std::string& sql : queries_) {
-    RecencyReportOptions options;
-    options.create_temp_tables = false;
-    options.telemetry = &telemetry;
-    options.profile = false;
-    auto report = reporter.Run(sql, options);
+    for (const size_t parallelism : {size_t{1}, size_t{4}}) {
+      const std::string tag = sql + " @ par " + std::to_string(parallelism);
+      const RecencyReport on = MustRun(&reporter, sql, parallelism, &telemetry);
+      ++profiled;
+      RecencyReportOptions options;
+      options.create_temp_tables = false;
+      options.relevance.parallelism = parallelism;
+      options.telemetry = &telemetry;
+      options.profile = false;
+      auto off = reporter.Run(sql, options);
+      ASSERT_TRUE(off.ok()) << off.status().ToString() << "\n" << tag;
+      EXPECT_FALSE(on.profiled_ir.empty()) << tag;
+      EXPECT_TRUE(off->profiled_ir.empty()) << tag;
+      EXPECT_EQ(off->profiled_nodes, 0u) << tag;
+      EXPECT_EQ(recorder.total_recorded(), profiled) << tag;
+      EXPECT_EQ(off->FormatNotices(), on.FormatNotices()) << tag;
+      EXPECT_EQ(off->result.rows, on.result.rows) << tag;
+      EXPECT_EQ(off->relevance.sources, on.relevance.sources) << tag;
+    }
+  }
+
+  // A default-constructed RecencyReportOptions (temp tables on, process
+  // telemetry) records into neither recorder.
+  Session session(&db_);
+  RecencyReporter with_session(&db_, &session);
+  const uint64_t default_recorded = FlightRecorder::Default().total_recorded();
+  for (const std::string& sql : queries_) {
+    auto report = with_session.Run(sql, RecencyReportOptions());
     ASSERT_TRUE(report.ok()) << report.status().ToString() << "\n" << sql;
     EXPECT_TRUE(report->profiled_ir.empty()) << sql;
     EXPECT_EQ(report->profiled_nodes, 0u) << sql;
   }
-  EXPECT_EQ(recorder.total_recorded(), 0u);
+  EXPECT_EQ(FlightRecorder::Default().total_recorded(), default_recorded);
+  EXPECT_EQ(recorder.total_recorded(), profiled);
 }
 
 }  // namespace

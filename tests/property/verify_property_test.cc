@@ -4,13 +4,13 @@
 // that the static verifier accepts with zero findings, under both
 // serial planning and parallelism > 1. The corpus files are the same
 // ones tools/trac_verify lints in CI; the session comes from the
-// reporter's own PlanReportSession, so this sees exactly the IR
-// RecencyReporter verifies.
+// reporter's own PlanReportSession and LowerReportSessionPlans, so this
+// sees exactly the IR a TRAC_DEBUG_INVARIANTS report verifies.
 //
-// Subsumption: a report verifies its plans only inside the session IR,
-// never alone. That loses no check: whatever VerifyIr finds on a plan
-// lowered alone, it also finds on that plan's subgraph of the session,
-// on the clean corpus and on plans mutated to fail alone.
+// Subsumption: trac_verify and the debug report check a session's plans
+// inside the session IR. That loses no check: whatever VerifyIr finds
+// on a plan lowered alone, it also finds on that plan's subgraph of the
+// session, on the clean corpus and on plans mutated to fail alone.
 
 #include <filesystem>
 #include <fstream>
@@ -118,12 +118,14 @@ TEST_P(VerifyPropertyTest, EveryPlannedCorpusQueryVerifiesClean) {
 
     auto plan = GenerateRecencyQueries(db_, *query);
     ASSERT_TRUE(plan.ok()) << plan.status();
+    const Snapshot snapshot = db_.LatestSnapshot();
     auto session =
-        PlanReportSession(db_, *query, *plan, db_.LatestSnapshot(),
-                          parallelism, HeartbeatTable::kDefaultName,
-                          /*session_id=*/1);
+        PlanReportSession(db_, *query, *plan, snapshot, parallelism);
     ASSERT_TRUE(session.ok()) << session.status();
-    const PlanIr& ir = session->ir;
+    SessionLayout layout;
+    const PlanIr ir = LowerReportSessionPlans(
+        db_, *query, *plan, *session, snapshot, HeartbeatTable::kDefaultName,
+        /*session_id=*/1, &layout);
     const VerifyReport report = VerifyIr(ir);
     EXPECT_TRUE(report.ok()) << report.Format(ir) << "\n" << ir.Dump();
   }
@@ -279,14 +281,18 @@ bool JoinsRegistry(const Database& db, const BoundQuery& query) {
 size_t ExpectLoneFindingsInSession(const Database& db, const BoundQuery& user,
                                    const RecencyQueryPlan& plan,
                                    ReportSession* session, Snapshot snapshot) {
-  const VerifyReport in_session = VerifyIr(session->ir);
+  SessionLayout layout;
+  const PlanIr session_ir = LowerReportSessionPlans(
+      db, user, plan, *session, snapshot, HeartbeatTable::kDefaultName,
+      /*session_id=*/1, &layout);
+  const VerifyReport in_session = VerifyIr(session_ir);
   LowerOptions with_registry;
   with_registry.heartbeat_table = std::string(HeartbeatTable::kDefaultName);
   size_t failed_alone = 0;
   for (const PlanSlot slot : PlannedQueries(*session)) {
     SCOPED_TRACE("part " + std::to_string(slot.part) + " guard " +
                  std::to_string(slot.guard));
-    const SessionLayout::QueryRange range = RangeOf(slot, session->layout);
+    const SessionLayout::QueryRange range = RangeOf(slot, layout);
     const auto session_findings =
         FindingsIn(in_session, range.begin, range.end);
     bool failed = false;
@@ -306,7 +312,7 @@ size_t ExpectLoneFindingsInSession(const Database& db, const BoundQuery& user,
         EXPECT_TRUE(registry_gap)
             << finding.first << " at node " << finding.second
             << " alone, not in the session:\n"
-            << alone.Format(lone) << in_session.Format(session->ir);
+            << alone.Format(lone) << in_session.Format(session_ir);
       }
     }
     failed_alone += failed ? 1 : 0;
@@ -331,9 +337,8 @@ TEST_P(VerifyPropertyTest, SessionSubsumesEveryLonePlanFinding) {
     ASSERT_TRUE(query.ok()) << query.status();
     auto plan = GenerateRecencyQueries(db_, *query);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    auto session = PlanReportSession(db_, *query, *plan, snapshot, parallelism,
-                                     HeartbeatTable::kDefaultName,
-                                     /*session_id=*/1);
+    auto session =
+        PlanReportSession(db_, *query, *plan, snapshot, parallelism);
     ASSERT_TRUE(session.ok()) << session.status();
     // The clean plans pass alone and in their session.
     EXPECT_EQ(
@@ -343,15 +348,12 @@ TEST_P(VerifyPropertyTest, SessionSubsumesEveryLonePlanFinding) {
     // Mutation: re-apply a level's exact conjunct set as the constant
     // filter, a TRAC-V007 redundant filter when nothing widened the
     // provenance in between. Lower the mutated plan into the session
-    // again and compare.
+    // and compare.
     for (const PlanSlot slot : PlannedQueries(*session)) {
       for (const LevelPlan& level : PlanOf(slot, &*session).levels) {
         if (level.local_preds.empty()) continue;
         ReportSession mutated = *session;
         PlanOf(slot, &mutated).constant_preds = level.local_preds;
-        LowerReportSessionPlans(db_, *query, *plan, snapshot,
-                                HeartbeatTable::kDefaultName,
-                                /*session_id=*/1, &mutated);
         mutated_failing += ExpectLoneFindingsInSession(db_, *query, *plan,
                                                        &mutated, snapshot);
       }

@@ -74,6 +74,7 @@ TEST_P(ScenarioGoldenTest, CommittedScriptReplaysCleanly) {
 
   RecencyReportOptions report_options;
   report_options.create_temp_tables = false;
+  report_options.profile = true;  // Feeds the profile-soundness oracle.
   RecencyReporter reporter(&db, nullptr);
   for (RecencyMethod method :
        {RecencyMethod::kFocused, RecencyMethod::kNaive}) {

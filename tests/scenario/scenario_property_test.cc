@@ -102,6 +102,7 @@ RunResult RunScenario(const ScenarioScript& script) {
     report_options.method = (checkpoint % 2 == 0) ? RecencyMethod::kNaive
                                                   : RecencyMethod::kFocused;
     report_options.create_temp_tables = false;
+    report_options.profile = true;  // Feeds the profile-soundness oracle.
     report_options.telemetry = &telemetry;
     report_options.relevance.parallelism = (checkpoint % 2) + 1;
     RecencyReporter reporter(runner->db(), nullptr);
@@ -134,6 +135,7 @@ RunResult RunScenario(const ScenarioScript& script) {
   Session session(&db);
   RecencyReportOptions final_options;
   final_options.create_temp_tables = true;
+  final_options.profile = true;
   RecencyReporter final_reporter(&db, &session);
   auto final_report = final_reporter.Run(runner->FocusedSql(), final_options);
   if (!final_report.ok()) {
@@ -279,6 +281,7 @@ TEST(ScenarioPropertyTest, OraclesCatchSeededMutations) {
 
   RecencyReportOptions report_options;
   report_options.create_temp_tables = false;
+  report_options.profile = true;
   RecencyReporter reporter(&db, nullptr);
   auto report = reporter.Run(runner->FocusedSql(), report_options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();

@@ -30,6 +30,7 @@ RecencyReport MustReport(ScenarioRunner* runner, const std::string& sql,
   RecencyReportOptions options;
   options.method = method;
   options.create_temp_tables = false;
+  options.profile = true;  // Feeds the profile-soundness oracle.
   RecencyReporter reporter(runner->db(), nullptr);
   auto report = reporter.Run(sql, options);
   EXPECT_TRUE(report.ok()) << report.status().ToString();

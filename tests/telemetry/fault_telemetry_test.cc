@@ -148,6 +148,7 @@ TEST_F(FaultTelemetryTest, ReportTelemetryStaysSoundUnderFaults) {
   Telemetry telemetry{&metrics_, &tracer, &StepClock};
   RecencyReportOptions options;
   options.create_temp_tables = false;
+  options.profile = true;  // Feeds the profile-soundness oracle.
   options.telemetry = &telemetry;
   options.relevance.parallelism = 2;
   RecencyReporter reporter(runner_->db(), nullptr);

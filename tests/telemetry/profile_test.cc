@@ -212,6 +212,7 @@ TEST(SessionProfileTest, ReportSessionAttachesAndRecords) {
   RecencyReportOptions options;
   options.create_temp_tables = false;
   options.telemetry = &telemetry;
+  options.profile = true;
   TRAC_ASSERT_OK_AND_ASSIGN(
       RecencyReport report,
       reporter.Run("SELECT mach_id FROM Activity WHERE value = 'idle'",

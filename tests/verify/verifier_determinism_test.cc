@@ -107,10 +107,11 @@ void LoadPlansSchema(Database* db) {
 }
 
 /// Lowers the full q4-style report session over `db` at `snapshot` and
-/// `parallelism` through the reporter's PlanReportSession (every plan
-/// pinned to the same snapshot). One recency part is a pure Heartbeat
-/// scan, which shards at parallelism > 1, and the others are planned
-/// filters, so the node ids differ between parallelism 1 and 4.
+/// `parallelism` through the reporter's PlanReportSession and
+/// LowerReportSessionPlans (every plan pinned to the same snapshot).
+/// One recency part is a pure Heartbeat scan, which shards at
+/// parallelism > 1, and the others are planned filters, so the node ids
+/// differ between parallelism 1 and 4.
 PlanIr LowerSession(const Database& db, Snapshot snapshot,
                     size_t parallelism) {
   auto query = BindSql(db,
@@ -119,11 +120,12 @@ PlanIr LowerSession(const Database& db, Snapshot snapshot,
   EXPECT_TRUE(query.ok()) << query.status();
   auto plan = GenerateRecencyQueries(db, *query);
   EXPECT_TRUE(plan.ok()) << plan.status();
-  auto session = PlanReportSession(db, *query, *plan, snapshot, parallelism,
-                                   HeartbeatTable::kDefaultName,
-                                   /*session_id=*/1);
+  auto session = PlanReportSession(db, *query, *plan, snapshot, parallelism);
   EXPECT_TRUE(session.ok()) << session.status();
-  return std::move(session->ir);
+  SessionLayout layout;
+  return LowerReportSessionPlans(db, *query, *plan, *session, snapshot,
+                                 HeartbeatTable::kDefaultName,
+                                 /*session_id=*/1, &layout);
 }
 
 class DeterminismCorpusTest : public ::testing::Test {

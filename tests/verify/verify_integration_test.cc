@@ -1,10 +1,12 @@
-// End-to-end wiring check for the plan verifier: every query planned or
-// executed through the public entry points must pass VerifyPlan / the
-// reporter's session gate with zero findings. In release builds a
-// verification failure surfaces as an error Status from PlanQuery or
-// RecencyReporter::Run — which these assertions would catch; compiled
-// with TRAC_DEBUG_INVARIANTS=1 (see tests/CMakeLists.txt) the same
-// failure aborts at the TRAC_DCHECK site, pinpointing the pass.
+// End-to-end wiring check for the plan verifier: every plan the public
+// entry points build, PlanQuery's and each report session's, must pass
+// VerifyPlan / VerifyIr with zero findings. A release build verifies
+// nothing on its own, so these tests call the verifier on the plans the
+// library builds and then run the reports. In the `debug` preset
+// (TRAC_DEBUG_INVARIANTS) the report verifies its session and
+// ExecutePlan each plan, and a failure aborts at the TRAC_DCHECK site.
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -41,14 +43,41 @@ TEST(VerifyIntegrationTest, PlanQueryVerifiesEveryPlanItReturns) {
     SCOPED_TRACE(sql);
     auto query = BindSql(fx.db, sql);
     ASSERT_TRUE(query.ok()) << query.status();
-    // PlanQuery runs VerifyPlan internally and refuses to return a plan
-    // that fails it; a clean Result is the wiring proof.
     auto plan = PlanQuery(fx.db, *query, snapshot);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    // Belt and braces: re-verify the returned plan through the public
-    // verifier entry point.
-    EXPECT_TRUE(VerifyPlan(fx.db, *query, *plan, snapshot).ok());
+    const Status verified = VerifyPlan(fx.db, *query, *plan, snapshot);
+    EXPECT_TRUE(verified.ok()) << verified;
   }
+}
+
+/// Plans and lowers the session a report of `sql` runs (`method`, at
+/// `parallelism`, writing temp tables as session `session_id`), expects
+/// VerifyIr to pass it, then runs the report itself.
+void ExpectReportSessionVerifies(const Database& db, RecencyReporter* reporter,
+                                 const std::string& sql,
+                                 const RecencyReportOptions& options,
+                                 uint64_t session_id) {
+  auto query = BindSql(db, sql);
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto plan = options.method == RecencyMethod::kNaive
+                  ? GenerateNaivePlan(db, options.relevance)
+                  : GenerateRecencyQueries(db, *query, options.relevance);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const Snapshot snapshot = db.LatestSnapshot();
+  auto session = PlanReportSession(db, *query, *plan, snapshot,
+                                   options.relevance.parallelism);
+  ASSERT_TRUE(session.ok()) << session.status();
+  // The whole session IR: user plan, parts, guards, shard fan-out and
+  // temp writes.
+  SessionLayout layout;
+  const PlanIr ir = LowerReportSessionPlans(
+      db, *query, *plan, *session, snapshot, options.relevance.heartbeat_table,
+      session_id, &layout);
+  const VerifyReport verified = VerifyIr(ir);
+  EXPECT_TRUE(verified.ok()) << verified.Format(ir);
+  auto report = reporter->Run(sql, options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->normal_temp_table.empty());
 }
 
 TEST(VerifyIntegrationTest, ReporterSessionsVerifyAtAllParallelismLevels) {
@@ -60,12 +89,8 @@ TEST(VerifyIntegrationTest, ReporterSessionsVerifyAtAllParallelismLevels) {
     options.relevance.parallelism = parallelism;
     for (const char* sql : kUserQueries) {
       SCOPED_TRACE(sql);
-      // RecencyReporter::Run verifies the whole session IR (user plan,
-      // parts, guards, shard fan-out, temp writes) before executing
-      // anything; any TRAC-V finding turns into an error Status here.
-      auto report = reporter.Run(sql, options);
-      ASSERT_TRUE(report.ok()) << report.status();
-      EXPECT_FALSE(report->normal_temp_table.empty());
+      ExpectReportSessionVerifies(fx.db, &reporter, sql, options,
+                                  session.id());
     }
   }
 }
@@ -76,8 +101,8 @@ TEST(VerifyIntegrationTest, NaiveMethodSessionsVerifyToo) {
   RecencyReporter reporter(&fx.db, &session);
   RecencyReportOptions options;
   options.method = RecencyMethod::kNaive;
-  auto report = reporter.Run("SELECT mach_id FROM activity", options);
-  ASSERT_TRUE(report.ok()) << report.status();
+  ExpectReportSessionVerifies(fx.db, &reporter, "SELECT mach_id FROM activity",
+                              options, session.id());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // trac_profile: EXPLAIN ANALYZE for report sessions. Runs each .sql
 // corpus query through the full recency-report pipeline with the
 // per-operator profiler on (core/recency_reporter.h with
-// options.profile, the default), prints the session IR with its
+// options.profile set), prints the session IR with its
 // runtime actual_rows=/actual_ns= annotations, a top-operators table,
 // and the TRAC-P estimate-drift findings.
 //
@@ -280,6 +280,7 @@ int main(int argc, char** argv) {
       trac::RecencyReportOptions options;
       options.telemetry = &telemetry;
       options.relevance.parallelism = parallelism;
+      options.profile = true;
       auto report = reporter.Run(stmts[0], options);
       if (!report.ok()) {
         std::fprintf(stderr, "trac_profile: %s: %s\n", name.c_str(),

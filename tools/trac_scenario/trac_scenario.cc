@@ -94,6 +94,7 @@ bool RunReport(trac::ScenarioRunner* runner, const char* title,
   trac::RecencyReportOptions options;
   options.method = method;
   options.create_temp_tables = false;
+  options.profile = true;  // Feeds the profile-soundness oracle.
   trac::RecencyReporter reporter(runner->db(), nullptr);
   auto report = reporter.Run(sql, options);
   if (!report.ok()) {

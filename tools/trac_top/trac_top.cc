@@ -1,9 +1,9 @@
 // trac_top: the TRAC staleness dashboard. Builds the Section 5.2
 // synthetic workload, runs a batch of recency reports through the full
-// pipeline (parse -> plan -> verify -> relevance -> stats), and renders
-// one telemetry scrape: top-K stalest sources, the bound-of-inconsistency
-// distribution, the exceptional-source counter, the last report's span
-// tree, and the raw Prometheus-style exposition.
+// pipeline (parse -> generate -> plan -> user query -> relevance ->
+// stats), and renders one telemetry scrape: top-K stalest sources, the
+// bound-of-inconsistency distribution, the exceptional-source counter,
+// the last report's span tree, and the raw Prometheus-style exposition.
 //
 // Usage:
 //   trac_top [--rows N] [--sources N] [--exceptional N] [--reports N]
@@ -168,6 +168,7 @@ int main(int argc, char** argv) {
   trac::RecencyReportOptions report_options;
   report_options.relevance.parallelism = flags.parallelism;
   report_options.telemetry = &telemetry;
+  report_options.profile = true;  // The dashboard reads the recorder.
   const auto queries = workload->AllQueries();
   uint64_t last_trace_id = 0;
   for (size_t i = 0; i < flags.reports; ++i) {

@@ -89,23 +89,26 @@ std::string FormatRewrites(const trac::QueryPlan& plan) {
   return out;
 }
 
-/// Lowers the report session a query would execute through the
-/// reporter's own PlanReportSession. The session id is a stand-in (the
-/// corpus has no live session); the IR is what RecencyReporter verifies.
-/// `rewrites`, when non-null, receives the user plan's rewrite block.
+/// Lowers the report session a query would execute: the reporter's own
+/// PlanReportSession, then LowerReportSessionPlans. The session id is a
+/// stand-in (the corpus has no live session); the IR is what a profiled
+/// or TRAC_DEBUG_INVARIANTS report lowers. `rewrites`, when non-null,
+/// receives the user plan's rewrite block.
 trac::Result<trac::PlanIr> LowerSqlFile(const trac::Database& db,
                                         const trac::BoundQuery& query,
                                         size_t parallelism,
                                         std::string* rewrites) {
   TRAC_ASSIGN_OR_RETURN(trac::RecencyQueryPlan plan,
                         trac::GenerateRecencyQueries(db, query));
+  const trac::Snapshot snapshot = db.LatestSnapshot();
   TRAC_ASSIGN_OR_RETURN(
       trac::ReportSession session,
-      trac::PlanReportSession(db, query, plan, db.LatestSnapshot(),
-                              parallelism, trac::HeartbeatTable::kDefaultName,
-                              /*session_id=*/1));
+      trac::PlanReportSession(db, query, plan, snapshot, parallelism));
   if (rewrites != nullptr) *rewrites = FormatRewrites(session.user_plan);
-  return std::move(session.ir);
+  trac::SessionLayout layout;
+  return trac::LowerReportSessionPlans(db, query, plan, session, snapshot,
+                                       trac::HeartbeatTable::kDefaultName,
+                                       /*session_id=*/1, &layout);
 }
 
 std::string JsonForFile(const std::string& name, const trac::PlanIr& ir,
