@@ -12,6 +12,7 @@
 
 #include "core/recency_reporter.h"
 #include "exec/executor.h"
+#include "expr/binder.h"
 
 namespace {
 
@@ -118,11 +119,15 @@ int main() {
   Check(normal.status());
   std::printf("%s\n", normal->ToString().c_str());
 
-  // -- What the analyzer generated under the hood.
+  // -- What the analyzer generated under the hood, rendered as SQL.
+  auto bound = trac::BindSql(db, user_sql);
+  Check(bound.status());
+  auto plan = trac::GenerateRecencyQueries(db, *bound);
+  Check(plan.status());
   std::printf("-- generated recency quer%s:\n",
-              report->relevance.recency_sqls.size() == 1 ? "y" : "ies");
-  for (const std::string& sql : report->relevance.recency_sqls) {
-    std::printf("--   %s\n", sql.c_str());
+              plan->parts.size() == 1 ? "y" : "ies");
+  for (const auto& part : plan->parts) {
+    std::printf("--   %s\n", trac::RecencyPartSql(db, part).c_str());
   }
   std::printf("-- minimality guaranteed: %s\n",
               report->relevance.minimal ? "yes" : "no (upper bound)");

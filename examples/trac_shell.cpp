@@ -98,11 +98,9 @@ int main() {
           std::printf("recency query (via %s, %s): %s\n",
                       bound->relations[part.via_relation].display_name.c_str(),
                       part.minimal ? "minimum" : "upper bound",
-                      part.sql.c_str());
+                      trac::RecencyPartSql(*db_ptr, part).c_str());
         }
-        for (const std::string& note : plan->notes) {
-          std::printf("note: %s\n", note.c_str());
-        }
+        std::printf("%s", plan->analysis.Format().c_str());
       } else if (cmd == "\\save") {
         trac::Status s = trac::SaveDatabase(*db_ptr, arg);
         std::printf("%s\n", s.ok() ? "saved" : s.ToString().c_str());

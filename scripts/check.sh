@@ -118,9 +118,11 @@ echo "==> trac_profile examples/profiles/ (profiled-session goldens)"
 echo "==> profiler-overhead smoke (on vs. off, 5% budget)"
 # DESIGN.md section 5.1's overhead contract: a profiled report batch
 # must stay within 5% of an unprofiled one. Min-of-N at 20k rows so the
-# fixed per-session tail is amortized over realistic query times.
+# fixed per-session tail is amortized over realistic query times; the
+# gate reads the median of the bench's independent rounds, because one
+# round's minima move several percent on a shared host.
 TRAC_BENCH_ROWS=20000 ./build/bench/bench_profile_overhead \
-  --iters=100 --max-delta-pct=5
+  --iters=30 --max-delta-pct=5
 
 echo "==> trac_top examples/telemetry/ (golden dashboard)"
 ./build/tools/trac_top --golden examples/telemetry/trac_top.txt

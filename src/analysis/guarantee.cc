@@ -335,19 +335,19 @@ size_t EstimateDnfConjuncts(const BoundExpr& predicate, size_t cap) {
       // proven satisfiable.
       if (view.has_mixed) {
         upper_bound = true;
+        std::string anchor = query.ExprToSql(db, *view.pm[0]->expr);
+        std::string message = "mixed predicate '" + anchor +
+                              "' references the data source column and a "
+                              "regular column";
         diagnose(AnalysisCode::kMixedPredicate, ci + 1, rel_name,
-                 query.ExprToSql(db, *view.pm[0]->expr),
-                 "mixed predicate '" +
-                     query.ExprToSql(db, *view.pm[0]->expr) +
-                     "' references the data source column and a regular "
-                     "column");
+                 std::move(anchor), std::move(message));
       } else if (view.has_regular_join) {
         upper_bound = true;
+        std::string anchor = query.ExprToSql(db, *view.jrm[0]->expr);
+        std::string message =
+            "join predicate '" + anchor + "' ranges over a regular column";
         diagnose(AnalysisCode::kRegularColumnJoin, ci + 1, rel_name,
-                 query.ExprToSql(db, *view.jrm[0]->expr),
-                 "join predicate '" +
-                     query.ExprToSql(db, *view.jrm[0]->expr) +
-                     "' ranges over a regular column");
+                 std::move(anchor), std::move(message));
       } else {
         view.regular_sat =
             CheckConjunctionSat(db, query, view.pr, options.sat);

@@ -225,10 +225,6 @@ Result<RecencyReport> RecencyReporter::Finish(
   report.relevance.minimal = plan.minimal;
   report.relevance.fallback_all = plan.fallback_all;
   report.relevance.analysis = plan.analysis;
-  report.relevance.notes = plan.notes;
-  for (const RecencyQueryPlan::Part& part : plan.parts) {
-    report.relevance.recency_sqls.push_back(part.sql);
-  }
 
   // 3. Exceptional-source detection + descriptive statistics.
   TraceSpan stats_span(tel.tracer, tel.clock, "stats", trace_id, root.id());

@@ -109,7 +109,6 @@ void SplitPartIntoGuards(const Database& db, RecencyQueryPlan::Part* part,
     } else if (!where_terms.empty()) {
       part->query.where = MakeBoundAnd(std::move(where_terms));
     }
-    part->sql = part->query.ToSql(db);
     return;
   }
 
@@ -166,10 +165,8 @@ void SplitPartIntoGuards(const Database& db, RecencyQueryPlan::Part* part,
   }
 
   part->query = std::move(component_query[h_root]);
-  part->sql = part->query.ToSql(db);
   for (auto& [root, q] : component_query) {
     if (root == h_root) continue;
-    part->sql += " AND EXISTS (" + q.ToSql(db) + ")";
     part->guards.push_back(std::move(q));
   }
 }
@@ -197,7 +194,6 @@ void SplitPartIntoGuards(const Database& db, RecencyQueryPlan::Part* part,
   RecencyQueryPlan::Part part;
   part.query = MakeRecencyScaffold(hb, hb.name);
   part.minimal = false;
-  part.sql = part.query.ToSql(db);
   plan.parts.push_back(std::move(part));
   return plan;
 }
@@ -226,9 +222,6 @@ void SplitPartIntoGuards(const Database& db, RecencyQueryPlan::Part* part,
     RecencyQueryPlan plan;
     TRAC_ASSIGN_OR_RETURN(plan, GenerateNaivePlan(db, options));
     plan.analysis = analysis.report;
-    plan.notes.push_back(
-        "DNF conjunct limit exceeded; reporting all sources (complete "
-        "upper bound)");
     return plan;
   }
 
@@ -286,21 +279,6 @@ void SplitPartIntoGuards(const Database& db, RecencyQueryPlan::Part* part,
       }
       SplitPartIntoGuards(db, &part, std::move(where_terms));
       plan.parts.push_back(std::move(part));
-    }
-  }
-
-  // Surface the verdict-downgrading findings as human-readable notes.
-  for (const AnalysisDiagnostic& d : plan.analysis.diagnostics) {
-    switch (d.code) {
-      case AnalysisCode::kMixedPredicate:
-      case AnalysisCode::kRegularColumnJoin:
-      case AnalysisCode::kUnprovenSatisfiability:
-      case AnalysisCode::kDnfBlowUp:
-      case AnalysisCode::kNaiveAllSources:
-        plan.notes.push_back(d.Format());
-        break;
-      default:
-        break;
     }
   }
 
@@ -680,10 +658,7 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
     });
   }
 
-  ThreadPool* pool =
-      parallelism > 1
-          ? (options.pool != nullptr ? options.pool : &ThreadPool::Shared())
-          : nullptr;
+  ThreadPool* pool = parallelism > 1 ? &ThreadPool::Shared() : nullptr;
   RunOnPool(pool, parallelism, tasks);
 
   RecencyExecution exec;
@@ -698,6 +673,18 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
   exec.sources = MergeTaskRows(results, exec.premerge_rows);
   exec.merge_micros = clock() - merge_t0;
   return exec;
+}
+
+std::string RecencyPartSql(const Database& db,
+                           const RecencyQueryPlan::Part& part) {
+  std::string sql = part.query.ToSql(db);
+  bool has_where = part.query.where != nullptr;
+  for (const BoundQuery& guard : part.guards) {
+    sql += has_where ? " AND EXISTS (" : " WHERE EXISTS (";
+    sql += guard.ToSql(db) + ")";
+    has_where = true;
+  }
+  return sql;
 }
 
 std::vector<std::string> RelevanceResult::SourceIds() const {
@@ -721,10 +708,6 @@ std::vector<std::string> RelevanceResult::SourceIds() const {
   result.minimal = plan.minimal;
   result.fallback_all = plan.fallback_all;
   result.analysis = plan.analysis;
-  result.notes = plan.notes;
-  for (const RecencyQueryPlan::Part& part : plan.parts) {
-    result.recency_sqls.push_back(part.sql);
-  }
   return result;
 }
 

@@ -19,7 +19,6 @@
 
 namespace trac {
 
-class ThreadPool;
 struct Telemetry;
 
 /// Knobs for recency-query generation and execution.
@@ -41,13 +40,10 @@ struct RelevanceOptions {
   /// queries (1 = fully serial, the default). The per-part queries are
   /// independent reads of one Snapshot — embarrassingly parallel — so
   /// execution fans them out across `parallelism` strands
-  /// (the calling thread plus pool workers) and merges the partial
-  /// results in deterministic part order: results are byte-identical to
-  /// the serial execution at any parallelism level.
+  /// (the calling thread plus ThreadPool::Shared() workers) and merges
+  /// the partial results in deterministic part order: results are
+  /// byte-identical to the serial execution at any parallelism level.
   size_t parallelism = 1;
-  /// Pool supplying the helper threads; nullptr = ThreadPool::Shared()
-  /// when parallelism > 1. Ignored when parallelism <= 1.
-  ThreadPool* pool = nullptr;
 
   /// Collect per-operator execution profiles (telemetry/profile.h) for
   /// every task into RecencyExecution::task_profiles. Off by default —
@@ -67,7 +63,8 @@ struct RelevanceOptions {
 /// Each part's query SELECTs DISTINCT H.source_id and H's recency
 /// timestamp so one execution yields both the relevant set and the data
 /// for the recency report. S(Q) is the union over all parts
-/// (Corollaries 1 and 4).
+/// (Corollaries 1 and 4). Parts are bound queries that execute as plans;
+/// none carries SQL text (RecencyPartSql renders one on demand).
 struct RecencyQueryPlan {
   struct Part {
     BoundQuery query;
@@ -86,7 +83,6 @@ struct RecencyQueryPlan {
     /// Theorem 3/4 preconditions held: P_m and J_rm NULL, P_r proven
     /// satisfiable. The part computes the exact S for its conjunct.
     bool minimal = true;
-    std::string sql;  ///< Rendered text of `query`.
   };
 
   std::vector<Part> parts;
@@ -109,10 +105,14 @@ struct RecencyQueryPlan {
   /// generation consumes the same per-conjunct classification the
   /// verdict is derived from, so the two cannot disagree.
   GuaranteeReport analysis;
-
-  /// Human-readable reasons minimality (or precision) was lost.
-  std::vector<std::string> notes;
 };
+
+/// Renders `part` as one SQL statement: its main query, with each EXISTS
+/// guard appended to the WHERE clause (opening one when the main query
+/// has none). For display and tests: the report path runs the bound
+/// queries and never renders them.
+std::string RecencyPartSql(const Database& db,
+                           const RecencyQueryPlan::Part& part);
 
 /// Generates the recency queries for `user_query` (pure analysis; does
 /// not touch table data). Corresponds to the paper's "parse a user query
@@ -224,10 +224,10 @@ struct RelevanceResult {
   std::vector<SourceRecency> sources;  ///< Sorted by source id.
   bool minimal = true;                 ///< A(Q) == S(Q) proven.
   bool fallback_all = false;
-  /// The plan's static guarantee analysis (verdict + diagnostics).
+  /// The plan's static guarantee analysis (verdict + diagnostics): the
+  /// reasons minimality or precision was lost are its TRAC-W
+  /// diagnostics (AnalysisDiagnostic::Format renders one).
   GuaranteeReport analysis;
-  std::vector<std::string> recency_sqls;  ///< One per generated part.
-  std::vector<std::string> notes;
 
   std::vector<std::string> SourceIds() const;
 };

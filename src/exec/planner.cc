@@ -279,36 +279,4 @@ std::vector<RelAccess> ComputeRelAccess(const Database& db,
   return plan;
 }
 
-std::string QueryPlan::Explain(const Database& db,
-                               const BoundQuery& query) const {
-  std::string out;
-  if (provably_empty) {
-    out += "empty result: predicate statically unsatisfiable over the "
-           "declared domains (guarantee analysis)\n";
-  }
-  for (size_t i = 0; i < levels.size(); ++i) {
-    const LevelPlan& level = levels[i];
-    const BoundTableRef& rel = query.relations[level.relation];
-    const TableSchema& schema = db.catalog().schema(rel.table_id);
-    out += std::to_string(i) + ": " + rel.display_name;
-    if (level.use_local_index) {
-      out += " [index on " + schema.column(level.index_column).name + ", " +
-             std::to_string(level.index_keys.size()) + " key(s)]";
-    } else if (level.use_range_index) {
-      out += " [range scan on " + schema.column(level.index_column).name + "]";
-    } else {
-      out += " [seq scan]";
-    }
-    if (!level.equi_keys.empty()) {
-      out += level.index_nested_loop ? " join: index-nested-loop"
-                                     : " join: hash";
-    } else if (i > 0) {
-      out += " join: nested-loop";
-    }
-    out += " est=" + std::to_string(static_cast<int64_t>(level.estimated_rows));
-    out += "\n";
-  }
-  return out;
-}
-
 }  // namespace trac

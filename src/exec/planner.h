@@ -59,7 +59,7 @@ struct LevelPlan {
 /// No attempt changes the lowered IR (opt/rewrite.h); `applied` is true
 /// only for candidates that beat the incumbent's cost.
 struct PlanRewrite {
-  std::string rule;     ///< "redundant-filter-elim" / "convert-to-range-scan".
+  std::string rule;     ///< "convert-to-range-scan", the one rule.
   std::string detail;   ///< Deterministic rule-specific description.
   std::string verdict;  ///< "applied" / "not cheaper".
   double cost_before = 0;
@@ -84,9 +84,6 @@ struct QueryPlan {
   /// combination can satisfy it: execution emits zero rows without
   /// touching storage.
   bool provably_empty = false;
-
-  /// Human-readable plan description (one line per level).
-  std::string Explain(const Database& db, const BoundQuery& query) const;
 };
 
 /// Optional static-analysis input to planning.

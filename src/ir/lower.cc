@@ -54,9 +54,9 @@ ColumnProvenance ProvenanceOf(const Database& db, TableId table_id, size_t col,
 /// FNV-1a 64 over the canonical SQL renderings of a predicate
 /// conjunction, sorted, deduplicated, and joined with " AND " so that
 /// neither conjunct order nor a literally repeated conjunct changes the
-/// identity (TRAC-V007 compares these fingerprints; p AND p ≡ p, so the
-/// redundant-filter-elim rewrite, which drops the duplicate, leaves the
-/// filter's identity and the lowered IR unchanged).
+/// identity (TRAC-V007 compares these fingerprints; p AND p ≡ p, so a
+/// plan that evaluates a repeated conjunct once or twice lowers to the
+/// same IR).
 uint64_t PredFingerprint(const Database& db, const BoundQuery& query,
                          const std::vector<const BoundExpr*>& preds) {
   std::vector<std::string> terms;

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,8 +18,8 @@ namespace {
 
 std::atomic<bool> g_optimizer_enabled{true};
 
-/// Cost-motivated rules must clear this margin so estimate noise (and
-/// exact ties on tiny tables) keeps the incumbent.
+/// A candidate must clear this margin so estimate noise (and exact ties
+/// on tiny tables) keeps the incumbent.
 constexpr double kStrictImprovement = 0.99;
 
 /// Row order reaching the output is unobservable only when the query
@@ -61,8 +60,7 @@ class RewriteSession {
   }
 
   /// Replaces `*plan` with `cand` if it wins on cost.
-  void Attempt(const char* rule, std::string detail, QueryPlan cand,
-               bool require_strictly_cheaper) {
+  void Attempt(const char* rule, std::string detail, QueryPlan cand) {
     OptCounters().attempted->Increment();
     PlanRewrite log;
     log.rule = rule;
@@ -74,10 +72,7 @@ class RewriteSession {
                     LowerQueryPlan(db_, query_, cand, snapshot_).Dump(),
                 "a rewrite changed the lowered plan IR");
 
-    const bool wins = require_strictly_cheaper
-                          ? log.cost_after < current_cost_ * kStrictImprovement
-                          : log.cost_after <= current_cost_;
-    if (!wins) {
+    if (!(log.cost_after < current_cost_ * kStrictImprovement)) {
       log.verdict = "not cheaper";
       plan_->rewrites.push_back(std::move(log));
       return;
@@ -99,42 +94,6 @@ class RewriteSession {
   QueryPlan* plan_;
   double current_cost_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Rule: redundant-filter elimination. Identity is the canonical SQL
-// rendering of a conjunct — the same identity the V007 fingerprint facts
-// are built from — so a conjunct evaluated twice anywhere in the plan is
-// evaluated once after the rewrite. A filter's `pred=` fingerprint is a
-// sorted, de-duplicated set of those renderings, so the lowered IR does
-// not change.
-
-void RuleRedundantFilterElim(const Database& db, const BoundQuery& query,
-                             RewriteSession* session, QueryPlan* plan) {
-  std::set<std::string> seen;
-  size_t dropped = 0;
-  QueryPlan cand = *plan;
-  auto dedupe = [&](std::vector<const BoundExpr*>* preds) {
-    std::vector<const BoundExpr*> kept;
-    for (const BoundExpr* p : *preds) {
-      if (seen.insert(query.ExprToSql(db, *p)).second) {
-        kept.push_back(p);
-      } else {
-        ++dropped;
-      }
-    }
-    *preds = std::move(kept);
-  };
-  dedupe(&cand.constant_preds);
-  for (LevelPlan& level : cand.levels) {
-    dedupe(&level.local_preds);
-    dedupe(&level.level_preds);
-  }
-  if (dropped == 0) return;
-  session->Attempt("redundant-filter-elim",
-                   "dropped " + std::to_string(dropped) +
-                       " duplicate conjunct(s)",
-                   std::move(cand), /*require_strictly_cheaper=*/false);
-}
 
 // ---------------------------------------------------------------------------
 // Rule: convert-to-range-scan. Lowering ignores `use_range_index` (the
@@ -259,7 +218,7 @@ void RuleConvertToRangeScan(const Database& db, const BoundQuery& query,
                      "level " + std::to_string(i) + ": range scan on " +
                          query.relations[level.relation].display_name + "." +
                          schema.column(range_column).name,
-                     std::move(cand), /*require_strictly_cheaper=*/true);
+                     std::move(cand));
   }
 }
 
@@ -277,7 +236,6 @@ void OptimizePlan(const Database& db, const BoundQuery& query,
                   Snapshot snapshot, QueryPlan* plan) {
   if (!OptimizerEnabled()) return;
   RewriteSession session(db, query, snapshot, plan);
-  RuleRedundantFilterElim(db, query, &session, plan);
   RuleConvertToRangeScan(db, query, &session, plan);
 }
 

@@ -20,12 +20,7 @@ namespace opt {
 /// rewrite session checks it on every attempt in TRAC_DEBUG_INVARIANTS
 /// builds.
 ///
-/// Rules, in application order:
-///   redundant-filter-elim     duplicate conjuncts (equal canonical SQL,
-///                             the V007 fingerprint identity) evaluated
-///                             more than once are dropped. A filter's
-///                             `pred=` fingerprint is a sorted,
-///                             de-duplicated set, so the IR is unchanged.
+/// Rule:
 ///   convert-to-range-scan     a range conjunct over an indexed column
 ///                             turns a sequential scan into an ordered
 ///                             index range scan. Lowering ignores the

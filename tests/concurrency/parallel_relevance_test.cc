@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
-#include "common/thread_pool.h"
 #include "core/recency_reporter.h"
 #include "workload/eval_workload.h"
 
@@ -108,18 +107,6 @@ TEST_F(ParallelRelevanceWorkloadTest, NaiveMatchesSerialOnAllQueries) {
       EXPECT_GT(parallel.relevance_task_micros.size(), 1u);
     }
   }
-}
-
-TEST_F(ParallelRelevanceWorkloadTest, CallerSuppliedPoolIsUsed) {
-  ThreadPool pool(3);
-  RecencyReportOptions options = OptionsWith(RecencyMethod::kFocused, 3);
-  options.relevance.pool = &pool;
-  TRAC_ASSERT_OK_AND_ASSIGN(RecencyReport serial,
-                            reporter_->Run(workload_.Q3(),
-                                           OptionsWith(RecencyMethod::kFocused, 1)));
-  TRAC_ASSERT_OK_AND_ASSIGN(RecencyReport parallel,
-                            reporter_->Run(workload_.Q3(), options));
-  ExpectSameReport(serial, parallel, 3);
 }
 
 TEST(ParallelRelevanceTest, PaperExampleIdenticalAtEveryParallelism) {

@@ -54,11 +54,12 @@ TEST(GeneratedSqlTest, RecencyQueriesAreExecutableSql) {
                               GenerateRecencyQueries(fixture.db, q));
     Snapshot snap = fixture.db.LatestSnapshot();
     for (const auto& part : plan.parts) {
-      if (!part.guards.empty()) continue;  // The sql carries EXISTS text.
+      if (!part.guards.empty()) continue;  // EXISTS does not parse.
       // The rendered SQL parses, binds and executes to the same rows as
       // the bound part.
+      const std::string part_sql = RecencyPartSql(fixture.db, part);
       TRAC_ASSERT_OK_AND_ASSIGN(BoundQuery reparsed,
-                                BindSql(fixture.db, part.sql));
+                                BindSql(fixture.db, part_sql));
       TRAC_ASSERT_OK_AND_ASSIGN(ResultSet direct,
                                 ExecuteQuery(fixture.db, part.query, snap));
       TRAC_ASSERT_OK_AND_ASSIGN(ResultSet via_sql,
@@ -67,9 +68,48 @@ TEST(GeneratedSqlTest, RecencyQueriesAreExecutableSql) {
         std::sort(rs.rows.begin(), rs.rows.end());
         return rs.rows;
       };
-      EXPECT_EQ(sorted(direct), sorted(via_sql)) << part.sql;
+      EXPECT_EQ(sorted(direct), sorted(via_sql)) << part_sql;
     }
   }
+}
+
+// Guards join the main query's WHERE clause: a guard-only part opens one
+// with WHERE EXISTS, a part with its own predicate extends it with AND.
+TEST(GeneratedSqlTest, GuardedPartsRenderOneWhereClause) {
+  PaperExampleDb fixture;
+  const std::string scaffold =
+      "SELECT DISTINCT __hb.source_id, __hb.recency_timestamp FROM "
+      "heartbeat __hb";
+  const std::string idle_guard =
+      "EXISTS (SELECT a.mach_id FROM activity a WHERE a.value = 'idle')";
+
+  // Q4 shape: via routing, the main query keeps no predicate.
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      BoundQuery q4,
+      BindSql(fixture.db,
+              "SELECT COUNT(*) FROM routing r, activity a WHERE "
+              "r.neighbor = a.mach_id AND a.value = 'idle'"));
+  TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan plan4,
+                            GenerateRecencyQueries(fixture.db, q4));
+  ASSERT_EQ(plan4.parts.size(), 2u);
+  EXPECT_EQ(RecencyPartSql(fixture.db, plan4.parts[0]),
+            scaffold + " WHERE " + idle_guard);
+  EXPECT_EQ(RecencyPartSql(fixture.db, plan4.parts[1]),
+            scaffold + ", routing r WHERE r.neighbor = __hb.source_id");
+
+  // Q3 shape: via routing, the main query keeps the IN list.
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      BoundQuery q3,
+      BindSql(fixture.db,
+              "SELECT COUNT(*) FROM routing r, activity a WHERE "
+              "r.mach_id IN ('m1','m2') AND r.neighbor = a.mach_id AND "
+              "a.value = 'idle'"));
+  TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan plan3,
+                            GenerateRecencyQueries(fixture.db, q3));
+  ASSERT_FALSE(plan3.parts.empty());
+  EXPECT_EQ(RecencyPartSql(fixture.db, plan3.parts[0]),
+            scaffold + " WHERE __hb.source_id IN ('m1', 'm2') AND " +
+                idle_guard);
 }
 
 TEST(ReportTimingTest, BreakdownFieldsArePopulated) {

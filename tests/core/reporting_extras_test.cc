@@ -106,7 +106,12 @@ TEST(FallbackTest, DnfBlowUpFallsBackToAllSourcesComplete) {
                             GenerateRecencyQueries(fixture.db, q));
   EXPECT_TRUE(plan.fallback_all);
   EXPECT_FALSE(plan.minimal);
-  ASSERT_FALSE(plan.notes.empty());
+  EXPECT_TRUE(plan.analysis.dnf_overflow);
+  bool w004 = false;
+  for (const AnalysisDiagnostic& d : plan.analysis.diagnostics) {
+    w004 |= d.code == AnalysisCode::kDnfBlowUp;  // TRAC-W004
+  }
+  EXPECT_TRUE(w004);
   TRAC_ASSERT_OK_AND_ASSIGN(
       RecencyExecution exec,
       ExecuteRecencyQueriesDetailed(fixture.db, plan,
@@ -130,7 +135,8 @@ TEST(GuardTest, DisconnectedRelationBecomesExistsGuard) {
     if (!part.guards.empty()) {
       found_guarded_part = true;
       EXPECT_EQ(part.query.relations.size(), 1u);  // Heartbeat alone.
-      EXPECT_NE(part.sql.find("EXISTS"), std::string::npos) << part.sql;
+      const std::string sql = RecencyPartSql(fixture.db, part);
+      EXPECT_NE(sql.find("EXISTS"), std::string::npos) << sql;
     }
   }
   EXPECT_TRUE(found_guarded_part);

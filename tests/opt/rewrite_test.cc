@@ -1,6 +1,6 @@
-// Unit tests for the cost-based rewriter (opt/rewrite.h): each rule
-// fires only on plans it improves, and every attempt is recorded in the
-// plan's rewrite trail. Under TRAC_DEBUG_INVARIANTS every attempt also
+// Unit tests for the cost-based rewriter (opt/rewrite.h): the range-scan
+// rule fires only on plans it improves, and every attempt is recorded in
+// the plan's rewrite trail. Under TRAC_DEBUG_INVARIANTS every attempt also
 // checks that the rewrite leaves the lowered IR unchanged.
 
 #include "opt/rewrite.h"
@@ -72,27 +72,6 @@ TEST_F(RewriteTest, DisabledOptimizerLeavesNoTrail) {
   EXPECT_EQ(plan.levels[0].local_preds.size(), 2u);
 }
 
-TEST_F(RewriteTest, RedundantFilterIsEliminated) {
-  const QueryPlan plan =
-      Plan("SELECT value FROM activity WHERE value = 'v100' AND "
-           "value = 'v100'");
-  const PlanRewrite* r = FindRule(plan, "redundant-filter-elim");
-  ASSERT_NE(r, nullptr);
-  EXPECT_TRUE(r->applied);
-  EXPECT_EQ(r->verdict, "applied");
-  ASSERT_EQ(plan.levels.size(), 1u);
-  EXPECT_EQ(plan.levels[0].local_preds.size(), 1u);
-}
-
-TEST_F(RewriteTest, DistinctConjunctsAreKept) {
-  const QueryPlan plan =
-      Plan("SELECT value FROM activity WHERE value = 'v100' AND "
-           "mach_id = 'm100'");
-  EXPECT_EQ(FindRule(plan, "redundant-filter-elim"), nullptr);
-  ASSERT_EQ(plan.levels.size(), 1u);
-  EXPECT_EQ(plan.levels[0].local_preds.size(), 2u);
-}
-
 TEST_F(RewriteTest, RangeConjunctConvertsToRangeScan) {
   // Aggregate-only output, so the order-changing rule may fire; the
   // range conjunct over the indexed `value` column selects a fraction
@@ -117,17 +96,6 @@ TEST_F(RewriteTest, OrderSensitiveOutputBlocksRangeScan) {
   EXPECT_EQ(FindRule(plan, "convert-to-range-scan"), nullptr);
   ASSERT_EQ(plan.levels.size(), 1u);
   EXPECT_FALSE(plan.levels[0].use_range_index);
-}
-
-TEST_F(RewriteTest, ExplainShowsRangeScan) {
-  auto query = BindSql(db_, "SELECT COUNT(*) FROM activity WHERE "
-                            "value >= 'v125'");
-  ASSERT_TRUE(query.ok()) << query.status();
-  auto plan = PlanQuery(db_, *query, db_.LatestSnapshot());
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_TRUE(!plan->levels.empty() && plan->levels[0].use_range_index);
-  EXPECT_NE(plan->Explain(db_, *query).find("range scan on value"),
-            std::string::npos);
 }
 
 }  // namespace
