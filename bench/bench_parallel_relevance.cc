@@ -1,8 +1,10 @@
 // Parallel recency-query execution: serial vs. fanned-out evaluation of
 // the same plans on the same snapshot (core/relevance.cc). Measures the
 // relevance-execution component in isolation — the part the thread pool
-// parallelizes — for the Focused plans of Q1..Q4 and the Naive plan
-// (whose single pure-Heartbeat-scan part is range-sharded).
+// parallelizes — for the Focused plans of Q1..Q4 and the Naive plan.
+// The Naive plan is one task (a walk of the registry's source_id index)
+// at any thread count, so its rows still report Naive/N/merge and
+// Naive/N/fanout, with no fan-out to win.
 //
 //   bench_parallel_relevance --threads=4
 //
@@ -93,7 +95,7 @@ void RunOne(benchmark::State& state, size_t plan_index, size_t threads) {
   RelevanceOptions options;
   options.parallelism = threads;
   // Planned once, outside the timed loop: wall covers execution only.
-  auto planned = PlanRecencyParts(*env.db, prepared.plan, snap, threads);
+  auto planned = PlanRecencyParts(*env.db, prepared.plan, snap);
   if (!planned.ok()) {
     state.SkipWithError(planned.status().ToString().c_str());
     return;

@@ -74,9 +74,6 @@ echo "==> trac_analyze examples/queries/"
 echo "==> trac_verify examples/plans/ + examples/queries/"
 ./build/tools/trac_verify --schema examples/plans/schema.sql \
   --golden examples/plans/golden --dump-ir examples/queries/q*.sql
-./build/tools/trac_verify --schema examples/plans/schema.sql \
-  --golden examples/plans/golden/par4 --dump-ir --parallelism 4 \
-  examples/queries/q*.sql
 ./build/tools/trac_verify --golden examples/plans/golden/bad \
   --dump-ir --expect-findings examples/plans/bad/bad_*.ir
 
@@ -162,9 +159,9 @@ if missing or stale:
 echo "==> perfbench smoke (the benchmark's replay of the library API)"
 # perfbench compiles its own replay of a report against the public
 # library calls (PlanQuery, LowerReportSession, VerifyIrStatus, ...).
-# A traced selective run, a traced scan run (which replays the sharded
-# fan-out) and an untraced live-grid run must each end in a JSON line
-# with "correct": true and "failed": 0.
+# A traced selective run, a traced scan run (which replays the Naive
+# registry walk and Q4's two-part fan-out) and an untraced live-grid run
+# must each end in a JSON line with "correct": true and "failed": 0.
 for args in "--workload selective-20k --seed 1 --seconds 2 --trace 1" \
             "--workload scan-20k --seed 1 --seconds 2 --trace 1" \
             "--workload grid-live-2k --seed 1 --seconds 2 --trace 0"; do

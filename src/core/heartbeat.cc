@@ -21,9 +21,8 @@ Result<HeartbeatTable> HeartbeatTable::Open(Database* db,
   return Bind(db, id, name);
 }
 
-Result<HeartbeatTable> HeartbeatTable::Bind(Database* db, TableId id,
-                                            std::string_view name) {
-  const TableSchema& schema = db->catalog().schema(id);
+Result<HeartbeatTable::Columns> HeartbeatTable::CheckSchema(
+    const TableSchema& schema, std::string_view name) {
   const std::optional<size_t> source_col = schema.FindColumn(kSourceColumn);
   const std::optional<size_t> recency_col = schema.FindColumn(kRecencyColumn);
   if (!source_col.has_value() || !recency_col.has_value() ||
@@ -32,8 +31,15 @@ Result<HeartbeatTable> HeartbeatTable::Bind(Database* db, TableId id,
     return Status::InvalidArgument("table '" + std::string(name) +
                                    "' does not have the heartbeat schema");
   }
-  return HeartbeatTable(db, id, std::string(name), *source_col,
-                        *recency_col);
+  return Columns{*source_col, *recency_col};
+}
+
+Result<HeartbeatTable> HeartbeatTable::Bind(Database* db, TableId id,
+                                            std::string_view name) {
+  TRAC_ASSIGN_OR_RETURN(Columns columns,
+                        CheckSchema(db->catalog().schema(id), name));
+  return HeartbeatTable(db, id, std::string(name), columns.source,
+                        columns.recency);
 }
 
 Status HeartbeatTable::Write(const std::string& source, Timestamp recency,

@@ -42,6 +42,19 @@ class HeartbeatTable {
   [[nodiscard]] static Result<HeartbeatTable> Open(Database* db,
                                      std::string_view name = kDefaultName);
 
+  /// Positions of the heartbeat columns in a table's schema.
+  struct Columns {
+    size_t source;
+    size_t recency;
+  };
+
+  /// The one heartbeat schema check, shared by Open and the relevance
+  /// engine: `schema` must have a STRING source_id and a TIMESTAMP
+  /// recency_timestamp column, at any position; InvalidArgument naming
+  /// `name` otherwise.
+  [[nodiscard]] static Result<Columns> CheckSchema(const TableSchema& schema,
+                                                   std::string_view name);
+
   const std::string& name() const { return name_; }
   TableId table_id() const { return table_id_; }
 

@@ -158,8 +158,7 @@ Result<RecencyReport> RecencyReporter::Finish(
   TraceSpan plan_span(tel.tracer, tel.clock, "plan", trace_id, root.id());
   TRAC_ASSIGN_OR_RETURN(
       ReportSession planned,
-      PlanReportSession(*db_, user_query, plan, snapshot,
-                        options.relevance.parallelism));
+      PlanReportSession(*db_, user_query, plan, snapshot));
   const bool profiling = options.profile;
   bool lower = profiling;
 #if defined(TRAC_DEBUG_INVARIANTS)

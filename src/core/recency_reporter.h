@@ -67,8 +67,8 @@ struct RecencyReport {
   int64_t plan_micros = 0;
 
   /// Parallel-execution detail, merged from the per-task timings of
-  /// ExecuteRecencyQueriesDetailed. With parallelism 1 there is one task
-  /// per plan part and busy == wall; with fan-out, busy / wall is the
+  /// ExecuteRecencyQueriesDetailed: one task per plan part. With
+  /// parallelism 1 busy == wall; with fan-out, busy / wall is the
   /// realized speedup of the relevance-execution component (what
   /// bench_parallel_relevance reports).
   size_t relevance_parallelism = 1;        ///< Strands requested.

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string_view>
 
 #include "common/str_util.h"
@@ -28,13 +29,10 @@ struct HeartbeatInfo {
                                        const RelevanceOptions& options) {
   TRAC_ASSIGN_OR_RETURN(TableId id, db.FindTable(options.heartbeat_table));
   const TableSchema& schema = db.catalog().schema(id);
-  auto src = schema.FindColumn(HeartbeatTable::kSourceColumn);
-  auto rec = schema.FindColumn(HeartbeatTable::kRecencyColumn);
-  if (!src.has_value() || !rec.has_value()) {
-    return Status::InvalidArgument("table '" + options.heartbeat_table +
-                                   "' does not have the heartbeat schema");
-  }
-  return HeartbeatInfo{id, *src, *rec, schema.name()};
+  TRAC_ASSIGN_OR_RETURN(
+      HeartbeatTable::Columns columns,
+      HeartbeatTable::CheckSchema(schema, options.heartbeat_table));
+  return HeartbeatInfo{id, columns.source, columns.recency, schema.name()};
 }
 
 /// A display name for the Heartbeat slot that cannot clash with the user
@@ -290,7 +288,7 @@ namespace {
 
 /// Unmerged output of one execution task: (source, recency) pairs in
 /// emission order, duplicates allowed (the merge dedups). The sources
-/// are views, never copies: a shard task views the heartbeat table's
+/// are views, never copies: a walk task views the heartbeat table's
 /// row versions (immutable once published, stable addresses, kept
 /// until shutdown even if the table is dropped), a planned part views
 /// its own `result`. Both outlive the merge.
@@ -349,25 +347,27 @@ void RunPartTask(const Database& db, const RecencyQueryPlan::Part& part,
   }
 }
 
-/// One shard of a pure-heartbeat-scan part: version indexes
-/// [begin_idx, end_idx) of the heartbeat table, evaluated directly off
-/// the version log (per-source scan; no predicate, no planner).
-void RunHeartbeatShardTask(const Database& db,
-                           const RecencyQueryPlan::Part& part,
-                           Snapshot snapshot, size_t begin_idx,
-                           size_t end_idx, RecencyTaskResult* out) {
+/// A registry walk: a pure Heartbeat scan read through the registry's
+/// source_id index in key order. A key's versions come in version order,
+/// so the first one visible at `snapshot` is the source's first row in
+/// scan order, and the rest are skipped. The rows come out strictly
+/// ascending by source, one per source. NULL sources are never indexed.
+void RunHeartbeatWalkTask(const Database& db,
+                          const RecencyQueryPlan::Part& part,
+                          const OrderedIndex& index, Snapshot snapshot,
+                          RecencyTaskResult* out) {
   const Table* table = db.GetTable(part.query.relations[0].table_id);
-  const size_t src_col = part.query.outputs[0].ref.col;
+  const size_t src_col = index.column();
   const size_t rec_col = part.query.outputs[1].ref.col;
-  out->rows.reserve(end_idx - begin_idx);
-  table->ScanRange(snapshot, begin_idx, end_idx,
-                   [&](size_t, const Row& row) {
-                     if (row[src_col].is_null()) return;
-                     out->rows.emplace_back(row[src_col].str_val(),
-                                            row[rec_col].is_null()
-                                                ? Timestamp()
-                                                : row[rec_col].ts_val());
-                   });
+  index.ScanRange(std::nullopt, true, std::nullopt, true, [&](size_t vidx) {
+    const RowVersion& v = table->version(vidx);
+    if (!table->Visible(v, snapshot)) return;
+    const std::string_view source = v.values[src_col].str_val();
+    if (!out->rows.empty() && out->rows.back().first == source) return;
+    const Value& recency = v.values[rec_col];
+    out->rows.emplace_back(source,
+                           recency.is_null() ? Timestamp() : recency.ts_val());
+  });
 }
 
 /// One task row in the set merge. `key` is the source's first 8 bytes,
@@ -420,12 +420,36 @@ std::string SourceString(const MergeEntry& e) {
   return std::string(bytes, e.source.size());
 }
 
+/// Whether `results`' rows, in task order, are strictly ascending by
+/// source, as a lone registry walk's are.
+bool StrictlyAscending(const std::vector<RecencyTaskResult>& results) {
+  const std::string_view* prev = nullptr;
+  for (const RecencyTaskResult& result : results) {
+    for (const auto& row : result.rows) {
+      if (prev != nullptr && !(*prev < row.first)) return false;
+      prev = &row.first;
+    }
+  }
+  return true;
+}
+
 /// The set union of `results`' rows in task order: one SourceRecency
 /// per distinct source, sorted by source, each carrying the recency of
-/// the source's first row in task order. One sort over fixed-width
-/// entries, then one string copy per surviving source.
+/// the source's first row in task order. Rows already strictly
+/// ascending are that union as they stand; any others take one sort
+/// over fixed-width entries. Then one string copy per surviving source.
 std::vector<SourceRecency> MergeTaskRows(
     const std::vector<RecencyTaskResult>& results, size_t total_rows) {
+  std::vector<SourceRecency> merged;
+  if (StrictlyAscending(results)) {
+    merged.reserve(total_rows);
+    for (const RecencyTaskResult& result : results) {
+      for (const auto& [source, ts] : result.rows) {
+        merged.push_back(SourceRecency{std::string(source), ts});
+      }
+    }
+    return merged;
+  }
   std::vector<MergeEntry> entries;
   entries.reserve(total_rows);
   for (const RecencyTaskResult& result : results) {
@@ -445,7 +469,6 @@ std::vector<SourceRecency> MergeTaskRows(
                               return CompareSources(a, b) == 0;
                             }),
                 entries.end());
-  std::vector<SourceRecency> merged;
   merged.reserve(entries.size());
   for (const MergeEntry& e : entries) {
     merged.push_back(SourceRecency{SourceString(e), e.recency});
@@ -464,31 +487,21 @@ bool IsPureHeartbeatScan(const RecencyQueryPlan::Part& part) {
 
 }  // namespace
 
-size_t PlannedHeartbeatShards(const Database& db,
-                              const RecencyQueryPlan::Part& part,
-                              size_t parallelism) {
-  if (parallelism <= 1 || !IsPureHeartbeatScan(part)) return 1;
-  const Table* table = db.GetTable(part.query.relations[0].table_id);
-  const size_t n = table->num_versions();
-  // A couple of shards per strand evens out visibility-density skew
-  // without drowning tiny tables in task overhead.
-  const size_t max_shards = std::max<size_t>(1, n / 64);
-  return std::min(parallelism * 2, max_shards);
+size_t PlannedHeartbeatShards(const Database&,
+                              const RecencyQueryPlan::Part&, size_t) {
+  return 1;
 }
 
 [[nodiscard]] Result<std::vector<PlannedPart>> PlanRecencyParts(
-    const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
-    size_t parallelism) {
+    const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot) {
   std::vector<PlannedPart> planned(plan.parts.size());
   for (size_t i = 0; i < plan.parts.size(); ++i) {
     const RecencyQueryPlan::Part& part = plan.parts[i];
     PlannedPart& out = planned[i];
     if (IsPureHeartbeatScan(part)) {
-      // Serial execution shards too (into one range), so a serial-vs-
-      // parallel comparison measures fan-out, never a change of
-      // evaluation strategy.
-      out.shards = PlannedHeartbeatShards(db, part, parallelism);
-      continue;
+      const Table* table = db.GetTable(part.query.relations[0].table_id);
+      out.walk = table->GetIndex(part.query.outputs[0].ref.col);
+      if (out.walk != nullptr) continue;
     }
     TRAC_ASSIGN_OR_RETURN(out.main, PlanQuery(db, part.query, snapshot));
     out.guards.resize(part.guards.size());
@@ -502,7 +515,7 @@ size_t PlannedHeartbeatShards(const Database& db,
 
 [[nodiscard]] Result<ReportSession> PlanReportSession(
     const Database& db, const BoundQuery& user_query,
-    const RecencyQueryPlan& plan, Snapshot snapshot, size_t parallelism) {
+    const RecencyQueryPlan& plan, Snapshot snapshot) {
   ReportSession session;
   // A proven-unsatisfiable user predicate plans to an empty result.
   PlanningHints hints;
@@ -510,7 +523,7 @@ size_t PlannedHeartbeatShards(const Database& db,
   TRAC_ASSIGN_OR_RETURN(session.user_plan,
                         PlanQuery(db, user_query, snapshot, hints));
   TRAC_ASSIGN_OR_RETURN(session.parts,
-                        PlanRecencyParts(db, plan, snapshot, parallelism));
+                        PlanRecencyParts(db, plan, snapshot));
   return session;
 }
 
@@ -528,10 +541,7 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
     const PlannedPart& planned = session.parts[i];
     SessionPartInput& in = input.parts[i];
     in.query = &plan.parts[i].query;
-    if (planned.shards > 0) {
-      in.shards = planned.shards;
-      continue;
-    }
+    if (planned.walk != nullptr) continue;
     in.plan = &planned.main;
     for (size_t g = 0; g < planned.guards.size(); ++g) {
       in.guard_queries.push_back(&plan.parts[i].guards[g]);
@@ -551,9 +561,8 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
     const RelevanceOptions& options) {
-  TRAC_ASSIGN_OR_RETURN(
-      std::vector<PlannedPart> planned,
-      PlanRecencyParts(db, plan, snapshot, options.parallelism));
+  TRAC_ASSIGN_OR_RETURN(std::vector<PlannedPart> planned,
+                        PlanRecencyParts(db, plan, snapshot));
   return ExecuteRecencyQueriesDetailed(db, plan, planned, snapshot, options);
 }
 
@@ -566,39 +575,6 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
   }
   const size_t parallelism = std::max<size_t>(1, options.parallelism);
 
-  // Build the task list. Ranges shard in ascending version order and
-  // the merge numbers rows in task-list order, so the merged row stream
-  // is a permutation-free replay of the serial one and the first row of
-  // a source wins at any parallelism: identical results.
-  struct TaskSpec {
-    const RecencyQueryPlan::Part* part;
-    bool shard = false;
-    size_t begin_idx = 0, end_idx = 0;
-    size_t part_idx = 0;   ///< Index into plan.parts.
-    size_t shard_idx = 0;  ///< Shard ordinal within the part.
-  };
-  std::vector<TaskSpec> specs;
-  for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-    const RecencyQueryPlan::Part& part = plan.parts[pi];
-    const size_t shards = planned[pi].shards;
-    if (shards > 0) {
-      // num_versions() here covers every version visible at `snapshot`:
-      // the version log's size is release-published before the commit
-      // counter the snapshot was read from (see the Database contract).
-      const Table* table = db.GetTable(part.query.relations[0].table_id);
-      const size_t n = table->num_versions();
-      const size_t chunk = (n + shards - 1) / shards;
-      size_t shard_idx = 0;
-      for (size_t lo = 0; lo < n || lo == 0; lo += chunk) {
-        specs.push_back(TaskSpec{&part, /*shard=*/true, lo,
-                                 std::min(n, lo + chunk), pi, shard_idx++});
-        if (chunk == 0) break;
-      }
-    } else {
-      specs.push_back(TaskSpec{&part, /*shard=*/false, 0, 0, pi, 0});
-    }
-  }
-
   // Telemetry is resolved once per call; the task histogram pointer and
   // trace linkage are shared read-only across strands (Observe/Record
   // are thread-safe).
@@ -608,34 +584,33 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
       ResolveSeries(tel.metrics, [](MetricRegistry& metrics) {
         return metrics.GetHistogram(
             "trac_relevance_task_micros",
-            "Wall time of one relevance execution task (part or shard)");
+            "Wall time of one relevance execution task (one per part)");
       });
   Tracer* tracer = options.trace_id != 0 ? tel.tracer : nullptr;
   const uint64_t trace_id = options.trace_id;
   const uint64_t parent_span_id = options.parent_span_id;
 
-  // One result slot per task: no shared mutable state between strands —
-  // every task reads the shared immutable plan/snapshot and writes only
-  // its own slot.
+  // One task per part, in part order; one result slot per task: no
+  // shared mutable state between strands — every task reads the shared
+  // immutable plan/snapshot and writes only its own slot. The merge
+  // numbers rows in task order, so the first row of a source wins at
+  // any parallelism: identical results.
   const bool profiling = options.profile;
-  std::vector<RecencyTaskResult> results(specs.size());
+  std::vector<RecencyTaskResult> results(plan.parts.size());
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    tasks.push_back([&db, &specs, &planned, &results, snapshot, i, clock,
+  tasks.reserve(plan.parts.size());
+  for (size_t i = 0; i < plan.parts.size(); ++i) {
+    tasks.push_back([&db, &plan, &planned, &results, snapshot, i, clock,
                      profiling, task_histogram, tracer, trace_id,
                      parent_span_id] {
-      const TaskSpec& spec = specs[i];
+      const RecencyQueryPlan::Part& part = plan.parts[i];
       RecencyTaskResult* out = &results[i];
-      out->profile.part = spec.part_idx;
-      out->profile.shard = spec.shard_idx;
-      out->profile.sharded = spec.shard;
+      out->profile.part = i;
       const int64_t t0 = clock();
-      if (spec.shard) {
-        RunHeartbeatShardTask(db, *spec.part, snapshot, spec.begin_idx,
-                              spec.end_idx, out);
+      if (planned[i].walk != nullptr) {
+        RunHeartbeatWalkTask(db, part, *planned[i].walk, snapshot, out);
       } else {
-        RunPartTask(db, *spec.part, planned[spec.part_idx], snapshot,
+        RunPartTask(db, part, planned[i], snapshot,
                     profiling ? &out->profile : nullptr, clock, out);
       }
       const int64_t t1 = clock();

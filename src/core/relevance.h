@@ -37,12 +37,13 @@ struct RelevanceOptions {
   uint64_t parent_span_id = 0;
 
   /// Number of concurrent strands used to execute a plan's recency
-  /// queries (1 = fully serial, the default). The per-part queries are
-  /// independent reads of one Snapshot — embarrassingly parallel — so
-  /// execution fans them out across `parallelism` strands
-  /// (the calling thread plus ThreadPool::Shared() workers) and merges
-  /// the partial results in deterministic part order: results are
-  /// byte-identical to the serial execution at any parallelism level.
+  /// queries (1 = fully serial, the default). Each part runs as one task,
+  /// an independent read of one Snapshot, so execution fans the parts
+  /// out across `parallelism` strands (the calling thread plus
+  /// ThreadPool::Shared() workers) and merges the partial results in
+  /// deterministic part order: results are byte-identical to the serial
+  /// execution at any parallelism level. A single-part plan (the Naive
+  /// plan) runs serially at any setting.
   size_t parallelism = 1;
 
   /// Collect per-operator execution profiles (telemetry/profile.h) for
@@ -135,21 +136,23 @@ struct SourceRecency {
 /// How one part of a RecencyQueryPlan executes, decided once per
 /// report. A pure Heartbeat scan (`SELECT DISTINCT source, recency FROM
 /// heartbeat`: the Naive plan, or a conjunct with no source-column
-/// predicate) runs as `shards` version-range scans off the version log
-/// and is never planned; any other part runs `main` behind its EXISTS
-/// `guards`. The executor runs exactly these, and the session IR lowers
-/// exactly these. Points into the Part it was built from.
+/// predicate) on a registry with a source_id index walks that index in
+/// key order as one task and is never planned. Its rows come out sorted
+/// and unique, so the merge keeps them as they are. Any other part,
+/// including a pure scan of an unindexed registry, runs `main` behind
+/// its EXISTS `guards`. The executor runs exactly these, and the session
+/// IR lowers exactly these. Points into the Part it was built from.
 struct PlannedPart {
-  size_t shards = 0;  ///< > 0 iff the part is a pure Heartbeat scan.
+  /// The registry's source_id index for a walk part; null otherwise.
+  const OrderedIndex* walk = nullptr;
   QueryPlan main;
   std::vector<QueryPlan> guards;  ///< Parallel to Part::guards.
 };
 
 /// Builds the PlannedPart of every part of `plan` for execution at
-/// `snapshot` with `parallelism` strands, in part order.
+/// `snapshot`, in part order.
 [[nodiscard]] Result<std::vector<PlannedPart>> PlanRecencyParts(
-    const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
-    size_t parallelism);
+    const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot);
 
 /// The plans one report session runs. No plan is verified: a release
 /// report trusts its planner, and LowerReportSessionPlans builds the
@@ -163,7 +166,7 @@ struct ReportSession {
 /// guard of `plan` once: the one place a report session is planned.
 [[nodiscard]] Result<ReportSession> PlanReportSession(
     const Database& db, const BoundQuery& user_query,
-    const RecencyQueryPlan& plan, Snapshot snapshot, size_t parallelism);
+    const RecencyQueryPlan& plan, Snapshot snapshot);
 
 /// Lowers `session`'s plans into one session IR, every read pinned to
 /// `snapshot`; `layout` receives one subgraph per planned query. For
@@ -178,11 +181,13 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
 
 /// Result of executing a plan's parts against one snapshot: the union
 /// of their sources, sorted by source id (std::string byte order), plus
-/// per-task timing (`task_micros[i]` is the wall time of task i; serial
-/// execution is one task per part, shards of a part in version order),
-/// letting the reporter split the relevance wall time into busy time
-/// vs. fan-out win. A source several rows name carries the recency of
-/// its first row in task order; rows with a NULL source are skipped.
+/// per-task timing (`task_micros[i]` is the wall time of task i, which
+/// runs part i), letting the reporter split the relevance wall time into
+/// busy time vs. fan-out win. A source several rows name carries the
+/// recency of its first row in task order, and a part's rows come in
+/// version order: a walk part keeps each source's first visible version.
+/// Rows with a NULL source are skipped; a NULL recency reads as the
+/// epoch.
 struct RecencyExecution {
   std::vector<SourceRecency> sources;
   std::vector<int64_t> task_micros;
@@ -194,14 +199,14 @@ struct RecencyExecution {
   /// Rows the tasks fed into the set merge (pre-dedup); always counted.
   uint64_t premerge_rows = 0;
   /// Wall time of the set merge, from the first task row read to the
-  /// last SourceRecency built (one sort over prefix-keyed row views,
-  /// then one string copy per source); always measured.
+  /// last SourceRecency built (one linear check, a sort over
+  /// prefix-keyed row views only when the rows are not already strictly
+  /// ascending, then one string copy per source); always measured.
   int64_t merge_micros = 0;
 };
-/// PlanRecencyParts at options.parallelism, then the overload below.
-/// With parallelism > 1 the parts run as pool tasks against the *same*
-/// snapshot, pure Heartbeat scans sharded so even single-part plans fan
-/// out; the result is identical to serial.
+/// PlanRecencyParts, then the overload below. With parallelism > 1 the
+/// parts run as pool tasks against the *same* snapshot; the result is
+/// identical to serial.
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
     const RelevanceOptions& options = RelevanceOptions());
@@ -212,9 +217,10 @@ struct RecencyExecution {
     const std::vector<PlannedPart>& planned, Snapshot snapshot,
     const RelevanceOptions& options);
 
-/// Version-range fan-out of `part` at `parallelism` strands: 1 unless
-/// the part is a pure Heartbeat scan and parallelism > 1. The one
-/// source of truth for the shard-count formula (PlannedPart::shards).
+/// Always 1: no part is split any more. Kept only because the benchmark
+/// program (perfbench/) calls it to decide which parts to plan itself,
+/// and so plans every part; ROADMAP item 1 deletes that call and this
+/// function.
 size_t PlannedHeartbeatShards(const Database& db,
                               const RecencyQueryPlan::Part& part,
                               size_t parallelism);

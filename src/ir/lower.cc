@@ -83,8 +83,7 @@ void AnnotateFilter(IrNode* filter, const Database& db,
 }
 
 /// Appends the scan of `rel` pinned to `snapshot`: the node a planned
-/// level starts with, and each version-range shard of a pure Heartbeat
-/// scan (which sets its shard fields on the result).
+/// level starts with, and the whole of a registry walk part.
 IrNode& LowerScan(PlanIr* ir, const Database& db, const BoundTableRef& rel,
                   Snapshot snapshot, const LowerOptions& options,
                   bool generated) {
@@ -209,7 +208,7 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
                               const ReportSessionInput& input,
                               const LowerOptions& options,
                               SessionLayout* layout) {
-  // Every recency part: sharded heartbeat scans, or the part's plan
+  // Every recency part: a registry walk's scan, or the part's plan
   // subgraph, gated by its guard subgraphs.
   std::vector<size_t> part_tops;
   std::vector<IrColumn> source_cols;
@@ -224,18 +223,13 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
       }
     }
     if (part.plan == nullptr) {
-      // Pure heartbeat scan run as version-range shards off the version
-      // log (one shard when serial, the same node its plan would lower
-      // to); the shards rejoin only through the session merge below.
-      for (size_t s = 0; s < part.shards; ++s) {
-        IrNode& scan = LowerScan(ir, db, q.relations[0], input.snapshot,
-                                 options, /*generated=*/true);
-        scan.shard = s;
-        scan.num_shards = part.shards;
-        part_tops.push_back(scan.id);
-        layout_part.shard_scan_ids.push_back(scan.id);
-      }
-      layout_part.sharded = true;
+      // A registry walk: one scan node, the same node its plan would
+      // lower to.
+      const IrNode& scan = LowerScan(ir, db, q.relations[0], input.snapshot,
+                                     options, /*generated=*/true);
+      part_tops.push_back(scan.id);
+      layout_part.walk = true;
+      layout_part.scan_id = scan.id;
       layout->parts.push_back(std::move(layout_part));
       continue;
     }

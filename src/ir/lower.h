@@ -35,13 +35,16 @@ PlanIr LowerQueryPlan(const Database& db, const BoundQuery& query,
 /// One recency part of a report session, pre-planned by the caller.
 struct SessionPartInput {
   const BoundQuery* query = nullptr;
-  /// Null for a pure-Heartbeat-scan part, which the executor runs as
-  /// version-range shards and never plans: it lowers to `shards` scan
-  /// nodes (a single shard is the same scan node its plan would lower to).
+  /// Null for a registry walk part (core/relevance.h), which the
+  /// executor never plans: it lowers to one scan node, the same node its
+  /// plan would lower to.
   const QueryPlan* plan = nullptr;
   /// EXISTS guards gating the part, pre-planned like the main query.
   std::vector<const BoundQuery*> guard_queries;
   std::vector<const QueryPlan*> guard_plans;
+  /// Read by nothing. Kept only because the benchmark program
+  /// (perfbench/) still sets it; ROADMAP item 1 deletes that write and
+  /// this field.
   size_t shards = 1;
 };
 
@@ -69,10 +72,10 @@ struct SessionLayout {
   };
   QueryRange user;
   struct Part {
-    /// Pure-heartbeat fan-out: `shard_scan_ids` instead of plan ranges.
-    bool sharded = false;
-    std::vector<size_t> shard_scan_ids;
-    /// Unsharded: guard subgraphs (execution order), then the main
+    /// A registry walk part: its one scan node instead of plan ranges.
+    bool walk = false;
+    size_t scan_id = 0;
+    /// Planned parts: guard subgraphs (execution order), then the main
     /// query's subgraph, then the optional gating filter.
     std::vector<QueryRange> guards;
     QueryRange main;
@@ -86,7 +89,7 @@ struct SessionLayout {
 };
 
 /// Lowers a full report session: the user query subgraph, every recency
-/// part (sharded scans or its plan subgraph, guards as gating filters),
+/// part (a walk's scan or its plan subgraph, guards as gating filters),
 /// the deterministic set merge of all parts, the temp-table writes, and
 /// the final report node consuming the user result and the sources.
 /// Recency-side nodes are marked `generated`. `layout` is overwritten

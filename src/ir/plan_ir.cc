@@ -126,10 +126,6 @@ std::string PlanIr::Dump() const {
     if (!n.table.empty()) out += " table=" + n.table;
     if (n.kind == IrNodeKind::kScan) {
       out += " snap=" + std::to_string(n.snapshot);
-      if (n.num_shards != 1) {
-        out += " shard=" + std::to_string(n.shard) + "/" +
-               std::to_string(n.num_shards);
-      }
       if (n.preexisting_temp) out += " pre";
       if (n.has_rows) out += " rows=" + std::to_string(n.rows);
     }
@@ -291,13 +287,6 @@ std::string PlanIr::Dump() const {
         node.table = value;
       } else if (key == "snap") {
         TRAC_ASSIGN_OR_RETURN(node.snapshot, parse_u64("snap", value));
-      } else if (key == "shard") {
-        const std::vector<std::string> parts = SplitOn(value, '/');
-        if (parts.size() != 2) return err("want shard=<k>/<n>");
-        TRAC_ASSIGN_OR_RETURN(uint64_t k, parse_u64("shard", parts[0]));
-        TRAC_ASSIGN_OR_RETURN(uint64_t n, parse_u64("shard", parts[1]));
-        node.shard = k;
-        node.num_shards = n;
       } else if (key == "pre") {
         node.preexisting_temp = true;
       } else if (key == "rows") {

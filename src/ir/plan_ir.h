@@ -12,7 +12,7 @@ namespace trac {
 /// A small dataflow IR every execution plan is lowered into before it
 /// runs (ir/lower.h) and that the static verifier checks (verify/
 /// verifier.h). The IR models *what the engine is about to do* — which
-/// snapshot each scan reads, how sharded scans rejoin, where temp tables
+/// snapshot each scan reads, how the recency parts rejoin, where temp tables
 /// are defined and consumed, and how column provenance flows — so the
 /// consistency contract of the reporting layer (user query and recency
 /// queries on one snapshot, Section 3.2) becomes a checkable artifact
@@ -21,7 +21,7 @@ namespace trac {
 /// Shape: a DAG of nodes; `IrNode::inputs` are the incoming edges. Each
 /// node's annotations describe its *outgoing* edge payload: `columns`
 /// is the column set (with provenance) the node produces, and a scan's
-/// `snapshot`/`shard` describe the read it feeds downstream. Node order
+/// `snapshot` describes the read it feeds downstream. Node order
 /// is execution order: the engine runs node k before node k+1, which is
 /// what makes "def before use" a meaningful check on a DAG.
 enum class IrNodeKind {
@@ -29,7 +29,7 @@ enum class IrNodeKind {
   kFilter,     ///< Predicate application (constant/local/level preds).
   kJoin,       ///< One join level (hash / index-nested-loop / nested).
   kAggregate,  ///< Aggregate fold (COUNT/SUM/AVG/MIN/MAX).
-  kMerge,      ///< Rejoin of parallel strands (parts or scan shards).
+  kMerge,      ///< Rejoin of the recency parts' strands.
   kTempWrite,  ///< Materialization into a session temp table.
   kReport,     ///< The recency report consuming user result + sources.
 };
@@ -60,9 +60,6 @@ struct IrNode {
   std::string table;
   // -- kScan: snapshot epoch the read is pinned to.
   uint64_t snapshot = 0;
-  // -- kScan: version-range shard `shard` of `num_shards` (1 = whole).
-  size_t shard = 0;
-  size_t num_shards = 1;
   /// kScan of a temp table whose definition predates this plan (the
   /// table already existed when the plan was lowered); exempt from the
   /// in-plan def-before-use rule.

@@ -29,15 +29,27 @@ namespace trac {
   return Status::OK();
 }
 
+namespace {
+
+/// The versions among the first `n` that `snap` sees, in version order.
+std::vector<size_t> VisibleVersions(const Table& table, Snapshot snap,
+                                    size_t n) {
+  std::vector<size_t> visible;
+  for (size_t i = 0; i < n; ++i) {
+    if (table.Visible(table.version(i), snap)) visible.push_back(i);
+  }
+  return visible;
+}
+
+}  // namespace
+
 [[nodiscard]] Status CheckSnapshotImmutable(const Table& table, Snapshot snap) {
   // First pass: capture the visible set. Bound the scan by the version
   // count at entry so a concurrent writer appending versions (which are
   // invisible to `snap` by construction) cannot make the two passes
   // cover different prefixes.
   const size_t n = table.num_versions();
-  std::vector<size_t> first;
-  table.ScanRange(snap, 0, n,
-                  [&](size_t vidx, const Row&) { first.push_back(vidx); });
+  const std::vector<size_t> first = VisibleVersions(table, snap, n);
 
   for (size_t vidx : first) {
     const RowVersion& v = table.version(vidx);
@@ -59,9 +71,7 @@ namespace trac {
 
   // Second pass: the frozen view must be repeatable no matter how much
   // history accumulated in between.
-  std::vector<size_t> second;
-  table.ScanRange(snap, 0, n,
-                  [&](size_t vidx, const Row&) { second.push_back(vidx); });
+  const std::vector<size_t> second = VisibleVersions(table, snap, n);
   if (first != second) {
     return Status::Internal(
         "snapshot " + std::to_string(snap.version) + " of table '" +

@@ -122,19 +122,8 @@ class Table {
   /// Calls fn(version_index, row) for every version visible in `snap`.
   template <typename Fn>
   void Scan(Snapshot snap, Fn fn) const {
-    ScanRange(snap, 0, num_versions(), fn);
-  }
-
-  /// Scan restricted to version indexes in [begin_idx, end_idx): the
-  /// partitioning hook for parallel readers — disjoint ranges cover
-  /// disjoint versions, and the union over a cover of [0, num_versions())
-  /// equals a full Scan at the same snapshot. `end_idx` is clamped to
-  /// the published size.
-  template <typename Fn>
-  void ScanRange(Snapshot snap, size_t begin_idx, size_t end_idx,
-                 Fn fn) const {
-    const size_t n = std::min(end_idx, num_versions());
-    for (size_t i = begin_idx; i < n; ++i) {
+    const size_t n = num_versions();
+    for (size_t i = 0; i < n; ++i) {
       const RowVersion& v = *Locate(i);
       if (Visible(v, snap)) fn(i, v.values);
     }

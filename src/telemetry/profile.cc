@@ -94,12 +94,10 @@ size_t AttachSessionProfile(PlanIr* ir, const SessionLayout& layout,
   for (const TaskProfile& task : profile.tasks) {
     if (task.part >= layout.parts.size()) continue;
     const SessionLayout::Part& part = layout.parts[task.part];
-    if (part.sharded) {
-      if (!task.sharded || task.shard >= part.shard_scan_ids.size()) continue;
-      const size_t id = part.shard_scan_ids[task.shard];
-      if (id >= n) continue;
-      Annotate(ir, id, task.rows);
-      AnnotateNs(ir, id, task.micros * 1000);
+    if (part.walk) {
+      if (part.scan_id >= n) continue;
+      Annotate(ir, part.scan_id, task.rows);
+      AnnotateNs(ir, part.scan_id, task.micros * 1000);
       ++annotated;
       continue;
     }

@@ -19,7 +19,7 @@ struct Telemetry;
 /// The executor (exec/executor.h) counts rows per pipeline stage into an
 /// ExecProfile while it runs; the reporter collects one ExecProfile per
 /// executed query (user query, each guard, each part main) plus the
-/// shard/merge/stats numbers the relevance fan-out already measures into
+/// walk/merge/stats numbers the relevance fan-out already measures into
 /// a SessionProfile; AttachSessionProfile then writes the counters back
 /// onto the session plan IR as `actual_rows=` / `actual_ns=` node
 /// annotations, using the SessionLayout extents recorded at lowering
@@ -74,16 +74,14 @@ struct ExecProfile {
   uint64_t invocations = 0;
 };
 
-/// Profile of one relevance execution task (core/relevance.h): either
-/// one version-range shard of a pure-heartbeat scan, or one full plan
-/// part (guards then main query).
+/// Profile of one relevance execution task (core/relevance.h), which
+/// runs one part: a registry walk, or a planned part (guards then main
+/// query).
 struct TaskProfile {
   size_t part = 0;      ///< Index into RecencyQueryPlan::parts.
-  size_t shard = 0;     ///< Shard ordinal within the part (sharded only).
-  bool sharded = false;
   uint64_t rows = 0;    ///< (source, recency) rows the task produced.
   int64_t micros = 0;   ///< Task wall time (same number the span records).
-  /// Unsharded parts: one profile per executed guard, in execution
+  /// Planned parts: one profile per executed guard, in execution
   /// order. A guard that returned empty stops the list — later guards
   /// and the main query never ran.
   std::vector<ExecProfile> guards;
@@ -97,7 +95,7 @@ struct SessionProfile {
   ExecProfile user;
   bool ran_user = false;
   /// One entry per relevance execution task, in task-list order (which
-  /// is plan-part order, shards in ascending version-range order).
+  /// is plan-part order).
   std::vector<TaskProfile> tasks;
   uint64_t premerge_rows = 0;   ///< Task rows entering the set merge.
   uint64_t merged_rows = 0;     ///< Distinct sources after the merge.

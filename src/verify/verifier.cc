@@ -117,35 +117,6 @@ void CheckTempTables(const PlanIr& ir, VerifyReport* report) {
   }
 }
 
-/// TRAC-V003: shard taint. A scan with num_shards > 1 produces an
-/// arbitrarily ordered fragment; the fragments may only reach an
-/// order-sensitive boundary (report, temp write, aggregate fold)
-/// through a merge that is order-insensitive (set) or explicitly
-/// sorted. Taint propagates along edges and is cleared by such merges.
-void CheckDeterministicMerge(const PlanIr& ir, VerifyReport* report) {
-  std::vector<bool> tainted(ir.nodes.size(), false);
-  for (const IrNode& n : ir.nodes) {
-    bool in_taint = false;
-    for (size_t in : n.inputs) in_taint = in_taint || tainted[in];
-    const bool boundary = n.kind == IrNodeKind::kReport ||
-                          n.kind == IrNodeKind::kTempWrite ||
-                          n.kind == IrNodeKind::kAggregate;
-    if (in_taint && boundary) {
-      Report(report, VerifyCode::kNondeterministicMerge, n,
-             "rows from sharded scans reach this " +
-                 std::string(IrNodeKindToString(n.kind)) +
-                 " without passing through an order-insensitive or "
-                 "sorted merge");
-      continue;  // The boundary consumed the fragments; output is fixed.
-    }
-    if (n.kind == IrNodeKind::kMerge && (n.set_merge || n.sorted)) {
-      tainted[n.id] = false;  // The rejoin is order-independent.
-      continue;
-    }
-    tainted[n.id] = in_taint || (n.kind == IrNodeKind::kScan && n.num_shards > 1);
-  }
-}
-
 /// TRAC-V004: provenance hygiene on the plan (Definition 2). (a) A
 /// relevant-source temp write must carry at least one data-source
 /// column — losing it severs the report from source identity. (b)
@@ -252,7 +223,7 @@ void CheckAbsint(const PlanIr& ir, const absint::AbsintResult& res,
 /// Canonicalizes the finding list: dedupe by (code, node) keeping the
 /// first (most specific) message, then stable-sort by (node, code).
 /// This makes renderings and --json byte-identical regardless of which
-/// pass found what first or what parallelism the plan was built for.
+/// pass found what first.
 void CanonicalizeDiagnostics(VerifyReport* report) {
   std::map<std::pair<size_t, VerifyCode>, size_t> first;
   std::vector<VerifyDiagnostic> kept;
@@ -281,8 +252,6 @@ std::string_view VerifyCodeId(VerifyCode code) {
     case VerifyCode::kTempUseBeforeDef:
     case VerifyCode::kTempSessionEscape:
       return "TRAC-V002";
-    case VerifyCode::kNondeterministicMerge:
-      return "TRAC-V003";
     case VerifyCode::kProvenanceLeak:
       return "TRAC-V004";
     case VerifyCode::kDeadMergeInput:
@@ -321,7 +290,6 @@ VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options) {
   }
   CheckSingleSnapshot(ir, &report);
   CheckTempTables(ir, &report);
-  CheckDeterministicMerge(ir, &report);
   CheckProvenance(ir, &report);
   if (options.absint) {
     CheckAbsint(ir, absint::AnalyzeIr(ir), &report);

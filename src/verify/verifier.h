@@ -24,9 +24,6 @@ namespace trac {
 ///              plan reads the same snapshot epoch.
 ///   TRAC-V002  temp tables: defined before use, and every temp node is
 ///              confined to one owning session.
-///   TRAC-V003  deterministic merge: rows from sharded scans reach the
-///              report/temp-write/aggregate boundary only through an
-///              order-insensitive (set) or explicitly sorted merge.
 ///   TRAC-V004  provenance hygiene (Definition 2): relevant-source temp
 ///              writes carry a data-source column; order-sensitive
 ///              aggregates (sum/avg) never fold a data-source column;
@@ -45,14 +42,13 @@ namespace trac {
 ///              a dataflow path that already applied it on the same
 ///              provenance set.
 ///
-/// TRAC-V005, TRAC-V008 and TRAC-V009..V016 are retired and never
-/// reused.
+/// TRAC-V003, TRAC-V005, TRAC-V008 and TRAC-V009..V016 are retired and
+/// never reused.
 enum class VerifyCode {
   kMalformedGraph = 0,     ///< TRAC-V000
   kSnapshotMismatch,       ///< TRAC-V001
   kTempUseBeforeDef,       ///< TRAC-V002
   kTempSessionEscape,      ///< TRAC-V002
-  kNondeterministicMerge,  ///< TRAC-V003
   kProvenanceLeak,         ///< TRAC-V004
   kDeadMergeInput,         ///< TRAC-V006
   kRedundantFilter,        ///< TRAC-V007
@@ -77,7 +73,7 @@ struct VerifyDiagnostic {
 /// The verifier's result: pass/fail plus every finding. The diagnostic
 /// list is canonical: deduplicated by (code, node) and stable-sorted by
 /// (node, code), so renderings and --json output are byte-identical
-/// regardless of pass order or the parallelism the plan was built for.
+/// regardless of pass order.
 struct VerifyReport {
   std::vector<VerifyDiagnostic> diagnostics;
 

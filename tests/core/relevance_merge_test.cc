@@ -1,11 +1,13 @@
 // Set-merge semantics of ExecuteRecencyQueriesDetailed. The merge turns
 // the tasks' (source, recency) rows into one sorted, duplicate-free
 // source list; these tests pin it to a std::map fold over the same rows
-// in task order (parts in plan order, a pure Heartbeat scan in version
+// in task order (parts in plan order, each part's rows in version
 // order): the first row of a source in task order wins, NULL sources
 // are skipped, and the order is std::string's byte order, including on
 // sources that share an 8-byte prefix, are shorter than 8 bytes, or
-// hold '\0' and bytes >= 0x80. Every case runs at parallelism 1 and 4.
+// hold '\0' and bytes >= 0x80. Every case runs at parallelism 1 and 4,
+// on a registry with its source_id index (a pure Heartbeat scan walks
+// the index) and on one without (the scan is planned like any part).
 
 #include <algorithm>
 #include <map>
@@ -26,12 +28,26 @@ namespace {
 
 using testing_util::Ts;
 
-class RelevanceMergeTest : public ::testing::Test {
+class RelevanceMergeTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
-    auto hb = HeartbeatTable::Create(&db_);
-    ASSERT_TRUE(hb.ok()) << hb.status().ToString();
+    if (Indexed()) {
+      auto hb = HeartbeatTable::Create(&db_);
+      ASSERT_TRUE(hb.ok()) << hb.status().ToString();
+      return;
+    }
+    TableSchema schema(
+        "heartbeat",
+        {ColumnDef(std::string(HeartbeatTable::kSourceColumn),
+                   TypeId::kString),
+         ColumnDef(std::string(HeartbeatTable::kRecencyColumn),
+                   TypeId::kTimestamp)});
+    const Status s = db_.CreateTable(std::move(schema)).status();
+    ASSERT_TRUE(s.ok()) << s.ToString();
   }
+
+  /// Whether the registry has its source_id index.
+  static bool Indexed() { return GetParam(); }
 
   /// A raw Heartbeat row: no upsert, so a source may repeat.
   void Insert(std::optional<std::string> source,
@@ -42,7 +58,7 @@ class RelevanceMergeTest : public ::testing::Test {
     ASSERT_TRUE(s.ok()) << s.ToString();
   }
 
-  /// The Naive plan's part: a pure Heartbeat scan, sharded by version.
+  /// The Naive plan's part: a pure Heartbeat scan.
   RecencyQueryPlan::Part ScanPart() {
     auto naive = GenerateNaivePlan(db_);
     EXPECT_TRUE(naive.ok()) << naive.status().ToString();
@@ -60,12 +76,11 @@ class RelevanceMergeTest : public ::testing::Test {
     return part;
   }
 
-  /// std::map fold over the rows every task of `plan` emits, in task
-  /// order.
+  /// std::map fold over the rows of every part of `plan`, in part order:
+  /// a part without a WHERE clause (a pure Heartbeat scan) is a table
+  /// scan at `snap`, any other part its query result.
   std::vector<SourceRecency> ReferenceFold(const RecencyQueryPlan& plan,
                                            Snapshot snap) {
-    auto planned = PlanRecencyParts(db_, plan, snap, /*parallelism=*/1);
-    EXPECT_TRUE(planned.ok()) << planned.status().ToString();
     std::map<std::string, Timestamp> merged;
     auto add = [&merged](const Row& row, size_t src, size_t rec) {
       if (row[src].is_null()) return;
@@ -74,7 +89,7 @@ class RelevanceMergeTest : public ::testing::Test {
     };
     for (size_t i = 0; i < plan.parts.size(); ++i) {
       const BoundQuery& q = plan.parts[i].query;
-      if ((*planned)[i].shards > 0) {
+      if (q.where == nullptr) {
         db_.GetTable(q.relations[0].table_id)
             ->Scan(snap, [&](size_t, const Row& row) {
               add(row, q.outputs[0].ref.col, q.outputs[1].ref.col);
@@ -90,10 +105,10 @@ class RelevanceMergeTest : public ::testing::Test {
     return out;
   }
 
-  /// Runs `plan` at parallelism 1 and 4 and checks both against the
-  /// reference fold; returns the serial result.
-  RecencyExecution ExpectMatchesReference(const RecencyQueryPlan& plan) {
-    const Snapshot snap = db_.LatestSnapshot();
+  /// Runs `plan` at `snap` at parallelism 1 and 4 and checks both
+  /// against the reference fold; returns the serial result.
+  RecencyExecution ExpectMatchesReference(const RecencyQueryPlan& plan,
+                                          Snapshot snap) {
     const std::vector<SourceRecency> expected = ReferenceFold(plan, snap);
     auto serial = ExecuteRecencyQueriesDetailed(db_, plan, snap);
     EXPECT_TRUE(serial.ok()) << serial.status().ToString();
@@ -104,6 +119,9 @@ class RelevanceMergeTest : public ::testing::Test {
     EXPECT_EQ(serial->sources, expected);
     EXPECT_EQ(parallel->sources, serial->sources);
     EXPECT_EQ(parallel->premerge_rows, serial->premerge_rows);
+    // One task per part at any parallelism.
+    EXPECT_EQ(serial->task_micros.size(), plan.parts.size());
+    EXPECT_EQ(parallel->task_micros.size(), plan.parts.size());
     EXPECT_TRUE(std::is_sorted(
         serial->sources.begin(), serial->sources.end(),
         [](const SourceRecency& a, const SourceRecency& b) {
@@ -112,12 +130,28 @@ class RelevanceMergeTest : public ::testing::Test {
     return std::move(*serial);
   }
 
+  RecencyExecution ExpectMatchesReference(const RecencyQueryPlan& plan) {
+    return ExpectMatchesReference(plan, db_.LatestSnapshot());
+  }
+
+  /// Rows the Naive part feeds the merge for `sources` distinct sources
+  /// over `rows` visible rows: a walk keeps one row per source, a
+  /// planned scan every distinct (source, recency) row.
+  static uint64_t ScanRows(uint64_t sources, uint64_t rows) {
+    return Indexed() ? sources : rows;
+  }
+
   Database db_;
 };
 
-TEST_F(RelevanceMergeTest, FirstRowInTaskOrderWinsAcrossPartsAndShards) {
+INSTANTIATE_TEST_SUITE_P(Registry, RelevanceMergeTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Indexed" : "Unindexed";
+                         });
+
+TEST_P(RelevanceMergeTest, FirstRowInTaskOrderWinsAcrossParts) {
   // Two full generations of 600 sources: each source's second row lies
-  // 600 versions after its first, in another shard of the scan.
+  // 600 versions after its first.
   const Timestamp first = Ts("2006-03-15 14:00:00");
   const Timestamp second = Ts("2006-03-16 14:00:00");
   auto name = [](int i) {
@@ -136,22 +170,14 @@ TEST_F(RelevanceMergeTest, FirstRowInTaskOrderWinsAcrossPartsAndShards) {
 
   RecencyExecution exec = ExpectMatchesReference(plan);
   ASSERT_EQ(exec.sources.size(), 600u);
-  EXPECT_EQ(exec.premerge_rows, 2u * (600 + 300 + 100));
+  EXPECT_EQ(exec.premerge_rows, ScanRows(600, 1200) + 2u * (300 + 100));
   // Only the scan carries src0150: its first version wins.
   EXPECT_EQ(exec.sources[150].source, "src0150");
   EXPECT_EQ(exec.sources[150].recency,
             first + 150 * Timestamp::kMicrosPerSecond);
-
-  // The scan really fans out at parallelism 4.
-  RelevanceOptions options;
-  options.parallelism = 4;
-  auto parallel = ExecuteRecencyQueriesDetailed(
-      db_, plan, db_.LatestSnapshot(), options);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_GT(parallel->task_micros.size(), plan.parts.size());
 }
 
-TEST_F(RelevanceMergeTest, NullSourcesAreSkipped) {
+TEST_P(RelevanceMergeTest, NullSourcesAreSkipped) {
   const Timestamp t = Ts("2006-03-15 14:20:05");
   Insert(std::nullopt, t);
   Insert("m1", t);
@@ -166,11 +192,68 @@ TEST_F(RelevanceMergeTest, NullSourcesAreSkipped) {
   ASSERT_EQ(exec.sources.size(), 2u);
   EXPECT_EQ(exec.sources[0], (SourceRecency{"m1", t}));
   EXPECT_EQ(exec.sources[1], (SourceRecency{"m2", Timestamp()}));
-  // Scan: m1, m2, m1; filtered part: m2 (its NULL-source row skipped).
-  EXPECT_EQ(exec.premerge_rows, 4u);
+  // Scan: m1, m2 (walked) or m1, m2, m1 (planned); filtered part: m2
+  // (its NULL-source row skipped).
+  EXPECT_EQ(exec.premerge_rows, ScanRows(2, 3) + 1);
 }
 
-TEST_F(RelevanceMergeTest, OrderIsStdStringByteOrder) {
+// A registry with history: dead versions left by upserts, a second
+// visible row for one source from a SQL INSERT, and NULL-source and
+// NULL-recency rows. The Naive part alone, and beside a planned part,
+// matches the reference fold at every snapshot of that history.
+TEST_P(RelevanceMergeTest, ScanMatchesReferenceAtEverySnapshot) {
+  auto hb = HeartbeatTable::Open(&db_);
+  ASSERT_TRUE(hb.ok()) << hb.status().ToString();
+  const Timestamp t = Ts("2006-03-15 14:20:05");
+  std::vector<Snapshot> snapshots = {db_.LatestSnapshot()};
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      const std::string source = "m" + std::to_string((i * 7) % 40);
+      const Status s = hb->SetRecency(
+          source, t + (round * 100 + i) * Timestamp::kMicrosPerSecond);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+    snapshots.push_back(db_.LatestSnapshot());
+  }
+  Insert("m5", t - Timestamp::kMicrosPerHour);  // A second m5 row.
+  snapshots.push_back(db_.LatestSnapshot());
+  Insert(std::nullopt, t);
+  Insert("m40", std::nullopt);
+  snapshots.push_back(db_.LatestSnapshot());
+  const Status s = hb->SetRecency("m5", t + Timestamp::kMicrosPerHour);
+  ASSERT_TRUE(s.ok()) << s.ToString();  // Rewrites both m5 rows.
+  snapshots.push_back(db_.LatestSnapshot());
+
+  RecencyQueryPlan naive;
+  naive.parts.push_back(ScanPart());
+  RecencyQueryPlan mixed;
+  mixed.parts.push_back(FilteredPart("source_id < 'm2'"));
+  mixed.parts.push_back(ScanPart());
+  for (const Snapshot snap : snapshots) {
+    SCOPED_TRACE("snapshot " + std::to_string(snap.version));
+    ExpectMatchesReference(naive, snap);
+    ExpectMatchesReference(mixed, snap);
+  }
+
+  // At the fifth snapshot m5's first version (the upserted row) still
+  // wins over the later SQL INSERT.
+  auto recency_of = [](const RecencyExecution& exec,
+                       const std::string& source) {
+    for (const SourceRecency& s : exec.sources) {
+      if (s.source == source) return std::optional<Timestamp>(s.recency);
+    }
+    return std::optional<Timestamp>();
+  };
+  RecencyExecution exec = ExpectMatchesReference(naive, snapshots[4]);
+  EXPECT_EQ(exec.sources.size(), 40u);
+  EXPECT_EQ(recency_of(exec, "m5"), t + 235 * Timestamp::kMicrosPerSecond);
+  // The last snapshots add m40 with a NULL recency, read as the epoch.
+  exec = ExpectMatchesReference(naive, snapshots.back());
+  EXPECT_EQ(exec.sources.size(), 41u);
+  EXPECT_EQ(recency_of(exec, "m40"), Timestamp());
+}
+
+TEST_P(RelevanceMergeTest, OrderIsStdStringByteOrder) {
   const std::vector<std::string> sources = {
       "machine_0002", "machine_0001", "machine_", "machine", "machine_00",
       "", "a", "ab", std::string("ab\0", 3), std::string("ab\0c", 4),
@@ -205,7 +288,7 @@ TEST_F(RelevanceMergeTest, OrderIsStdStringByteOrder) {
   }
 }
 
-TEST_F(RelevanceMergeTest, EmptyResults) {
+TEST_P(RelevanceMergeTest, EmptyResults) {
   RecencyQueryPlan plan;
   RecencyExecution none = ExpectMatchesReference(plan);
   EXPECT_TRUE(none.sources.empty());

@@ -198,7 +198,7 @@ TEST(ReporterTest, TempTablesRequestedWithoutSessionFails) {
 // whose guard finds nothing skips its main query). Lowered through
 // LowerReportSessionPlans, the session IR holds one subgraph per
 // planned query: the user query, plus the main query and guards of
-// every part that is not a pure Heartbeat scan.
+// every part that is not a registry walk.
 TEST(ReporterTest, PlansEachQueryOnce) {
   PaperExampleDb fixture(/*finite_domains=*/false);
   RecencyReporter reporter(&fixture.db, nullptr);
@@ -227,8 +227,7 @@ TEST(ReporterTest, PlansEachQueryOnce) {
                               GenerateRecencyQueries(fixture.db, query));
     TRAC_ASSERT_OK_AND_ASSIGN(
         ReportSession session,
-        PlanReportSession(fixture.db, query, plan, snapshot,
-                          /*parallelism=*/1));
+        PlanReportSession(fixture.db, query, plan, snapshot));
     SessionLayout layout;
     LowerReportSessionPlans(fixture.db, query, plan, session, snapshot,
                             options.relevance.heartbeat_table,
@@ -238,8 +237,8 @@ TEST(ReporterTest, PlansEachQueryOnce) {
     ASSERT_EQ(layout.parts.size(), plan.parts.size());
     for (size_t i = 0; i < plan.parts.size(); ++i) {
       const SessionLayout::Part& part = layout.parts[i];
-      EXPECT_EQ(part.sharded, session.parts[i].shards > 0);
-      if (part.sharded) continue;
+      EXPECT_EQ(part.walk, session.parts[i].walk != nullptr);
+      if (part.walk) continue;
       ASSERT_EQ(part.guards.size(), plan.parts[i].guards.size());
       subgraphs.insert(subgraphs.end(), part.guards.begin(),
                        part.guards.end());
@@ -255,8 +254,8 @@ TEST(ReporterTest, PlansEachQueryOnce) {
     expect_at_most_one_run_per_plan(sql, subgraphs.size());
   }
 
-  // The Naive plan is one pure Heartbeat scan: only the user query is
-  // planned, even serially.
+  // The Naive plan is one registry walk: only the user query is
+  // planned.
   options.method = RecencyMethod::kNaive;
   TRAC_ASSERT_OK_AND_ASSIGN(
       BoundQuery query,
@@ -265,12 +264,57 @@ TEST(ReporterTest, PlansEachQueryOnce) {
                             GenerateNaivePlan(fixture.db));
   TRAC_ASSERT_OK_AND_ASSIGN(
       ReportSession session,
-      PlanReportSession(fixture.db, query, naive, snapshot,
-                        /*parallelism=*/1));
+      PlanReportSession(fixture.db, query, naive, snapshot));
   ASSERT_EQ(session.parts.size(), 1u);
-  EXPECT_GT(session.parts[0].shards, 0u);
+  EXPECT_NE(session.parts[0].walk, nullptr);
   expect_at_most_one_run_per_plan(
       "SELECT value FROM activity WHERE mach_id = 'm1'", 1);
+}
+
+// The relevance engine checks the registry's column types with the same
+// check HeartbeatTable::Open makes: a registry with an INT64 source or a
+// STRING recency is an InvalidArgument for the Naive and the Focused
+// method alike, never an abort on the first row read.
+TEST(ReporterTest, MistypedRegistryIsInvalidArgument) {
+  const struct {
+    const char* create;
+    const char* insert;
+  } kRegistries[] = {
+      {"CREATE TABLE heartbeat (source_id BIGINT, recency_timestamp "
+       "TIMESTAMP)",
+       "INSERT INTO heartbeat VALUES (1, '2006-03-15 14:20:05')"},
+      {"CREATE TABLE heartbeat (source_id TEXT, recency_timestamp TEXT)",
+       "INSERT INTO heartbeat VALUES ('m1', 'yesterday')"},
+  };
+  for (const auto& registry : kRegistries) {
+    SCOPED_TRACE(registry.create);
+    Database db;
+    for (const char* sql :
+         {"CREATE TABLE activity (mach_id TEXT DATA SOURCE, value TEXT, "
+          "event_time TIMESTAMP)",
+          "INSERT INTO activity VALUES ('m1', 'idle', "
+          "'2006-03-11 20:37:46')",
+          registry.create, "CREATE INDEX ON heartbeat (source_id)",
+          registry.insert}) {
+      TRAC_ASSERT_OK(ExecuteStatement(&db, sql).status());
+    }
+    RecencyReporter reporter(&db, nullptr);
+    for (const RecencyMethod method :
+         {RecencyMethod::kNaive, RecencyMethod::kFocused}) {
+      RecencyReportOptions options;
+      options.method = method;
+      options.create_temp_tables = false;
+      for (const char* sql :
+           {"SELECT COUNT(*) FROM activity a WHERE a.value = 'idle'",
+            "SELECT value FROM activity a WHERE a.mach_id = 'm1'"}) {
+        SCOPED_TRACE(sql);
+        auto report = reporter.Run(sql, options);
+        ASSERT_FALSE(report.ok());
+        EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+            << report.status().ToString();
+      }
+    }
+  }
 }
 
 // A user table holding the next sys_temp_ name is skipped, and the

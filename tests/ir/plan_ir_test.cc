@@ -8,15 +8,15 @@ namespace trac {
 namespace {
 
 /// The canonical Dump() text of a small but fully featured plan: every
-/// node kind, shard fan-out, a relevance-marked join key, aggregate
+/// node kind, two recency strands, a relevance-marked join key, aggregate
 /// functions, session ownership, and the generated flag.
 const char kFullDump[] =
     "ir full_example\n"
     "node 0 scan table=activity snap=12 cols=a.mach_id:d,a.value:r\n"
     "node 1 filter in=0 cols=a.mach_id:d,a.value:r\n"
-    "node 2 scan table=heartbeat snap=12 shard=0/2 gen "
+    "node 2 scan table=heartbeat snap=12 gen "
     "cols=h.source_id:d,h.recency_timestamp:r\n"
-    "node 3 scan table=heartbeat snap=12 shard=1/2 gen "
+    "node 3 scan table=heartbeat snap=12 rows=40 gen "
     "cols=h.source_id:d,h.recency_timestamp:r\n"
     "node 4 merge in=2,3 set sorted gen "
     "cols=source_id:d,recency_timestamp:r\n"
@@ -53,9 +53,10 @@ TEST(PlanIrTest, ParsedFieldsMatch) {
   EXPECT_EQ(ir.nodes[0].columns[0].provenance, ColumnProvenance::kDataSource);
   EXPECT_EQ(ir.nodes[0].columns[1].provenance, ColumnProvenance::kRegular);
 
-  EXPECT_EQ(ir.nodes[2].shard, 0u);
-  EXPECT_EQ(ir.nodes[2].num_shards, 2u);
+  EXPECT_FALSE(ir.nodes[2].has_rows);
   EXPECT_TRUE(ir.nodes[2].generated);
+  EXPECT_TRUE(ir.nodes[3].has_rows);
+  EXPECT_EQ(ir.nodes[3].rows, 40u);
 
   EXPECT_EQ(ir.nodes[4].kind, IrNodeKind::kMerge);
   EXPECT_TRUE(ir.nodes[4].set_merge);
@@ -100,8 +101,6 @@ TEST(PlanIrTest, ParseErrors) {
   EXPECT_FALSE(ParsePlanIr("ir x\nnode 0 scan cols=a:z\n").ok());
   // Malformed join key.
   EXPECT_FALSE(ParsePlanIr("ir x\nnode 0 join key=d\n").ok());
-  // Malformed shard spec.
-  EXPECT_FALSE(ParsePlanIr("ir x\nnode 0 scan shard=3\n").ok());
 }
 
 // Every malformed attribute value reports uniformly as
@@ -124,8 +123,6 @@ TEST(PlanIrTest, ParseErrorsAreLineAnchored) {
        "line 2: pred: bad hex number"},
       {"snap not a number", "ir x\nnode 0 scan snap=5x\n",
        "line 2: snap: bad number '5x'"},
-      {"shard not a number", "ir x\nnode 0 scan shard=a/2\n",
-       "line 2: shard: bad number 'a'"},
       {"session not a number", "ir x\nnode 0 tempwrite session=one\n",
        "line 2: session: bad number 'one'"},
       {"in bad piece", "ir x\nnode 0 join in=0,x\n",
@@ -146,6 +143,8 @@ TEST(PlanIrTest, ParseErrorsAreLineAnchored) {
        "line 2: unknown attribute 'bound'"},
       {"retired src attribute", "ir x\nnode 0 tempwrite src=heartbeat\n",
        "line 2: unknown attribute 'src'"},
+      {"retired shard attribute", "ir x\nnode 0 scan shard=0/2\n",
+       "line 2: unknown attribute 'shard'"},
       {"anchor survives comments",
        "# leading commentary\n\nir x\n# more\nnode 0 scan rows=?\n",
        "line 5: rows: bad number '?'"},

@@ -1,8 +1,9 @@
 // Property: every plan the planner produces for the examples/queries/
-// corpus — the user plan, every generated recency part with its guards,
-// and the shard fan-out of a parallel executor — lowers to a plan IR
-// that the static verifier accepts with zero findings, under both
-// serial planning and parallelism > 1. The corpus files are the same
+// corpus — the user plan and every generated recency part with its
+// guards — lowers to a plan IR that the static verifier accepts with
+// zero findings. The session IR does not depend on the parallelism a
+// report executes at, so one lowering covers every level. The corpus
+// files are the same
 // ones tools/trac_verify lints in CI; the session comes from the
 // reporter's own PlanReportSession and LowerReportSessionPlans, so this
 // sees exactly the IR a TRAC_DEBUG_INVARIANTS report verifies.
@@ -77,7 +78,7 @@ std::vector<std::string> SqlStatements(const std::string& text) {
   return nonempty;
 }
 
-class VerifyPropertyTest : public ::testing::TestWithParam<size_t> {
+class VerifyPropertyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const fs::path schema =
@@ -106,8 +107,7 @@ class VerifyPropertyTest : public ::testing::TestWithParam<size_t> {
   Database db_;
 };
 
-TEST_P(VerifyPropertyTest, EveryPlannedCorpusQueryVerifiesClean) {
-  const size_t parallelism = GetParam();
+TEST_F(VerifyPropertyTest, EveryPlannedCorpusQueryVerifiesClean) {
   for (const fs::path& qpath : CorpusQueries()) {
     SCOPED_TRACE(qpath.filename().string());
     const std::vector<std::string> stmts =
@@ -119,8 +119,7 @@ TEST_P(VerifyPropertyTest, EveryPlannedCorpusQueryVerifiesClean) {
     auto plan = GenerateRecencyQueries(db_, *query);
     ASSERT_TRUE(plan.ok()) << plan.status();
     const Snapshot snapshot = db_.LatestSnapshot();
-    auto session =
-        PlanReportSession(db_, *query, *plan, snapshot, parallelism);
+    auto session = PlanReportSession(db_, *query, *plan, snapshot);
     ASSERT_TRUE(session.ok()) << session.status();
     SessionLayout layout;
     const PlanIr ir = LowerReportSessionPlans(
@@ -212,7 +211,7 @@ struct PlanSlot {
 std::vector<PlanSlot> PlannedQueries(const ReportSession& session) {
   std::vector<PlanSlot> slots = {PlanSlot()};
   for (size_t i = 0; i < session.parts.size(); ++i) {
-    if (session.parts[i].shards > 0) continue;
+    if (session.parts[i].walk != nullptr) continue;
     slots.push_back(PlanSlot{i, PlanSlot::kNone});
     for (size_t g = 0; g < session.parts[i].guards.size(); ++g) {
       slots.push_back(PlanSlot{i, g});
@@ -320,8 +319,7 @@ size_t ExpectLoneFindingsInSession(const Database& db, const BoundQuery& user,
   return failed_alone;
 }
 
-TEST_P(VerifyPropertyTest, SessionSubsumesEveryLonePlanFinding) {
-  const size_t parallelism = GetParam();
+TEST_F(VerifyPropertyTest, SessionSubsumesEveryLonePlanFinding) {
   std::vector<std::string> corpus;
   for (const fs::path& qpath : CorpusQueries()) {
     corpus.push_back(SqlStatements(ReadFileOrDie(qpath)).at(0));
@@ -337,8 +335,7 @@ TEST_P(VerifyPropertyTest, SessionSubsumesEveryLonePlanFinding) {
     ASSERT_TRUE(query.ok()) << query.status();
     auto plan = GenerateRecencyQueries(db_, *query);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    auto session =
-        PlanReportSession(db_, *query, *plan, snapshot, parallelism);
+    auto session = PlanReportSession(db_, *query, *plan, snapshot);
     ASSERT_TRUE(session.ok()) << session.status();
     // The clean plans pass alone and in their session.
     EXPECT_EQ(
@@ -362,9 +359,6 @@ TEST_P(VerifyPropertyTest, SessionSubsumesEveryLonePlanFinding) {
   // The mutations did make lone plans fail, so the check had teeth.
   EXPECT_GT(mutated_failing, 10u);
 }
-
-INSTANTIATE_TEST_SUITE_P(SerialAndParallel, VerifyPropertyTest,
-                         ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace trac

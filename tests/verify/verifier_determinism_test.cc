@@ -1,7 +1,7 @@
 // Satellite regression: verifier finding output is canonical — deduped
 // by (code, node), stable-sorted by (node, code) — so renderings,
-// --json, and goldens are byte-stable, and the finding list for a plan
-// is identical whether the session was planned at parallelism 1 or 4.
+// --json, and goldens are byte-stable, and lowering one session twice
+// yields the same finding list.
 
 #include <filesystem>
 #include <fstream>
@@ -106,21 +106,18 @@ void LoadPlansSchema(Database* db) {
   }
 }
 
-/// Lowers the full q4-style report session over `db` at `snapshot` and
-/// `parallelism` through the reporter's PlanReportSession and
-/// LowerReportSessionPlans (every plan pinned to the same snapshot).
-/// One recency part is a pure Heartbeat scan, which shards at
-/// parallelism > 1, and the others are planned filters, so the node ids
-/// differ between parallelism 1 and 4.
-PlanIr LowerSession(const Database& db, Snapshot snapshot,
-                    size_t parallelism) {
+/// Lowers the full q4-style report session over `db` at `snapshot`
+/// through the reporter's PlanReportSession and LowerReportSessionPlans
+/// (every plan pinned to the same snapshot). One recency part is a
+/// registry walk, and the others are planned filters.
+PlanIr LowerSession(const Database& db, Snapshot snapshot) {
   auto query = BindSql(db,
                        "SELECT mach_id FROM activity "
                        "WHERE value = 'idle' OR mach_id = 'm3'");
   EXPECT_TRUE(query.ok()) << query.status();
   auto plan = GenerateRecencyQueries(db, *query);
   EXPECT_TRUE(plan.ok()) << plan.status();
-  auto session = PlanReportSession(db, *query, *plan, snapshot, parallelism);
+  auto session = PlanReportSession(db, *query, *plan, snapshot);
   EXPECT_TRUE(session.ok()) << session.status();
   SessionLayout layout;
   return LowerReportSessionPlans(db, *query, *plan, *session, snapshot,
@@ -132,13 +129,12 @@ class DeterminismCorpusTest : public ::testing::Test {
  protected:
   void SetUp() override { ASSERT_NO_FATAL_FAILURE(LoadPlansSchema(&db_)); }
 
-  /// Lowers the full q4-style report session at `parallelism` and
-  /// returns the verifier findings after seeding the same violation in
-  /// a recency part: its first generated filter is marked statically
-  /// refuted (`sel=zero`), so the strand it gates feeds the session
-  /// merge dead.
-  std::vector<std::string> SeededFindings(size_t parallelism) {
-    PlanIr ir = LowerSession(db_, db_.LatestSnapshot(), parallelism);
+  /// Lowers the full q4-style report session and returns the verifier
+  /// findings after seeding a violation in a recency part: its first
+  /// generated filter is marked statically refuted (`sel=zero`), so the
+  /// strand it gates feeds the session merge dead.
+  std::vector<std::string> SeededFindings() {
+    PlanIr ir = LowerSession(db_, db_.LatestSnapshot());
     bool seeded = false;
     for (IrNode& n : ir.nodes) {
       if (!seeded && n.kind == IrNodeKind::kFilter && n.generated) {
@@ -157,12 +153,12 @@ class DeterminismCorpusTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(DeterminismCorpusTest, SameFindingListAtParallelism1And4) {
-  const std::vector<std::string> serial = SeededFindings(1);
-  const std::vector<std::string> parallel = SeededFindings(4);
-  ASSERT_FALSE(serial.empty()) << "seeded violation did not fire";
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial, std::vector<std::string>{"TRAC-V006"});
+TEST_F(DeterminismCorpusTest, SameFindingListOnEveryLowering) {
+  const std::vector<std::string> first = SeededFindings();
+  const std::vector<std::string> second = SeededFindings();
+  ASSERT_FALSE(first.empty()) << "seeded violation did not fire";
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, std::vector<std::string>{"TRAC-V006"});
 }
 
 }  // namespace

@@ -147,60 +147,6 @@ TEST(VerifierTest, CrossSessionTempsRejected) {
   EXPECT_TRUE(HasCode(report, VerifyCode::kTempSessionEscape));
 }
 
-// --- TRAC-V003: deterministic merge ----------------------------------------
-
-TEST(VerifierTest, UnmergedShardsRejectedAtReport) {
-  const VerifyReport report = Verify(
-      "ir shards\n"
-      "node 0 scan table=heartbeat snap=1 shard=0/2 cols=source_id:d\n"
-      "node 1 scan table=heartbeat snap=1 shard=1/2 cols=source_id:d\n"
-      "node 2 merge in=0,1 gen cols=source_id:d\n"
-      "node 3 report in=2 cols=source_id:d\n");
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasCode(report, VerifyCode::kNondeterministicMerge));
-  EXPECT_EQ(VerifyCodeId(VerifyCode::kNondeterministicMerge), "TRAC-V003");
-}
-
-TEST(VerifierTest, SetMergeClearsShardTaint) {
-  const VerifyReport report = Verify(
-      "ir setmerge\n"
-      "node 0 scan table=heartbeat snap=1 shard=0/2 cols=source_id:d\n"
-      "node 1 scan table=heartbeat snap=1 shard=1/2 cols=source_id:d\n"
-      "node 2 merge in=0,1 set gen cols=source_id:d\n"
-      "node 3 report in=2 cols=source_id:d\n");
-  EXPECT_TRUE(report.ok()) << report.Format(PlanIr{});
-}
-
-TEST(VerifierTest, SortedMergeClearsShardTaint) {
-  const VerifyReport report = Verify(
-      "ir sortedmerge\n"
-      "node 0 scan table=heartbeat snap=1 shard=0/2 cols=source_id:d\n"
-      "node 1 scan table=heartbeat snap=1 shard=1/2 cols=source_id:d\n"
-      "node 2 merge in=0,1 sorted gen cols=source_id:d\n"
-      "node 3 report in=2 cols=source_id:d\n");
-  EXPECT_TRUE(report.ok()) << report.Format(PlanIr{});
-}
-
-TEST(VerifierTest, ShardTaintPropagatesThroughFilters) {
-  const VerifyReport report = Verify(
-      "ir taintprop\n"
-      "node 0 scan table=heartbeat snap=1 shard=0/2 cols=source_id:d\n"
-      "node 1 filter in=0 cols=source_id:d\n"
-      "node 2 tempwrite in=1 table=sys_temp_a1 session=2 cols=source_id:d\n");
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasCode(report, VerifyCode::kNondeterministicMerge));
-}
-
-TEST(VerifierTest, AggregateBoundaryCatchesTaint) {
-  const VerifyReport report = Verify(
-      "ir taintagg\n"
-      "node 0 scan table=heartbeat snap=1 shard=0/2 cols=source_id:d\n"
-      "node 1 agg in=0 fns=count:r cols=n:r\n"
-      "node 2 report in=1 cols=n:r\n");
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(HasCode(report, VerifyCode::kNondeterministicMerge));
-}
-
 // --- TRAC-V004: provenance hygiene -----------------------------------------
 
 TEST(VerifierTest, SumOverDataSourceColumnRejected) {

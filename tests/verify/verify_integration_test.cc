@@ -50,8 +50,8 @@ TEST(VerifyIntegrationTest, PlanQueryVerifiesEveryPlanItReturns) {
   }
 }
 
-/// Plans and lowers the session a report of `sql` runs (`method`, at
-/// `parallelism`, writing temp tables as session `session_id`), expects
+/// Plans and lowers the session a report of `sql` runs (`method`,
+/// writing temp tables as session `session_id`), expects
 /// VerifyIr to pass it, then runs the report itself.
 void ExpectReportSessionVerifies(const Database& db, RecencyReporter* reporter,
                                  const std::string& sql,
@@ -64,11 +64,9 @@ void ExpectReportSessionVerifies(const Database& db, RecencyReporter* reporter,
                   : GenerateRecencyQueries(db, *query, options.relevance);
   ASSERT_TRUE(plan.ok()) << plan.status();
   const Snapshot snapshot = db.LatestSnapshot();
-  auto session = PlanReportSession(db, *query, *plan, snapshot,
-                                   options.relevance.parallelism);
+  auto session = PlanReportSession(db, *query, *plan, snapshot);
   ASSERT_TRUE(session.ok()) << session.status();
-  // The whole session IR: user plan, parts, guards, shard fan-out and
-  // temp writes.
+  // The whole session IR: user plan, parts, guards and temp writes.
   SessionLayout layout;
   const PlanIr ir = LowerReportSessionPlans(
       db, *query, *plan, *session, snapshot, options.relevance.heartbeat_table,

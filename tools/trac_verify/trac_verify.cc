@@ -2,16 +2,16 @@
 //
 // Usage:
 //   trac_verify --schema <schema.sql> [--golden <dir>] [--update]
-//               [--dump-ir] [--json] [--parallelism N] <file>...
+//               [--dump-ir] [--json] <file>...
 //
 // Two input kinds, told apart by extension:
 //
 //   *.sql  one SELECT statement. The query is bound against the schema,
 //          its recency queries are generated (src/core/relevance.h), the
-//          whole report session — user plan, every part with guards and
-//          the shard fan-out --parallelism would produce, the merge, the
-//          temp writes — is lowered into the plan IR (src/ir/lower.h)
-//          and the static verifier pass pipeline runs over it.
+//          whole report session — user plan, every part with guards,
+//          the merge, the temp writes — is lowered into the plan IR
+//          (src/ir/lower.h) and the static verifier pass pipeline runs
+//          over it.
 //   *.ir   a plan IR file in the Dump() text format (src/ir/plan_ir.h),
 //          parsed and verified as-is. This is the seeded-bad corpus
 //          format: examples/plans/bad/*.ir pin one TRAC-V diagnostic
@@ -33,8 +33,6 @@
 //   --golden <dir>    compare each file's text block against
 //                     <dir>/<stem>.txt and fail (exit 1) on mismatch
 //   --update          rewrite the golden files instead of comparing
-//   --parallelism N   model the executor's heartbeat-scan sharding at
-//                     N strands (default 1 = serial, no fan-out)
 //   --expect-findings invert the findings gate: every input must yield
 //                     at least one diagnostic (the seeded-bad corpus
 //                     mode; golden mismatches still fail)
@@ -43,7 +41,6 @@
 // errors (tools/common/cli_golden.h). Mirrors tools/trac_analyze.
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -70,7 +67,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --schema <schema.sql> [--golden <dir>] [--update] "
                "[--dump-ir] [--dump-rewrites] [--absint] [--dump-absint] "
-               "[--json] [--parallelism N] [--expect-findings] "
+               "[--json] [--expect-findings] "
                "<file.sql|file.ir>...\n",
                argv0);
   return trac::cli::kExitUsage;
@@ -96,14 +93,13 @@ std::string FormatRewrites(const trac::QueryPlan& plan) {
 /// receives the user plan's rewrite block.
 trac::Result<trac::PlanIr> LowerSqlFile(const trac::Database& db,
                                         const trac::BoundQuery& query,
-                                        size_t parallelism,
                                         std::string* rewrites) {
   TRAC_ASSIGN_OR_RETURN(trac::RecencyQueryPlan plan,
                         trac::GenerateRecencyQueries(db, query));
   const trac::Snapshot snapshot = db.LatestSnapshot();
   TRAC_ASSIGN_OR_RETURN(
       trac::ReportSession session,
-      trac::PlanReportSession(db, query, plan, snapshot, parallelism));
+      trac::PlanReportSession(db, query, plan, snapshot));
   if (rewrites != nullptr) *rewrites = FormatRewrites(session.user_plan);
   trac::SessionLayout layout;
   return trac::LowerReportSessionPlans(db, query, plan, session, snapshot,
@@ -143,7 +139,6 @@ int main(int argc, char** argv) {
   bool dump_absint = false;
   bool json = false;
   bool expect_findings = false;
-  size_t parallelism = 1;
   std::vector<std::string> input_files;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -166,9 +161,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--expect-findings") {
       expect_findings = true;
-    } else if (arg == "--parallelism" && i + 1 < argc) {
-      parallelism = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (parallelism == 0) parallelism = 1;
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage(argv[0]);
     } else {
@@ -250,8 +242,8 @@ int main(int argc, char** argv) {
                      input_file.c_str(), bound.status().ToString().c_str());
         return 2;
       }
-      auto lowered = LowerSqlFile(db, *bound, parallelism,
-                                  dump_rewrites ? &rewrites : nullptr);
+      auto lowered =
+          LowerSqlFile(db, *bound, dump_rewrites ? &rewrites : nullptr);
       if (!lowered.ok()) {
         std::fprintf(stderr, "trac_verify: %s: lowering failed: %s\n",
                      input_file.c_str(), lowered.status().ToString().c_str());
