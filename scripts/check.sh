@@ -84,10 +84,6 @@ echo "==> trac_verify --absint (abstract-interpretation goldens)"
 ./build/tools/trac_verify --golden examples/plans/golden/bad/absint \
   --dump-ir --absint --expect-findings examples/plans/bad/absint/bad_*.ir
 
-# The optimizer's decision trail over the clean corpus must stay empty
-# (no corpus query is aggregate-only, so no order-changing rule fires).
-./build/tools/trac_verify --schema examples/plans/schema.sql \
-  --dump-rewrites examples/queries/q*.sql | grep -q "rewrites: none"
 # Machine-readable findings over both seeded-bad corpora; CI uploads
 # the file as an artifact.
 mkdir -p findings
@@ -139,11 +135,9 @@ mkdir -p bench-json
   TRAC_BENCH_ROWS=2000 ../build/bench/bench_parallel_relevance \
     --threads=2 --json >/dev/null
   TRAC_BENCH_ROWS=2000 ../build/bench/bench_fpr_table --json >/dev/null
-  TRAC_BENCH_ROWS=2000 ../build/bench/bench_optimizer --json >/dev/null
 )
 for f in bench-json/BENCH_parallel_relevance.json \
-         bench-json/BENCH_fpr_table.json \
-         bench-json/BENCH_optimizer.json; do
+         bench-json/BENCH_fpr_table.json; do
   [[ -s "$f" ]] || { echo "missing bench record $f" >&2; exit 1; }
 done
 # The parallel-relevance record splits wall past the longest strand into
@@ -216,9 +210,8 @@ ctest --preset ubsan -R \
 echo "==> whole ctest suite with TRAC_DEBUG_INVARIANTS (debug preset)"
 # A release build plans once and verifies nothing. This build is where
 # every report lowers and verifies its session IR, where each executed
-# plan is also verified alone (ExecutePlan), where each attempted
-# rewrite is checked to leave the lowered IR unchanged, and where every
-# TRAC_DCHECK aborts instead of returning a Status.
+# plan is also verified alone (ExecutePlan), and where every TRAC_DCHECK
+# aborts instead of returning a Status.
 cmake --preset debug
 cmake --build --preset debug -j"$(nproc)"
 ctest --preset debug -j"$(nproc)" --output-on-failure

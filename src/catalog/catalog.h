@@ -77,7 +77,7 @@ class Catalog {
   /// Names of all live tables, in creation order.
   std::vector<std::string> TableNames() const;
 
-  /// Caches collected optimizer statistics for a table (advisory; see
+  /// Caches the planner's collected statistics for a table (unread; see
   /// catalog/stats.h). Overwrites any previous entry. Const: the stats
   /// cache is metadata about storage contents, not catalog identity, so
   /// read-only planning paths may populate it.
@@ -88,7 +88,8 @@ class Catalog {
 
   /// Cached stats for `id`, if any were collected. `valid_row_count`
   /// screens staleness: a cached entry collected at a different
-  /// row-version count is reported as absent so the caller recollects.
+  /// row-version count is reported as absent so the planner recollects,
+  /// which is what re-walks the indexes once after each write.
   bool GetTableStats(TableId id, uint64_t valid_row_count,
                      TableStats* out) const {
     ReaderMutexLock lock(&mu_);
@@ -113,7 +114,7 @@ class Catalog {
   // Deque: schema references stay valid across CreateTable (Table objects
   // point at their catalog schema).
   std::deque<Entry> entries_ TRAC_GUARDED_BY(mu_);
-  /// Optimizer statistics cache, keyed by table id (catalog/stats.h).
+  /// Planner statistics cache, keyed by table id (catalog/stats.h).
   /// Mutable: populated from read-only planning paths.
   mutable std::map<TableId, TableStats> stats_ TRAC_GUARDED_BY(mu_);
 };

@@ -359,7 +359,7 @@ void RunHeartbeatWalkTask(const Database& db,
   const Table* table = db.GetTable(part.query.relations[0].table_id);
   const size_t src_col = index.column();
   const size_t rec_col = part.query.outputs[1].ref.col;
-  index.ScanRange(std::nullopt, true, std::nullopt, true, [&](size_t vidx) {
+  index.ScanInKeyOrder([&](size_t vidx) {
     const RowVersion& v = table->version(vidx);
     if (!table->Visible(v, snapshot)) return;
     const std::string_view source = v.values[src_col].str_val();

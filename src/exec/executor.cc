@@ -264,19 +264,6 @@ class Execution {
           }
         });
       }
-    } else if (lp.use_range_index) {
-      // Ordered range scan; the range predicate stays in local_preds, so
-      // consider() still re-checks it (the index only narrows the walk).
-      const OrderedIndex* index = state.table->GetIndex(lp.index_column);
-      index->ScanRange(lp.range_lo, lp.range_lo_inclusive, lp.range_hi,
-                       lp.range_hi_inclusive, [&](size_t vidx) {
-                         if (!status.ok()) return;
-                         const RowVersion& v = state.table->version(vidx);
-                         if (state.table->Visible(v, snapshot_)) {
-                           Status s = consider(v.values);
-                           if (!s.ok()) status = s;
-                         }
-                       });
     } else {
       state.table->Scan(snapshot_, [&](size_t, const Row& row) {
         if (!status.ok()) return;
@@ -351,16 +338,6 @@ class Execution {
             if (state.table->Visible(v, snapshot_)) consider(v.values);
           });
         }
-      } else if (lp.use_range_index) {
-        const OrderedIndex* index = state.table->GetIndex(lp.index_column);
-        index->ScanRange(lp.range_lo, lp.range_lo_inclusive, lp.range_hi,
-                         lp.range_hi_inclusive, [&](size_t vidx) {
-                           if (done_) return;
-                           const RowVersion& v = state.table->version(vidx);
-                           if (state.table->Visible(v, snapshot_)) {
-                             consider(v.values);
-                           }
-                         });
       } else {
         state.table->ScanWhile(snapshot_, [&](size_t, const Row& row) {
           consider(row);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "opt/rewrite.h"
+#include "catalog/stats.h"
 
 namespace trac {
 
@@ -242,10 +242,30 @@ std::vector<RelAccess> ComputeRelAccess(const Database& db,
   return Status::OK();
 }
 
+/// Row and distinct-key statistics for `id`, cached in the catalog until
+/// the table's published version count moves. Nothing reads them. The
+/// walk stays for its side effect: after every write it re-reads each
+/// indexed column's distinct keys, which keeps those ordered indexes
+/// cache-warm for the next insert. Without it, `grid-live-2k`'s
+/// `ingest_p50_us` rose about 50% (DESIGN.md §4g). It goes together with
+/// the node-per-entry index (ROADMAP item 3).
+void CollectTableStats(const Database& db, TableId id) {
+  const Table* table = db.GetTable(id);
+  const uint64_t rows = table->num_versions();
+  TableStats stats;
+  if (db.catalog().GetTableStats(id, rows, &stats)) return;
+  stats.row_count = rows;
+  for (size_t col : table->IndexedColumns()) {
+    const size_t ndv = table->GetIndex(col)->NumDistinctKeys();
+    stats.columns.push_back(ColumnStats{col, static_cast<uint64_t>(ndv)});
+  }
+  db.catalog().SetTableStats(id, std::move(stats));
+}
+
 }  // namespace
 
 [[nodiscard]] Result<QueryPlan> PlanQuery(const Database& db, const BoundQuery& query,
-                            Snapshot snapshot, const PlanningHints& hints) {
+                            Snapshot /*snapshot*/, const PlanningHints& hints) {
   QueryPlan plan;
   const size_t num_rels = query.relations.size();
   if (num_rels > 63) {
@@ -274,8 +294,11 @@ std::vector<RelAccess> ComputeRelAccess(const Database& db,
       BuildJoinLevels(db, query, info, std::move(units), &plan);
   if (!built.ok()) return built;
 
-  // Cost-based rewrites (opt/rewrite.h); none changes the lowered IR.
-  opt::OptimizePlan(db, query, snapshot, &plan);
+  if (!plan.provably_empty) {
+    for (const LevelPlan& level : plan.levels) {
+      CollectTableStats(db, query.relations[level.relation].table_id);
+    }
+  }
   return plan;
 }
 

@@ -1,8 +1,6 @@
 #ifndef TRAC_EXEC_PLANNER_H_
 #define TRAC_EXEC_PLANNER_H_
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "analysis/guarantee.h"
@@ -21,19 +19,11 @@ struct LevelPlan {
   size_t relation = 0;  ///< Slot index into BoundQuery::relations.
 
   // -- Access path.
+  /// Equality probes of `index_column`'s index, one per key; otherwise a
+  /// sequential scan. Range predicates always scan and filter.
   bool use_local_index = false;
-  size_t index_column = 0;  ///< Valid if use_local_index/use_range_index.
+  size_t index_column = 0;  ///< Valid if use_local_index.
   std::vector<Value> index_keys;     ///< Deduplicated = / IN keys.
-  /// Range scan over `index_column`'s ordered index between the optional
-  /// bounds (optimizer's convert-to-range-scan rule). Mutually exclusive
-  /// with use_local_index; the predicate that supplied the bounds stays
-  /// in local_preds and is re-checked on every row, so the access path
-  /// choice is invisible in the lowered IR.
-  bool use_range_index = false;
-  std::optional<Value> range_lo;
-  std::optional<Value> range_hi;
-  bool range_lo_inclusive = false;
-  bool range_hi_inclusive = false;
   /// Predicates referencing only this relation (re-checked on each row,
   /// including the one that supplied the index keys).
   std::vector<const BoundExpr*> local_preds;
@@ -54,29 +44,12 @@ struct LevelPlan {
   double estimated_rows = 0;  ///< Cardinality guess used for ordering.
 };
 
-/// One optimizer rule application attempt, recorded on the plan so
-/// tools can replay the decision trail (trac_verify --dump-rewrites).
-/// No attempt changes the lowered IR (opt/rewrite.h); `applied` is true
-/// only for candidates that beat the incumbent's cost.
-struct PlanRewrite {
-  std::string rule;     ///< "convert-to-range-scan", the one rule.
-  std::string detail;   ///< Deterministic rule-specific description.
-  std::string verdict;  ///< "applied" / "not cheaper".
-  double cost_before = 0;
-  double cost_after = 0;
-  bool applied = false;
-};
-
 /// A full plan: constant predicates (evaluated once), then the join
 /// levels in execution order.
 struct QueryPlan {
   /// Predicates referencing no columns (e.g. WHERE FALSE).
   std::vector<const BoundExpr*> constant_preds;
   std::vector<LevelPlan> levels;
-
-  /// Optimizer decision trail, in rule application order. Empty when the
-  /// optimizer is disabled or found nothing to try.
-  std::vector<PlanRewrite> rewrites;
 
   /// The static guarantee analysis proved the predicate unsatisfiable
   /// over the declared column domains (TRAC-E001). Because inserts
@@ -98,10 +71,17 @@ struct PlanningHints {
 /// predicates on indexed columns, greedy join ordering by estimated
 /// cardinality preferring equi-join-connected relations, hash joins for
 /// equi-joins, and index nested-loop joins when the prefix is small and
-/// the build side is indexed on the join column. Unverified: a release
-/// build trusts its planner; TRAC_DEBUG_INVARIANTS builds verify every
-/// executed plan (ExecutePlan), and trac_verify and the property suites
-/// verify the report sessions.
+/// the build side is indexed on the join column. The plan it returns is
+/// the plan that runs. Unverified: a release build trusts its planner;
+/// TRAC_DEBUG_INVARIANTS builds verify every executed plan
+/// (ExecutePlan), and trac_verify and the property suites verify the
+/// report sessions.
+///
+/// Unless the plan is provably empty, planning also refreshes each
+/// level's table statistics (catalog/stats.h), which nothing reads; see
+/// CollectTableStats in exec/planner.cc for why the walk stays.
+/// `snapshot` is unused: a plan reads only the schema, table and index
+/// sizes, and the hints.
 [[nodiscard]] Result<QueryPlan> PlanQuery(const Database& db, const BoundQuery& query,
                             Snapshot snapshot,
                             const PlanningHints& hints = PlanningHints());

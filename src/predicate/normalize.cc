@@ -72,12 +72,16 @@ std::vector<BoundExprPtr> CloneTermList(const std::vector<BoundExprPtr>& v) {
   return out;
 }
 
-[[nodiscard]] Result<RawDnf> Distribute(const BoundExpr& e, size_t max_conjuncts) {
-  switch (e.kind) {
+/// Distributes AND over OR in the NNF tree `e`, consuming it. Each term
+/// moves into the last conjunct that needs it and is cloned only for the
+/// earlier ones, so a pure conjunction clones nothing.
+[[nodiscard]] Result<RawDnf> Distribute(BoundExprPtr e, size_t max_conjuncts) {
+  switch (e->kind) {
     case ExprKind::kOr: {
       RawDnf out;
-      for (const auto& c : e.children) {
-        TRAC_ASSIGN_OR_RETURN(RawDnf sub, Distribute(*c, max_conjuncts));
+      for (auto& c : e->children) {
+        TRAC_ASSIGN_OR_RETURN(RawDnf sub,
+                              Distribute(std::move(c), max_conjuncts));
         for (auto& conj : sub) out.push_back(std::move(conj));
         if (out.size() > max_conjuncts) {
           return Status::ResourceExhausted("DNF conjunct limit exceeded");
@@ -88,17 +92,27 @@ std::vector<BoundExprPtr> CloneTermList(const std::vector<BoundExprPtr>& v) {
     case ExprKind::kAnd: {
       RawDnf acc;
       acc.push_back({});  // One empty conjunct: the AND identity.
-      for (const auto& c : e.children) {
-        TRAC_ASSIGN_OR_RETURN(RawDnf sub, Distribute(*c, max_conjuncts));
+      for (auto& c : e->children) {
+        TRAC_ASSIGN_OR_RETURN(RawDnf sub,
+                              Distribute(std::move(c), max_conjuncts));
         if (acc.size() * sub.size() > max_conjuncts) {
           return Status::ResourceExhausted("DNF conjunct limit exceeded");
         }
+        // Output (i, j) is acc[i] ++ sub[j]: acc[i] is last needed at
+        // j = |sub| - 1, and sub[j] at i = |acc| - 1.
         RawDnf next;
         next.reserve(acc.size() * sub.size());
-        for (const auto& left : acc) {
-          for (const auto& right : sub) {
-            std::vector<BoundExprPtr> merged = CloneTermList(left);
-            for (const auto& term : right) merged.push_back(term->Clone());
+        for (size_t i = 0; i < acc.size(); ++i) {
+          const bool last_use_of_sub = i + 1 == acc.size();
+          for (size_t j = 0; j < sub.size(); ++j) {
+            std::vector<BoundExprPtr> merged = j + 1 == sub.size()
+                                                   ? std::move(acc[i])
+                                                   : CloneTermList(acc[i]);
+            merged.reserve(merged.size() + sub[j].size());
+            for (auto& term : sub[j]) {
+              merged.push_back(last_use_of_sub ? std::move(term)
+                                               : term->Clone());
+            }
             next.push_back(std::move(merged));
           }
         }
@@ -109,7 +123,7 @@ std::vector<BoundExprPtr> CloneTermList(const std::vector<BoundExprPtr>& v) {
     default: {
       RawDnf out;
       out.push_back({});
-      out.back().push_back(e.Clone());
+      out.back().push_back(std::move(e));
       return out;
     }
   }
@@ -118,8 +132,9 @@ std::vector<BoundExprPtr> CloneTermList(const std::vector<BoundExprPtr>& v) {
 }  // namespace
 
 [[nodiscard]] Result<Dnf> ToDnf(const BoundExpr& predicate, const NormalizeOptions& options) {
-  BoundExprPtr nnf = ToNnf(predicate, /*negate=*/false);
-  TRAC_ASSIGN_OR_RETURN(RawDnf raw, Distribute(*nnf, options.max_conjuncts));
+  TRAC_ASSIGN_OR_RETURN(
+      RawDnf raw,
+      Distribute(ToNnf(predicate, /*negate=*/false), options.max_conjuncts));
   Dnf dnf;
   dnf.conjuncts.reserve(raw.size());
   for (auto& raw_conjunct : raw) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "common/mutex.h"
@@ -72,40 +71,32 @@ class OrderedIndex {
     for (size_t vidx : matches) fn(vidx);
   }
 
-  /// Calls fn(version_index) for every entry within the (optionally
-  /// open-ended) range. Bounds are structural-order bounds; callers must
-  /// only pass keys of the column's type.
+  /// Calls fn(version_index) for every entry, in ascending key order and,
+  /// within a key, in ascending version index (see ScanEqual). The
+  /// registry walk (core/relevance.cc) relies on both orders.
   template <typename Fn>
-  void ScanRange(const std::optional<Value>& lo, bool lo_inclusive,
-                 const std::optional<Value>& hi, bool hi_inclusive,
-                 Fn fn) const {
+  void ScanInKeyOrder(Fn fn) const {
     std::vector<size_t> matches;
     {
       ReaderMutexLock lock(&mu_);
-      auto it = lo.has_value()
-                    ? (lo_inclusive ? map_.lower_bound(*lo)
-                                    : map_.upper_bound(*lo))
-                    : map_.begin();
-      auto end = hi.has_value()
-                     ? (hi_inclusive ? map_.upper_bound(*hi)
-                                     : map_.lower_bound(*hi))
-                     : map_.end();
-      for (; it != end; ++it) matches.push_back(it->second);
+      matches.reserve(map_.size());
+      for (const auto& [key, vidx] : map_) matches.push_back(vidx);
     }
     for (size_t vidx : matches) fn(vidx);
   }
 
-  /// Number of entries equal to `key` (visibility not considered); used
-  /// by the planner's cardinality heuristic.
+  /// Number of entries equal to `key` (visibility not considered); the
+  /// planner's estimate of an equality probe's rows, which picks the
+  /// probed column and orders joins.
   size_t CountEqual(const Value& key) const {
     ReaderMutexLock lock(&mu_);
     auto [lo, hi] = map_.equal_range(key);
     return static_cast<size_t>(std::distance(lo, hi));
   }
 
-  /// Number of distinct keys (visibility not considered): the NDV the
-  /// optimizer's catalog statistics record for this column. One ordered
-  /// walk; callers cache the result (catalog/stats.h).
+  /// Number of distinct keys (visibility not considered). One ordered
+  /// walk; only the planner's statistics walk calls it, for the walk's
+  /// side effect of keeping the index cache-warm (catalog/stats.h).
   size_t NumDistinctKeys() const {
     ReaderMutexLock lock(&mu_);
     size_t distinct = 0;

@@ -164,8 +164,8 @@ class Table {
   const OrderedIndex* GetIndex(size_t column) const
       TRAC_EXCLUDES(indexes_mu_);
 
-  /// Columns with an ordered index, ascending; the profile set for the
-  /// optimizer's catalog statistics (catalog/stats.h).
+  /// Columns with an ordered index, ascending; the columns the
+  /// planner's statistics walk visits (catalog/stats.h).
   std::vector<size_t> IndexedColumns() const TRAC_EXCLUDES(indexes_mu_);
 
  private:

@@ -367,6 +367,15 @@ TEST(ReporterTest, EmptyRelevantSetProducesEmptyReport) {
   EXPECT_FALSE(report.stats.least_recent.has_value());
   EXPECT_NE(report.FormatNotices().find("No normal relevant data sources"),
             std::string::npos);
+
+  // An empty range over the unmonitored registry's indexed source_id,
+  // with a row on its bound: the analysis cannot prove it empty.
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      RecencyReport range,
+      reporter.Run("SELECT COUNT(*) FROM heartbeat WHERE source_id > 'm5' "
+                   "AND source_id < 'm5'"));
+  EXPECT_EQ(range.result.count(), 0);
+  EXPECT_TRUE(range.relevance.sources.empty());
 }
 
 // No source has reported yet: the Heartbeat registry is empty. The

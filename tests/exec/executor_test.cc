@@ -61,6 +61,17 @@ TEST(ExecutorTest, CountWithPredicate) {
                                "SELECT COUNT(*) FROM activity WHERE value = "
                                "'busy'"));
   EXPECT_EQ(rs.count(), 1);
+
+  // Empty ranges over the indexed mach_id, with rows on their bounds.
+  for (const char* where : {"mach_id > 'm2' AND mach_id < 'm2'",
+                            "mach_id BETWEEN 'm3' AND 'm1'"}) {
+    TRAC_ASSERT_OK_AND_ASSIGN(
+        ResultSet empty,
+        ExecuteSql(fixture.db,
+                   std::string("SELECT COUNT(*) FROM activity WHERE ") +
+                       where));
+    EXPECT_EQ(empty.count(), 0) << where;
+  }
 }
 
 TEST(ExecutorTest, CrossProductWithoutJoinPredicate) {

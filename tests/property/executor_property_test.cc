@@ -106,7 +106,7 @@ TEST_P(ExecutorPropertyTest, MatchesReferenceOracle) {
           return "a.mach_id IN (" + machine() + ", " + machine() + ")";
       }
     }
-    switch (rng.Uniform(7)) {
+    switch (rng.Uniform(8)) {
       case 0:
         return "mach_id = " + machine();
       case 1:
@@ -119,6 +119,8 @@ TEST_P(ExecutorPropertyTest, MatchesReferenceOracle) {
         return "mach_id NOT IN (" + machine() + ")";
       case 5:
         return "mach_id BETWEEN 'm1' AND 'm4'";
+      case 6:  // Inverted: an empty range with rows inside it.
+        return "mach_id BETWEEN 'm4' AND 'm1'";
       default:
         return "mach_id > " + machine();
     }

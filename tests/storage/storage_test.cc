@@ -167,7 +167,7 @@ TEST(TableTest, InsertManyIsAtomicallyVisible) {
   EXPECT_EQ(t->version(0).begin, t->version(99).begin);
 }
 
-TEST(IndexTest, EqualityAndRangeScans) {
+TEST(IndexTest, EqualityScansAndKeyOrderWalk) {
   OrderedIndex index(0);
   index.Insert(Value::Int(5), 0);
   index.Insert(Value::Int(5), 1);
@@ -182,14 +182,8 @@ TEST(IndexTest, EqualityAndRangeScans) {
   EXPECT_EQ(hits.size(), 2u);
 
   hits.clear();
-  index.ScanRange(Value::Int(5), /*lo_inclusive=*/false, Value::Int(7),
-                  /*hi_inclusive=*/true, [&](size_t v) { hits.push_back(v); });
-  EXPECT_EQ(hits, (std::vector<size_t>{2}));
-
-  hits.clear();
-  index.ScanRange(std::nullopt, true, std::nullopt, true,
-                  [&](size_t v) { hits.push_back(v); });
-  EXPECT_EQ(hits.size(), 3u);
+  index.ScanInKeyOrder([&](size_t v) { hits.push_back(v); });
+  EXPECT_EQ(hits, (std::vector<size_t>{0, 1, 2}));
 }
 
 TEST(IndexTest, IndexBackfillsAndTracksUpdates) {

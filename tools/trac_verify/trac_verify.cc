@@ -18,10 +18,6 @@
 //          each.
 //
 //   --dump-ir         print the lowered/parsed IR before the report
-//   --dump-rewrites   append the planner's rewrite decision trail for
-//                     each .sql input (rule, detail, verdict per
-//                     attempted rewrite; "rewrites: none" when the
-//                     optimizer had nothing to try)
 //   --absint          also run the abstract interpreter and the
 //                     semantic rules TRAC-V006/V007 it feeds (the
 //                     library gates always run them; the CLI default
@@ -66,41 +62,25 @@ using trac::cli::StripSqlComments;
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --schema <schema.sql> [--golden <dir>] [--update] "
-               "[--dump-ir] [--dump-rewrites] [--absint] [--dump-absint] "
+               "[--dump-ir] [--absint] [--dump-absint] "
                "[--json] [--expect-findings] "
                "<file.sql|file.ir>...\n",
                argv0);
   return trac::cli::kExitUsage;
 }
 
-/// The --dump-rewrites block: the optimizer's decision trail for the
-/// user plan, one line per attempted rewrite.
-std::string FormatRewrites(const trac::QueryPlan& plan) {
-  if (plan.rewrites.empty()) return "rewrites: none\n";
-  std::string out = "rewrites:\n";
-  for (const trac::PlanRewrite& rw : plan.rewrites) {
-    out += "  " + rw.rule;
-    if (!rw.detail.empty()) out += " (" + rw.detail + ")";
-    out += ": " + rw.verdict + "\n";
-  }
-  return out;
-}
-
 /// Lowers the report session a query would execute: the reporter's own
 /// PlanReportSession, then LowerReportSessionPlans. The session id is a
 /// stand-in (the corpus has no live session); the IR is what a profiled
-/// or TRAC_DEBUG_INVARIANTS report lowers. `rewrites`, when non-null,
-/// receives the user plan's rewrite block.
+/// or TRAC_DEBUG_INVARIANTS report lowers.
 trac::Result<trac::PlanIr> LowerSqlFile(const trac::Database& db,
-                                        const trac::BoundQuery& query,
-                                        std::string* rewrites) {
+                                        const trac::BoundQuery& query) {
   TRAC_ASSIGN_OR_RETURN(trac::RecencyQueryPlan plan,
                         trac::GenerateRecencyQueries(db, query));
   const trac::Snapshot snapshot = db.LatestSnapshot();
   TRAC_ASSIGN_OR_RETURN(
       trac::ReportSession session,
       trac::PlanReportSession(db, query, plan, snapshot));
-  if (rewrites != nullptr) *rewrites = FormatRewrites(session.user_plan);
   trac::SessionLayout layout;
   return trac::LowerReportSessionPlans(db, query, plan, session, snapshot,
                                        trac::HeartbeatTable::kDefaultName,
@@ -134,7 +114,6 @@ int main(int argc, char** argv) {
   std::string golden_dir;
   bool update = false;
   bool dump_ir = false;
-  bool dump_rewrites = false;
   bool absint = false;
   bool dump_absint = false;
   bool json = false;
@@ -150,8 +129,6 @@ int main(int argc, char** argv) {
       update = true;
     } else if (arg == "--dump-ir") {
       dump_ir = true;
-    } else if (arg == "--dump-rewrites") {
-      dump_rewrites = true;
     } else if (arg == "--absint") {
       absint = true;
     } else if (arg == "--dump-absint") {
@@ -211,7 +188,6 @@ int main(int argc, char** argv) {
     }
 
     trac::PlanIr ir;
-    std::string rewrites;
     if (ipath.extension() == ".ir") {
       auto parsed = trac::ParsePlanIr(text);
       if (!parsed.ok()) {
@@ -242,8 +218,7 @@ int main(int argc, char** argv) {
                      input_file.c_str(), bound.status().ToString().c_str());
         return 2;
       }
-      auto lowered =
-          LowerSqlFile(db, *bound, dump_rewrites ? &rewrites : nullptr);
+      auto lowered = LowerSqlFile(db, *bound);
       if (!lowered.ok()) {
         std::fprintf(stderr, "trac_verify: %s: lowering failed: %s\n",
                      input_file.c_str(), lowered.status().ToString().c_str());
@@ -266,7 +241,6 @@ int main(int argc, char** argv) {
 
     if (dump_ir) block += ir.Dump();
     block += report.Format(ir);
-    block += rewrites;
     if (dump_absint) block += trac::absint::AnalyzeIr(ir).Dump(ir);
 
     if (json) {
