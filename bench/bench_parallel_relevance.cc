@@ -4,15 +4,18 @@
 // parallelizes — for the Focused plans of Q1..Q4 and the Naive plan.
 // The Naive plan is one task (a walk of the registry's source_id index)
 // at any thread count, so its rows still report Naive/N/merge and
-// Naive/N/fanout, with no fan-out to win.
+// Naive/N/fanout, with no fan-out to win. So is Q4's: its first part is
+// a walk behind an EXISTS guard that passes, which runs whole on the
+// calling thread, and its join part, whose sources the walk already
+// names, does not run (the skip rule, DESIGN.md 4b).
 //
 //   bench_parallel_relevance --threads=4
 //
 // registers each configuration at 1 thread and at --threads (default 4,
 // env TRAC_BENCH_THREADS) and prints a speedup table at the end. The
-// acceptance configuration is >= 2x on the Focused join queries at 4
-// threads on a multicore machine; busy/wall is printed alongside so a
-// core-starved box (busy/wall ~= 1 at any thread count) is
+// acceptance configuration is >= 2x on the Focused multi-part queries
+// at 4 threads on a multicore machine; busy/wall is printed alongside so
+// a core-starved box (busy/wall ~= 1 at any thread count) is
 // distinguishable from a fan-out regression.
 
 #include <benchmark/benchmark.h>
@@ -185,8 +188,9 @@ void PrintSpeedups() {
                 fanout);
   }
   std::printf(
-      "\nExpected on a >= %zu-core machine: >= 2x on the join queries "
-      "(Q3, Q4) whose plans have many independent parts. busy/wall ~= 1 "
+      "\nExpected on a >= %zu-core machine: >= 2x on Q3, whose plan has "
+      "many independent parts (Q4 runs one task: its guarded registry "
+      "walk covers its join part). busy/wall ~= 1 "
       "at %zu threads means the host could not actually run the strands "
       "concurrently (core-starved), not that the fan-out regressed. "
       "imbalance is max/mean strand time (1.0 = even split; the fan-out "

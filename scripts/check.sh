@@ -154,8 +154,9 @@ echo "==> perfbench smoke (the benchmark's replay of the library API)"
 # perfbench compiles its own replay of a report against the public
 # library calls (PlanQuery, LowerReportSession, VerifyIrStatus, ...).
 # A traced selective run, a traced scan run (which replays the Naive
-# registry walk and Q4's two-part fan-out) and an untraced live-grid run
-# must each end in a JSON line with "correct": true and "failed": 0.
+# registry walk and Q4's guarded walk, which skips Q4's join part) and
+# an untraced live-grid run must each end in a JSON line with
+# "correct": true and "failed": 0.
 for args in "--workload selective-20k --seed 1 --seconds 2 --trace 1" \
             "--workload scan-20k --seed 1 --seconds 2 --trace 1" \
             "--workload grid-live-2k --seed 1 --seconds 2 --trace 0"; do
@@ -179,20 +180,23 @@ echo "==> hostile-grid scenario suite + snapshot stress under TSan"
 # uploads that directory as an artifact. The snapshot-isolation stress
 # test rides along: it races writers against snapshot readers and
 # recency reports, and lockstep first registrations of the same sources
-# against readers that require one registry row per source.
+# against readers that require one registry row per source. The
+# parallel-relevance suite races a guarded walk, run on the calling
+# thread, against the planned parts that fan out after it.
 cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target scenario_scenario_property_test scenario_scenario_test \
   --target telemetry_fault_telemetry_test monitor_failure_test \
   --target property_profile_property_test \
-  --target concurrency_snapshot_isolation_stress_test
+  --target concurrency_snapshot_isolation_stress_test \
+  --target concurrency_parallel_relevance_test
 mkdir -p scenario-repro
 TRAC_SCENARIO_SCRIPTS=12 \
 TRAC_SCENARIO_MIN_SOURCES=1000 \
 TRAC_SCENARIO_SOURCES=1000 \
 TRAC_SCENARIO_REPRO_DIR="$PWD/scenario-repro" \
 ctest --preset tsan -R \
-  'scenario_scenario_property_test|scenario_scenario_test|telemetry_fault_telemetry_test|monitor_failure_test|property_profile_property_test|concurrency_snapshot_isolation_stress_test' \
+  'scenario_scenario_property_test|scenario_scenario_test|telemetry_fault_telemetry_test|monitor_failure_test|property_profile_property_test|concurrency_snapshot_isolation_stress_test|concurrency_parallel_relevance_test' \
   --output-on-failure
 
 echo "==> absint unit + property suites under UBSan"

@@ -86,19 +86,14 @@ class Catalog {
     stats_[id] = std::move(stats);
   }
 
-  /// Cached stats for `id`, if any were collected. `valid_row_count`
-  /// screens staleness: a cached entry collected at a different
-  /// row-version count is reported as absent so the planner recollects,
-  /// which is what re-walks the indexes once after each write.
-  bool GetTableStats(TableId id, uint64_t valid_row_count,
-                     TableStats* out) const {
+  /// Whether `id` has cached stats collected at `row_count` row
+  /// versions. A stale or missing entry makes the planner recollect,
+  /// which is what re-walks the indexes once after each write. Copies
+  /// nothing.
+  bool TableStatsFresh(TableId id, uint64_t row_count) const {
     ReaderMutexLock lock(&mu_);
     auto it = stats_.find(id);
-    if (it == stats_.end() || it->second.row_count != valid_row_count) {
-      return false;
-    }
-    *out = it->second;
-    return true;
+    return it != stats_.end() && it->second.row_count == row_count;
   }
 
  private:

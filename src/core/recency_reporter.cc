@@ -206,31 +206,32 @@ Result<RecencyReport> RecencyReporter::Finish(
                                     relevance_options));
   report.relevance_exec_micros = tel.clock() - t;
   report.merge_micros = exec.merge_micros;
-  std::vector<SourceRecency> sources = std::move(exec.sources);
   report.relevance_parallelism = exec.parallelism;
   report.relevance_task_micros = std::move(exec.task_micros);
   session_profile.tasks = std::move(exec.task_profiles);
   session_profile.premerge_rows = exec.premerge_rows;
   session_profile.merge_micros = exec.merge_micros;
-  session_profile.merged_rows = sources.size();
-  relevance_span.set_relevant_sources(static_cast<int64_t>(sources.size()));
+  session_profile.merged_rows = exec.sources.size();
+  relevance_span.set_relevant_sources(
+      static_cast<int64_t>(exec.sources.size()));
   relevance_span.End();
-  root.set_relevant_sources(static_cast<int64_t>(sources.size()));
+  root.set_relevant_sources(static_cast<int64_t>(exec.sources.size()));
   for (int64_t micros : report.relevance_task_micros) {
     report.relevance_busy_micros += micros;
   }
 
-  report.relevance.sources = sources;
   report.relevance.minimal = plan.minimal;
   report.relevance.fallback_all = plan.fallback_all;
   report.relevance.analysis = plan.analysis;
 
-  // 3. Exceptional-source detection + descriptive statistics.
+  // 3. Exceptional-source detection + descriptive statistics. The stats
+  // copy what they keep, then the report takes the merged list itself.
   TraceSpan stats_span(tel.tracer, tel.clock, "stats", trace_id, root.id());
   t = tel.clock();
-  report.stats = ComputeRecencyStats(std::move(sources), options.stats);
+  report.stats = ComputeRecencyStats(exec.sources, options.stats);
   report.stats_micros = tel.clock() - t;
   stats_span.End();
+  report.relevance.sources = std::move(exec.sources);
   session_profile.stats_micros = report.stats_micros;
   session_profile.normal_rows = report.stats.normal.size();
   session_profile.exceptional_rows = report.stats.exceptional.size();

@@ -5,19 +5,22 @@
 
 namespace trac {
 
-RecencyStats ComputeRecencyStats(std::vector<SourceRecency> relevant,
+RecencyStats ComputeRecencyStats(const std::vector<SourceRecency>& input,
                                  const RecencyStatsOptions& options) {
   RecencyStats stats;
-  if (relevant.empty()) return stats;
+  if (input.empty()) return stats;
 
-  // The relevance merge already emits sources in order; sort only
-  // input that is not.
+  // The relevance merge already emits sources in order; sort a copy of
+  // only input that is not.
   const auto by_source = [](const SourceRecency& a, const SourceRecency& b) {
     return a.source < b.source;
   };
-  if (!std::is_sorted(relevant.begin(), relevant.end(), by_source)) {
-    std::sort(relevant.begin(), relevant.end(), by_source);
+  std::vector<SourceRecency> sorted;
+  if (!std::is_sorted(input.begin(), input.end(), by_source)) {
+    sorted = input;
+    std::sort(sorted.begin(), sorted.end(), by_source);
   }
+  const std::vector<SourceRecency>& relevant = sorted.empty() ? input : sorted;
 
   const double n = static_cast<double>(relevant.size());
   double mean = 0;
@@ -33,7 +36,7 @@ RecencyStats ComputeRecencyStats(std::vector<SourceRecency> relevant,
   stats.stddev_micros = std::sqrt(var);
 
   stats.normal.reserve(relevant.size());
-  for (SourceRecency& s : relevant) {
+  for (const SourceRecency& s : relevant) {
     bool exceptional = false;
     if (stats.stddev_micros > 0) {
       const double z =
@@ -41,7 +44,7 @@ RecencyStats ComputeRecencyStats(std::vector<SourceRecency> relevant,
           stats.stddev_micros;
       exceptional = std::fabs(z) > options.zscore_threshold;
     }
-    (exceptional ? stats.exceptional : stats.normal).push_back(std::move(s));
+    (exceptional ? stats.exceptional : stats.normal).push_back(s);
   }
 
   const SourceRecency* least = nullptr;

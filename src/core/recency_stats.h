@@ -43,9 +43,11 @@ struct RecencyStats {
   std::vector<std::pair<double, Timestamp>> percentile_recencies;
 };
 
-/// Computes the statistics; `relevant` need not be sorted.
+/// Computes the statistics; `relevant` need not be sorted (an unsorted
+/// input is sorted in a copy). The normal and exceptional lists copy
+/// their sources out of `relevant`.
 RecencyStats ComputeRecencyStats(
-    std::vector<SourceRecency> relevant,
+    const std::vector<SourceRecency>& relevant,
     const RecencyStatsOptions& options = RecencyStatsOptions());
 
 }  // namespace trac

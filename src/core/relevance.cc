@@ -8,6 +8,7 @@
 #include <optional>
 #include <string_view>
 
+#include "common/dcheck.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "telemetry/telemetry.h"
@@ -295,6 +296,8 @@ namespace {
 struct RecencyTaskResult {
   Status status = Status::OK();
   std::vector<std::pair<std::string_view, Timestamp>> rows;
+  /// The rows are strictly ascending by source by construction (a walk).
+  bool ascending = false;
   /// Backing storage for a planned part's `rows`.
   ResultSet result;
   int64_t micros = 0;
@@ -303,11 +306,35 @@ struct RecencyTaskResult {
   TaskProfile profile;
 };
 
-/// Runs one planned part: guards first (any empty guard kills the
-/// part), then the main query. `profile`, when non-null, collects one
-/// ExecProfile per executed guard plus the main query's; `clock`
-/// enables its stage timings.
-void RunPartTask(const Database& db, const RecencyQueryPlan::Part& part,
+/// A registry walk: a pure Heartbeat scan read through the registry's
+/// source_id index in key order. A key's versions come in version order,
+/// so the first one visible at `snapshot` is the source's first row in
+/// scan order, and the rest are skipped. The rows come out strictly
+/// ascending by source, one per source. NULL sources are never indexed.
+void RunHeartbeatWalk(const Database& db, const RecencyQueryPlan::Part& part,
+                      const OrderedIndex& index, Snapshot snapshot,
+                      RecencyTaskResult* out) {
+  const Table* table = db.GetTable(part.query.relations[0].table_id);
+  const size_t src_col = index.column();
+  const size_t rec_col = part.query.outputs[1].ref.col;
+  index.ScanInKeyOrder([&](size_t vidx) {
+    const RowVersion& v = table->version(vidx);
+    if (!table->Visible(v, snapshot)) return;
+    const std::string_view source = v.values[src_col].str_val();
+    if (!out->rows.empty() && out->rows.back().first == source) return;
+    const Value& recency = v.values[rec_col];
+    out->rows.emplace_back(source,
+                           recency.is_null() ? Timestamp() : recency.ts_val());
+  });
+  out->ascending = true;
+}
+
+/// Runs one part: guards first (any empty guard kills the part), then
+/// the registry walk or the main query. Returns whether every guard
+/// passed and the walk or main query ran. `profile`, when non-null,
+/// collects one ExecProfile per executed guard plus the main query's;
+/// `clock` enables its stage timings.
+bool RunPartTask(const Database& db, const RecencyQueryPlan::Part& part,
                  const PlannedPart& planned, Snapshot snapshot,
                  TaskProfile* profile, ClockFn clock,
                  RecencyTaskResult* out) {
@@ -323,51 +350,33 @@ void RunPartTask(const Database& db, const RecencyQueryPlan::Part& part,
                     /*row_limit=*/1, gprof, clock);
     if (!guard.ok()) {
       out->status = guard.status();
-      return;
+      return false;
     }
-    if (guard->rows.empty()) return;
+    if (guard->rows.empty()) return false;
   }
-  Result<ResultSet> rs =
-      ExecutePlan(db, part.query, planned.main, snapshot, /*row_limit=*/0,
-                  profile != nullptr ? &profile->main : nullptr, clock);
-  if (profile != nullptr) profile->ran_main = rs.ok();
-  if (!rs.ok()) {
-    out->status = rs.status();
-    return;
+  if (planned.walk != nullptr) {
+    RunHeartbeatWalk(db, part, *planned.walk, snapshot, out);
+  } else {
+    Result<ResultSet> rs =
+        ExecutePlan(db, part.query, planned.main, snapshot, /*row_limit=*/0,
+                    profile != nullptr ? &profile->main : nullptr, clock);
+    if (!rs.ok()) {
+      out->status = rs.status();
+      return false;
+    }
+    // Moving the ResultSet moves its row buffer, not the rows: views
+    // taken after the move stay valid as long as `out` does.
+    out->result = std::move(*rs);
+    out->rows.reserve(out->result.rows.size());
+    for (const Row& row : out->result.rows) {
+      if (row[0].is_null()) continue;
+      out->rows.emplace_back(
+          row[0].str_val(),
+          row[1].is_null() ? Timestamp() : row[1].ts_val());
+    }
   }
-  // Moving the ResultSet moves its row buffer, not the rows: views
-  // taken after the move stay valid as long as `out` does.
-  out->result = std::move(*rs);
-  out->rows.reserve(out->result.rows.size());
-  for (const Row& row : out->result.rows) {
-    if (row[0].is_null()) continue;
-    out->rows.emplace_back(
-        row[0].str_val(),
-        row[1].is_null() ? Timestamp() : row[1].ts_val());
-  }
-}
-
-/// A registry walk: a pure Heartbeat scan read through the registry's
-/// source_id index in key order. A key's versions come in version order,
-/// so the first one visible at `snapshot` is the source's first row in
-/// scan order, and the rest are skipped. The rows come out strictly
-/// ascending by source, one per source. NULL sources are never indexed.
-void RunHeartbeatWalkTask(const Database& db,
-                          const RecencyQueryPlan::Part& part,
-                          const OrderedIndex& index, Snapshot snapshot,
-                          RecencyTaskResult* out) {
-  const Table* table = db.GetTable(part.query.relations[0].table_id);
-  const size_t src_col = index.column();
-  const size_t rec_col = part.query.outputs[1].ref.col;
-  index.ScanInKeyOrder([&](size_t vidx) {
-    const RowVersion& v = table->version(vidx);
-    if (!table->Visible(v, snapshot)) return;
-    const std::string_view source = v.values[src_col].str_val();
-    if (!out->rows.empty() && out->rows.back().first == source) return;
-    const Value& recency = v.values[rec_col];
-    out->rows.emplace_back(source,
-                           recency.is_null() ? Timestamp() : recency.ts_val());
-  });
+  if (profile != nullptr) profile->ran_main = true;
+  return true;
 }
 
 /// One task row in the set merge. `key` is the source's first 8 bytes,
@@ -421,7 +430,7 @@ std::string SourceString(const MergeEntry& e) {
 }
 
 /// Whether `results`' rows, in task order, are strictly ascending by
-/// source, as a lone registry walk's are.
+/// source.
 bool StrictlyAscending(const std::vector<RecencyTaskResult>& results) {
   const std::string_view* prev = nullptr;
   for (const RecencyTaskResult& result : results) {
@@ -436,12 +445,24 @@ bool StrictlyAscending(const std::vector<RecencyTaskResult>& results) {
 /// The set union of `results`' rows in task order: one SourceRecency
 /// per distinct source, sorted by source, each carrying the recency of
 /// the source's first row in task order. Rows already strictly
-/// ascending are that union as they stand; any others take one sort
-/// over fixed-width entries. Then one string copy per surviving source.
+/// ascending are that union as they stand: a lone walk's rows are by
+/// construction, any other mix is checked in one pass. Rows that are
+/// not take one sort over fixed-width entries. Then one string copy per
+/// surviving source.
 std::vector<SourceRecency> MergeTaskRows(
     const std::vector<RecencyTaskResult>& results, size_t total_rows) {
+  size_t with_rows = 0;
+  bool lone_walk = false;
+  for (const RecencyTaskResult& result : results) {
+    if (result.rows.empty()) continue;
+    ++with_rows;
+    lone_walk = result.ascending;
+  }
+  lone_walk &= with_rows == 1;
+  TRAC_DCHECK(!lone_walk || StrictlyAscending(results),
+              "a registry walk emitted rows out of source order");
   std::vector<SourceRecency> merged;
-  if (StrictlyAscending(results)) {
+  if (lone_walk || StrictlyAscending(results)) {
     merged.reserve(total_rows);
     for (const RecencyTaskResult& result : results) {
       for (const auto& [source, ts] : result.rows) {
@@ -476,9 +497,11 @@ std::vector<SourceRecency> MergeTaskRows(
   return merged;
 }
 
+/// Whether `part`'s main query is a pure Heartbeat scan; it may still
+/// have EXISTS guards.
 bool IsPureHeartbeatScan(const RecencyQueryPlan::Part& part) {
   const BoundQuery& q = part.query;
-  return part.guards.empty() && q.relations.size() == 1 &&
+  return q.relations.size() == 1 &&
          q.where == nullptr && q.outputs.size() == 2 &&
          q.outputs[0].ref.rel == 0 && q.outputs[1].ref.rel == 0 &&
          q.aggregates.empty() && !q.count_star && q.order_by.empty() &&
@@ -501,9 +524,10 @@ size_t PlannedHeartbeatShards(const Database&,
     if (IsPureHeartbeatScan(part)) {
       const Table* table = db.GetTable(part.query.relations[0].table_id);
       out.walk = table->GetIndex(part.query.outputs[0].ref.col);
-      if (out.walk != nullptr) continue;
     }
-    TRAC_ASSIGN_OR_RETURN(out.main, PlanQuery(db, part.query, snapshot));
+    if (out.walk == nullptr) {
+      TRAC_ASSIGN_OR_RETURN(out.main, PlanQuery(db, part.query, snapshot));
+    }
     out.guards.resize(part.guards.size());
     for (size_t g = 0; g < part.guards.size(); ++g) {
       TRAC_ASSIGN_OR_RETURN(out.guards[g],
@@ -541,8 +565,7 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
     const PlannedPart& planned = session.parts[i];
     SessionPartInput& in = input.parts[i];
     in.query = &plan.parts[i].query;
-    if (planned.walk != nullptr) continue;
-    in.plan = &planned.main;
+    if (planned.walk == nullptr) in.plan = &planned.main;
     for (size_t g = 0; g < planned.guards.size(); ++g) {
       in.guard_queries.push_back(&plan.parts[i].guards[g]);
       in.guard_plans.push_back(&planned.guards[g]);
@@ -584,55 +607,72 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
       ResolveSeries(tel.metrics, [](MetricRegistry& metrics) {
         return metrics.GetHistogram(
             "trac_relevance_task_micros",
-            "Wall time of one relevance execution task (one per part)");
+            "Wall time of one relevance execution task (one per executed "
+            "part)");
       });
   Tracer* tracer = options.trace_id != 0 ? tel.tracer : nullptr;
   const uint64_t trace_id = options.trace_id;
   const uint64_t parent_span_id = options.parent_span_id;
 
-  // One task per part, in part order; one result slot per task: no
-  // shared mutable state between strands — every task reads the shared
+  // One task per executed part; one result slot per part: no shared
+  // mutable state between strands — every task reads the shared
   // immutable plan/snapshot and writes only its own slot. The merge
-  // numbers rows in task order, so the first row of a source wins at
+  // numbers rows in part order, so the first row of a source wins at
   // any parallelism: identical results.
   const bool profiling = options.profile;
   std::vector<RecencyTaskResult> results(plan.parts.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(plan.parts.size());
-  for (size_t i = 0; i < plan.parts.size(); ++i) {
-    tasks.push_back([&db, &plan, &planned, &results, snapshot, i, clock,
-                     profiling, task_histogram, tracer, trace_id,
-                     parent_span_id] {
-      const RecencyQueryPlan::Part& part = plan.parts[i];
-      RecencyTaskResult* out = &results[i];
-      out->profile.part = i;
-      const int64_t t0 = clock();
-      if (planned[i].walk != nullptr) {
-        RunHeartbeatWalkTask(db, part, *planned[i].walk, snapshot, out);
-      } else {
-        RunPartTask(db, part, planned[i], snapshot,
-                    profiling ? &out->profile : nullptr, clock, out);
-      }
-      const int64_t t1 = clock();
-      out->micros = t1 - t0;
-      out->profile.micros = out->micros;
-      out->profile.rows = out->rows.size();
-      task_histogram->Observe(out->micros);
-      if (tracer != nullptr) {
-        // Built from the same t0/t1 as out->micros, so the span durations
-        // sum to exactly the busy time the report publishes.
-        SpanRecord span;
-        span.trace_id = trace_id;
-        span.span_id = tracer->NextSpanId();
-        span.parent_id = parent_span_id;
-        span.name = "relevance-task";
-        span.start_micros = t0;
-        span.end_micros = t1;
-        tracer->Record(std::move(span));
-      }
-    });
-  }
+  // Runs part i as one task; returns whether its guards passed.
+  auto run_task = [&db, &plan, &planned, &results, snapshot, clock, profiling,
+                   task_histogram, tracer, trace_id, parent_span_id](size_t i) {
+    RecencyTaskResult* out = &results[i];
+    out->profile.part = i;
+    const int64_t t0 = clock();
+    const bool ran = RunPartTask(db, plan.parts[i], planned[i], snapshot,
+                                 profiling ? &out->profile : nullptr, clock,
+                                 out);
+    const int64_t t1 = clock();
+    out->micros = t1 - t0;
+    out->profile.micros = out->micros;
+    out->profile.rows = out->rows.size();
+    task_histogram->Observe(out->micros);
+    if (tracer != nullptr) {
+      // Built from the same t0/t1 as out->micros, so the span durations
+      // sum to exactly the busy time the report publishes.
+      SpanRecord span;
+      span.trace_id = trace_id;
+      span.span_id = tracer->NextSpanId();
+      span.parent_id = parent_span_id;
+      span.name = "relevance-task";
+      span.start_micros = t0;
+      span.end_micros = t1;
+      tracer->Record(std::move(span));
+    }
+    return ran;
+  };
 
+  // The skip rule: a walk part that runs emits every non-NULL source
+  // visible at the snapshot, so a later part's rows name only sources
+  // it already gave a recency, and the first row in part order wins.
+  // Parts after the first walk whose guards pass are not run. A guarded
+  // walk runs whole here, on the calling thread, to learn whether its
+  // guards pass; an unguarded one always runs, in the fan-out.
+  const auto guarded_walk = [&plan, &planned](size_t i) {
+    return planned[i].walk != nullptr && !plan.parts[i].guards.empty();
+  };
+  size_t end = plan.parts.size();
+  for (size_t i = 0; i < end; ++i) {
+    if (planned[i].walk == nullptr) continue;
+    if (guarded_walk(i) && !run_task(i)) continue;
+    end = i + 1;
+    break;
+  }
+  results.resize(end);
+
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(end);
+  for (size_t i = 0; i < end; ++i) {
+    if (!guarded_walk(i)) tasks.push_back([&run_task, i] { run_task(i); });
+  }
   ThreadPool* pool = parallelism > 1 ? &ThreadPool::Shared() : nullptr;
   RunOnPool(pool, parallelism, tasks);
 

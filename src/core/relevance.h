@@ -37,13 +37,14 @@ struct RelevanceOptions {
   uint64_t parent_span_id = 0;
 
   /// Number of concurrent strands used to execute a plan's recency
-  /// queries (1 = fully serial, the default). Each part runs as one task,
-  /// an independent read of one Snapshot, so execution fans the parts
-  /// out across `parallelism` strands (the calling thread plus
+  /// queries (1 = fully serial, the default). Each executed part runs as
+  /// one task, an independent read of one Snapshot, so execution fans
+  /// the parts out across `parallelism` strands (the calling thread plus
   /// ThreadPool::Shared() workers) and merges the partial results in
   /// deterministic part order: results are byte-identical to the serial
   /// execution at any parallelism level. A single-part plan (the Naive
-  /// plan) runs serially at any setting.
+  /// plan) runs serially at any setting, and so does a guarded walk
+  /// (see PlannedPart).
   size_t parallelism = 1;
 
   /// Collect per-operator execution profiles (telemetry/profile.h) for
@@ -134,18 +135,25 @@ struct SourceRecency {
 };
 
 /// How one part of a RecencyQueryPlan executes, decided once per
-/// report. A pure Heartbeat scan (`SELECT DISTINCT source, recency FROM
-/// heartbeat`: the Naive plan, or a conjunct with no source-column
-/// predicate) on a registry with a source_id index walks that index in
-/// key order as one task and is never planned. Its rows come out sorted
-/// and unique, so the merge keeps them as they are. Any other part,
-/// including a pure scan of an unindexed registry, runs `main` behind
-/// its EXISTS `guards`. The executor runs exactly these, and the session
+/// report. A part whose main query is a pure Heartbeat scan (`SELECT
+/// DISTINCT source, recency FROM heartbeat`: the Naive plan, or a
+/// conjunct with no source-column predicate), guarded or not, on a
+/// registry with a source_id index walks that index in key order behind
+/// its EXISTS `guards`; its main query is never planned. Its rows come
+/// out sorted and unique, so the merge keeps them as they are. Any other
+/// part, including a pure scan of an unindexed registry, runs `main`
+/// behind its `guards`. The executor runs at most these, and the session
 /// IR lowers exactly these. Points into the Part it was built from.
+///
+/// A walk that runs names every source the snapshot holds, so the
+/// executor skips every part after the first walk whose guards pass:
+/// their rows could add no source, and coming later in part order, no
+/// recency. Such a walk runs whole on the calling thread before the
+/// fan-out when it has guards, and in the fan-out when it has none.
 struct PlannedPart {
   /// The registry's source_id index for a walk part; null otherwise.
   const OrderedIndex* walk = nullptr;
-  QueryPlan main;
+  QueryPlan main;  ///< Empty for a walk part.
   std::vector<QueryPlan> guards;  ///< Parallel to Part::guards.
 };
 
@@ -182,26 +190,29 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
 /// Result of executing a plan's parts against one snapshot: the union
 /// of their sources, sorted by source id (std::string byte order), plus
 /// per-task timing (`task_micros[i]` is the wall time of task i, which
-/// runs part i), letting the reporter split the relevance wall time into
-/// busy time vs. fan-out win. A source several rows name carries the
-/// recency of its first row in task order, and a part's rows come in
-/// version order: a walk part keeps each source's first visible version.
-/// Rows with a NULL source are skipped; a NULL recency reads as the
-/// epoch.
+/// runs part i; parts skipped behind a walk run no task and come last),
+/// letting the reporter split the relevance wall time into busy time
+/// vs. fan-out win. A source several rows name carries the recency of
+/// its first row in task order, and a part's rows come in version
+/// order: a walk part keeps each source's first visible version. Rows
+/// with a NULL source are skipped; a NULL recency reads as the epoch.
 struct RecencyExecution {
   std::vector<SourceRecency> sources;
+  /// One entry per executed task: skipped parts have none.
   std::vector<int64_t> task_micros;
   size_t parallelism = 1;  ///< Strands actually requested (clamped >= 1).
 
   /// Per-task operator profiles, parallel to `task_micros`, when
   /// options.profile was set; empty otherwise.
   std::vector<TaskProfile> task_profiles;
-  /// Rows the tasks fed into the set merge (pre-dedup); always counted.
+  /// Rows the executed tasks fed into the set merge (pre-dedup); always
+  /// counted.
   uint64_t premerge_rows = 0;
   /// Wall time of the set merge, from the first task row read to the
-  /// last SourceRecency built (one linear check, a sort over
-  /// prefix-keyed row views only when the rows are not already strictly
-  /// ascending, then one string copy per source); always measured.
+  /// last SourceRecency built (one linear check unless a lone walk
+  /// supplied every row, a sort over prefix-keyed row views only when the
+  /// rows are not already strictly ascending, then one string copy per
+  /// source); always measured.
   int64_t merge_micros = 0;
 };
 /// PlanRecencyParts, then the overload below. With parallelism > 1 the

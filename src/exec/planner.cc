@@ -252,8 +252,8 @@ std::vector<RelAccess> ComputeRelAccess(const Database& db,
 void CollectTableStats(const Database& db, TableId id) {
   const Table* table = db.GetTable(id);
   const uint64_t rows = table->num_versions();
+  if (db.catalog().TableStatsFresh(id, rows)) return;
   TableStats stats;
-  if (db.catalog().GetTableStats(id, rows, &stats)) return;
   stats.row_count = rows;
   for (size_t col : table->IndexedColumns()) {
     const size_t ndv = table->GetIndex(col)->NumDistinctKeys();

@@ -222,17 +222,6 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
                                    out.ref.col, options)});
       }
     }
-    if (part.plan == nullptr) {
-      // A registry walk: one scan node, the same node its plan would
-      // lower to.
-      const IrNode& scan = LowerScan(ir, db, q.relations[0], input.snapshot,
-                                     options, /*generated=*/true);
-      part_tops.push_back(scan.id);
-      layout_part.walk = true;
-      layout_part.scan_id = scan.id;
-      layout->parts.push_back(std::move(layout_part));
-      continue;
-    }
     // EXISTS guards execute before the part's main query, so they lower
     // first (IR node order is execution order).
     std::vector<size_t> guard_tops;
@@ -245,10 +234,21 @@ size_t LowerPartsAndMergeInto(PlanIr* ir, const Database& db,
       range.end = ir->nodes.size();
       layout_part.guards.push_back(range);
     }
-    layout_part.main.begin = ir->nodes.size();
-    size_t part_top = LowerQueryInto(ir, db, q, *part.plan, input.snapshot,
-                                     options, /*generated=*/true);
-    layout_part.main.end = ir->nodes.size();
+    size_t part_top = 0;
+    if (part.plan == nullptr) {
+      // A registry walk: one scan node, the same node its plan would
+      // lower to.
+      part_top = LowerScan(ir, db, q.relations[0], input.snapshot, options,
+                           /*generated=*/true)
+                     .id;
+      layout_part.walk = true;
+      layout_part.scan_id = part_top;
+    } else {
+      layout_part.main.begin = ir->nodes.size();
+      part_top = LowerQueryInto(ir, db, q, *part.plan, input.snapshot,
+                                options, /*generated=*/true);
+      layout_part.main.end = ir->nodes.size();
+    }
     if (!guard_tops.empty()) {
       // The part's rows flow only if every guard is non-empty, modeled
       // as a gating filter fed by the part and the guard roots.

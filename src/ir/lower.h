@@ -35,11 +35,12 @@ PlanIr LowerQueryPlan(const Database& db, const BoundQuery& query,
 /// One recency part of a report session, pre-planned by the caller.
 struct SessionPartInput {
   const BoundQuery* query = nullptr;
-  /// Null for a registry walk part (core/relevance.h), which the
-  /// executor never plans: it lowers to one scan node, the same node its
-  /// plan would lower to.
+  /// Null for a registry walk part (core/relevance.h), whose main query
+  /// the executor never plans: it lowers to one scan node, the same node
+  /// its plan would lower to.
   const QueryPlan* plan = nullptr;
-  /// EXISTS guards gating the part, pre-planned like the main query.
+  /// EXISTS guards gating the part (a walk part's too), pre-planned like
+  /// the main query.
   std::vector<const BoundQuery*> guard_queries;
   std::vector<const QueryPlan*> guard_plans;
   /// Read by nothing. Kept only because the benchmark program
@@ -72,11 +73,11 @@ struct SessionLayout {
   };
   QueryRange user;
   struct Part {
-    /// A registry walk part: its one scan node instead of plan ranges.
+    /// A registry walk part: its one scan node instead of `main`.
     bool walk = false;
     size_t scan_id = 0;
-    /// Planned parts: guard subgraphs (execution order), then the main
-    /// query's subgraph, then the optional gating filter.
+    /// Guard subgraphs (execution order), then the main query's subgraph
+    /// (or the walk's scan), then the optional gating filter.
     std::vector<QueryRange> guards;
     QueryRange main;
     bool has_gate = false;
@@ -89,7 +90,8 @@ struct SessionLayout {
 };
 
 /// Lowers a full report session: the user query subgraph, every recency
-/// part (a walk's scan or its plan subgraph, guards as gating filters),
+/// part (its guard subgraphs, a walk's scan or its plan subgraph, and a
+/// gating filter when it has guards),
 /// the deterministic set merge of all parts, the temp-table writes, and
 /// the final report node consuming the user result and the sources.
 /// Recency-side nodes are marked `generated`. `layout` is overwritten

@@ -94,18 +94,18 @@ size_t AttachSessionProfile(PlanIr* ir, const SessionLayout& layout,
   for (const TaskProfile& task : profile.tasks) {
     if (task.part >= layout.parts.size()) continue;
     const SessionLayout::Part& part = layout.parts[task.part];
-    if (part.walk) {
-      if (part.scan_id >= n) continue;
-      Annotate(ir, part.scan_id, task.rows);
-      AnnotateNs(ir, part.scan_id, task.micros * 1000);
-      ++annotated;
-      continue;
-    }
+    int64_t guards_ns = 0;
     for (size_t g = 0; g < task.guards.size() && g < part.guards.size(); ++g) {
       annotated += AttachQueryRange(ir, part.guards[g], task.guards[g]);
+      guards_ns += task.guards[g].total_ns;
     }
-    if (task.ran_main) {
+    if (task.ran_main && !part.walk) {
       annotated += AttachQueryRange(ir, part.main, task.main);
+    } else if (task.ran_main && part.scan_id < n) {
+      // The walk's time is the task's, less its guards'.
+      Annotate(ir, part.scan_id, task.rows);
+      AnnotateNs(ir, part.scan_id, task.micros * 1000 - guards_ns);
+      ++annotated;
     }
     if (part.has_gate && part.gate_id < n) {
       // The gate passes the main query's rows iff every guard proved

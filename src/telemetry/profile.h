@@ -75,18 +75,17 @@ struct ExecProfile {
 };
 
 /// Profile of one relevance execution task (core/relevance.h), which
-/// runs one part: a registry walk, or a planned part (guards then main
-/// query).
+/// runs one part: its guards, then its registry walk or main query.
 struct TaskProfile {
   size_t part = 0;      ///< Index into RecencyQueryPlan::parts.
   uint64_t rows = 0;    ///< (source, recency) rows the task produced.
   int64_t micros = 0;   ///< Task wall time (same number the span records).
-  /// Planned parts: one profile per executed guard, in execution
-  /// order. A guard that returned empty stops the list — later guards
-  /// and the main query never ran.
+  /// One profile per executed guard, in execution order. A guard that
+  /// returned empty stops the list — later guards and the main query
+  /// (or walk) never ran.
   std::vector<ExecProfile> guards;
-  ExecProfile main;
-  bool ran_main = false;
+  ExecProfile main;  ///< Empty for a walk, which runs no plan.
+  bool ran_main = false;  ///< The main query or walk ran.
 };
 
 /// Everything one report session executed, in the shape
@@ -94,8 +93,8 @@ struct TaskProfile {
 struct SessionProfile {
   ExecProfile user;
   bool ran_user = false;
-  /// One entry per relevance execution task, in task-list order (which
-  /// is plan-part order).
+  /// One entry per executed relevance task, in plan-part order. A part
+  /// skipped behind a registry walk (core/relevance.h) has none.
   std::vector<TaskProfile> tasks;
   uint64_t premerge_rows = 0;   ///< Task rows entering the set merge.
   uint64_t merged_rows = 0;     ///< Distinct sources after the merge.
@@ -108,10 +107,10 @@ struct SessionProfile {
 /// Writes `profile` back onto `ir` as actual_rows=/actual_ns= node
 /// annotations, using the subgraph extents `layout` recorded when the
 /// session was lowered. Only nodes that demonstrably executed are
-/// annotated: a guard-suppressed part main, or a subgraph whose recorded
-/// shape no longer matches the profile, is silently left bare (the drift
-/// pass judges only annotated nodes). Returns the number of nodes
-/// annotated.
+/// annotated: a skipped part, a guard-suppressed part main, or a
+/// subgraph whose recorded shape no longer matches the profile, is
+/// silently left bare (the drift pass judges only annotated nodes).
+/// Returns the number of nodes annotated.
 size_t AttachSessionProfile(PlanIr* ir, const SessionLayout& layout,
                             const SessionProfile& profile);
 

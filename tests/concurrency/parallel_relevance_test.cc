@@ -5,7 +5,9 @@
 // time, never results (the tasks read one shared MVCC snapshot).
 // Naive and Q2-style reports, whose one part is a pure Heartbeat scan,
 // also equal a reference scan of the registry at every snapshot of a
-// history, with and without the registry's source_id index.
+// history, with and without the registry's source_id index. A guarded
+// walk behind planned parts runs on the calling thread while those
+// parts fan out; scripts/check.sh runs this binary under TSan.
 
 #include <map>
 #include <memory>
@@ -17,6 +19,9 @@
 #include "../test_util.h"
 #include "core/recency_reporter.h"
 #include "exec/statement.h"
+#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 #include "workload/eval_workload.h"
 
 namespace trac {
@@ -55,7 +60,7 @@ void ExpectSameReport(const RecencyReport& serial,
   EXPECT_EQ(serial.stats.inconsistency_bound_micros,
             parallel.stats.inconsistency_bound_micros);
   // Bookkeeping: the parallel run exposes its fan-out, one task per
-  // part at any level.
+  // executed part at any level.
   EXPECT_EQ(parallel.relevance_parallelism, parallelism);
   EXPECT_EQ(parallel.relevance_task_micros.size(),
             serial.relevance_task_micros.size());
@@ -280,6 +285,72 @@ TEST_P(RegistryScanTest, ReportsMatchReferenceScanAtEverySnapshot) {
   // An upsert of m7 now rewrites both of its rows.
   TRAC_ASSERT_OK(heartbeat_->SetRecency("m7", t + Timestamp::kMicrosPerDay));
   ASSERT_NO_FATAL_FAILURE(ExpectReportsMatchReference());
+}
+
+// Two planned parts, a walk behind an EXISTS guard that passes, and a
+// part it covers. On the indexed registry the walk runs whole on the
+// calling thread before the two planned parts fan out, and the last
+// part is skipped; every task writes its profile and span.
+TEST_P(RegistryScanTest, GuardedWalkBehindPlannedPartsMatchesSerial) {
+  const Timestamp t = Ts("2006-03-15 14:20:05");
+  for (int i = 0; i < 200; ++i) {
+    TRAC_ASSERT_OK(heartbeat_->SetRecency(
+        "m" + std::to_string(i), t + i * Timestamp::kMicrosPerSecond));
+  }
+  TRAC_ASSERT_OK(ExecuteStatement(&db_,
+                                  "INSERT INTO heartbeat VALUES ('m7', "
+                                  "'2006-01-01 00:00:00')")
+                     .status());
+  auto filtered = [this](const std::string& where) {
+    RecencyQueryPlan::Part part;
+    auto bound = BindSql(db_,
+                         "SELECT DISTINCT source_id, recency_timestamp FROM "
+                         "heartbeat WHERE " + where);
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    part.query = std::move(*bound);
+    return part;
+  };
+  TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan naive, GenerateNaivePlan(db_));
+  RecencyQueryPlan::Part walk = std::move(naive.parts[0]);
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      BoundQuery guard,
+      BindSql(db_, "SELECT mach_id FROM activity WHERE value = 'idle'"));
+  walk.guards.push_back(std::move(guard));
+  RecencyQueryPlan plan;
+  plan.parts.push_back(filtered("source_id < 'm3'"));
+  plan.parts.push_back(filtered("source_id >= 'm5'"));
+  plan.parts.push_back(std::move(walk));
+  plan.parts.push_back(filtered("source_id = 'm9'"));
+
+  const Snapshot snap = db_.LatestSnapshot();
+  const size_t tasks = GetParam() ? 3 : 4;
+  std::vector<RecencyExecution> runs;
+  for (const size_t parallelism : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    MetricRegistry metrics;
+    Tracer tracer;
+    Telemetry telemetry{&metrics, &tracer, &MonotonicMicros};
+    RelevanceOptions options;
+    options.parallelism = parallelism;
+    options.profile = true;
+    options.telemetry = &telemetry;
+    options.trace_id = tracer.NextTraceId();
+    options.parent_span_id = tracer.NextSpanId();
+    TRAC_ASSERT_OK_AND_ASSIGN(
+        RecencyExecution exec,
+        ExecuteRecencyQueriesDetailed(db_, plan, snap, options));
+    EXPECT_EQ(exec.sources, ReferenceScan(snap));
+    EXPECT_EQ(exec.task_micros.size(), tasks);
+    ASSERT_EQ(exec.task_profiles.size(), tasks);
+    for (size_t i = 0; i < tasks; ++i) {
+      EXPECT_EQ(exec.task_profiles[i].part, i);
+      EXPECT_TRUE(exec.task_profiles[i].ran_main) << i;
+    }
+    EXPECT_EQ(tracer.CollectTrace(options.trace_id).size(), tasks);
+    runs.push_back(std::move(exec));
+  }
+  EXPECT_EQ(runs[0].sources, runs[1].sources);
+  EXPECT_EQ(runs[0].premerge_rows, runs[1].premerge_rows);
 }
 
 }  // namespace

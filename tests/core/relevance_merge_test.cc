@@ -8,6 +8,9 @@
 // hold '\0' and bytes >= 0x80. Every case runs at parallelism 1 and 4,
 // on a registry with its source_id index (a pure Heartbeat scan walks
 // the index) and on one without (the scan is planned like any part).
+// A walk whose guards pass names every source, so on the indexed
+// registry the parts after it do not run; the fold, which runs them
+// all, shows that skipping them changes no source and no recency.
 
 #include <algorithm>
 #include <map>
@@ -21,16 +24,31 @@
 #include "core/heartbeat.h"
 #include "core/relevance.h"
 #include "exec/executor.h"
+#include "exec/statement.h"
 #include "expr/binder.h"
+#include "telemetry/metrics.h"
 
 namespace trac {
 namespace {
 
 using testing_util::Ts;
 
+int64_t QueriesExecuted() {
+  return MetricRegistry::Default()
+      .GetCounter("trac_queries_executed_total",
+                  "Bound queries executed (user, recency, and guard queries)")
+      ->Value();
+}
+
 class RelevanceMergeTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
+    const Status activity =
+        ExecuteStatement(&db_,
+                         "CREATE TABLE activity (mach_id TEXT DATA SOURCE, "
+                         "value TEXT)")
+            .status();
+    ASSERT_TRUE(activity.ok()) << activity.ToString();
     if (Indexed()) {
       auto hb = HeartbeatTable::Create(&db_);
       ASSERT_TRUE(hb.ok()) << hb.status().ToString();
@@ -65,6 +83,15 @@ class RelevanceMergeTest : public ::testing::TestWithParam<bool> {
     return std::move(naive->parts[0]);
   }
 
+  /// The Naive part behind one EXISTS guard, `guard_sql`.
+  RecencyQueryPlan::Part GuardedScanPart(const std::string& guard_sql) {
+    RecencyQueryPlan::Part part = ScanPart();
+    auto guard = BindSql(db_, guard_sql);
+    EXPECT_TRUE(guard.ok()) << guard.status().ToString();
+    part.guards.push_back(std::move(*guard));
+    return part;
+  }
+
   /// A planned part over the Heartbeat table.
   RecencyQueryPlan::Part FilteredPart(const std::string& where) {
     RecencyQueryPlan::Part part;
@@ -76,9 +103,32 @@ class RelevanceMergeTest : public ::testing::TestWithParam<bool> {
     return part;
   }
 
-  /// std::map fold over the rows of every part of `plan`, in part order:
-  /// a part without a WHERE clause (a pure Heartbeat scan) is a table
-  /// scan at `snap`, any other part its query result.
+  /// Whether every guard of `part` has a row at `snap`.
+  bool GuardsPass(const RecencyQueryPlan::Part& part, Snapshot snap) {
+    for (const BoundQuery& guard : part.guards) {
+      auto rs = ExecuteQuery(db_, guard, snap);
+      EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+      if (!rs.ok() || rs->rows.empty()) return false;
+    }
+    return true;
+  }
+
+  /// Tasks `plan` runs at `snap`: on the indexed registry, every part up
+  /// to the first pure Heartbeat scan whose guards pass; otherwise all.
+  size_t ExpectedTasks(const RecencyQueryPlan& plan, Snapshot snap) {
+    for (size_t i = 0; Indexed() && i < plan.parts.size(); ++i) {
+      if (plan.parts[i].query.where == nullptr &&
+          GuardsPass(plan.parts[i], snap)) {
+        return i + 1;
+      }
+    }
+    return plan.parts.size();
+  }
+
+  /// std::map fold over the rows of every part of `plan` whose guards
+  /// pass, in part order: a part without a WHERE clause (a pure
+  /// Heartbeat scan) is a table scan at `snap`, any other part its query
+  /// result.
   std::vector<SourceRecency> ReferenceFold(const RecencyQueryPlan& plan,
                                            Snapshot snap) {
     std::map<std::string, Timestamp> merged;
@@ -88,6 +138,7 @@ class RelevanceMergeTest : public ::testing::TestWithParam<bool> {
                      row[rec].is_null() ? Timestamp() : row[rec].ts_val());
     };
     for (size_t i = 0; i < plan.parts.size(); ++i) {
+      if (!GuardsPass(plan.parts[i], snap)) continue;
       const BoundQuery& q = plan.parts[i].query;
       if (q.where == nullptr) {
         db_.GetTable(q.relations[0].table_id)
@@ -110,6 +161,7 @@ class RelevanceMergeTest : public ::testing::TestWithParam<bool> {
   RecencyExecution ExpectMatchesReference(const RecencyQueryPlan& plan,
                                           Snapshot snap) {
     const std::vector<SourceRecency> expected = ReferenceFold(plan, snap);
+    const size_t tasks = ExpectedTasks(plan, snap);
     auto serial = ExecuteRecencyQueriesDetailed(db_, plan, snap);
     EXPECT_TRUE(serial.ok()) << serial.status().ToString();
     RelevanceOptions options;
@@ -119,9 +171,9 @@ class RelevanceMergeTest : public ::testing::TestWithParam<bool> {
     EXPECT_EQ(serial->sources, expected);
     EXPECT_EQ(parallel->sources, serial->sources);
     EXPECT_EQ(parallel->premerge_rows, serial->premerge_rows);
-    // One task per part at any parallelism.
-    EXPECT_EQ(serial->task_micros.size(), plan.parts.size());
-    EXPECT_EQ(parallel->task_micros.size(), plan.parts.size());
+    // One task per executed part at any parallelism.
+    EXPECT_EQ(serial->task_micros.size(), tasks);
+    EXPECT_EQ(parallel->task_micros.size(), tasks);
     EXPECT_TRUE(std::is_sorted(
         serial->sources.begin(), serial->sources.end(),
         [](const SourceRecency& a, const SourceRecency& b) {
@@ -134,11 +186,22 @@ class RelevanceMergeTest : public ::testing::TestWithParam<bool> {
     return ExpectMatchesReference(plan, db_.LatestSnapshot());
   }
 
-  /// Rows the Naive part feeds the merge for `sources` distinct sources
-  /// over `rows` visible rows: a walk keeps one row per source, a
-  /// planned scan every distinct (source, recency) row.
-  static uint64_t ScanRows(uint64_t sources, uint64_t rows) {
-    return Indexed() ? sources : rows;
+  /// Queries the executor runs for `plan` at parallelism 1 and at 4
+  /// (a walk runs none; its guards do). Both must agree.
+  int64_t QueriesRun(const RecencyQueryPlan& plan) {
+    int64_t before = QueriesExecuted();
+    EXPECT_TRUE(ExecuteRecencyQueriesDetailed(db_, plan,
+                                              db_.LatestSnapshot())
+                    .ok());
+    const int64_t serial = QueriesExecuted() - before;
+    RelevanceOptions options;
+    options.parallelism = 4;
+    before = QueriesExecuted();
+    EXPECT_TRUE(ExecuteRecencyQueriesDetailed(db_, plan,
+                                              db_.LatestSnapshot(), options)
+                    .ok());
+    EXPECT_EQ(QueriesExecuted() - before, serial);
+    return serial;
   }
 
   Database db_;
@@ -170,7 +233,11 @@ TEST_P(RelevanceMergeTest, FirstRowInTaskOrderWinsAcrossParts) {
 
   RecencyExecution exec = ExpectMatchesReference(plan);
   ASSERT_EQ(exec.sources.size(), 600u);
-  EXPECT_EQ(exec.premerge_rows, ScanRows(600, 1200) + 2u * (300 + 100));
+  // Indexed: the filtered part's 300 sources x 2 generations, then the
+  // walk's 600 sources; the last part is skipped. Unindexed: every part,
+  // the planned scan with all 1,200 rows.
+  EXPECT_EQ(exec.premerge_rows,
+            Indexed() ? 2u * 300 + 600 : 2u * (300 + 100) + 1200);
   // Only the scan carries src0150: its first version wins.
   EXPECT_EQ(exec.sources[150].source, "src0150");
   EXPECT_EQ(exec.sources[150].recency,
@@ -192,9 +259,9 @@ TEST_P(RelevanceMergeTest, NullSourcesAreSkipped) {
   ASSERT_EQ(exec.sources.size(), 2u);
   EXPECT_EQ(exec.sources[0], (SourceRecency{"m1", t}));
   EXPECT_EQ(exec.sources[1], (SourceRecency{"m2", Timestamp()}));
-  // Scan: m1, m2 (walked) or m1, m2, m1 (planned); filtered part: m2
-  // (its NULL-source row skipped).
-  EXPECT_EQ(exec.premerge_rows, ScanRows(2, 3) + 1);
+  // Scan: m1, m2 (walked; the filtered part is skipped) or m1, m2, m1
+  // (planned), then the filtered part's m2 (its NULL-source row skipped).
+  EXPECT_EQ(exec.premerge_rows, Indexed() ? 2u : 3u + 1);
 }
 
 // A registry with history: dead versions left by upserts, a second
@@ -286,6 +353,97 @@ TEST_P(RelevanceMergeTest, OrderIsStdStringByteOrder) {
                          Timestamp::kMicrosPerSecond)
         << i;
   }
+}
+
+/// Ten sources m0..m9, an activity table with one idle row, and a plan
+/// of a guarded walk (its guard: an idle machine exists) then a part
+/// that reads m0..m2. Returns the plan.
+class GuardedWalkTest : public RelevanceMergeTest {
+ protected:
+  RecencyQueryPlan SetUpGuardedPlan(const std::string& guard_value) {
+    const Timestamp t = Ts("2006-03-15 14:20:05");
+    for (int i = 0; i < 10; ++i) {
+      Insert("m" + std::to_string(i), t + i * Timestamp::kMicrosPerSecond);
+    }
+    const Status s =
+        ExecuteStatement(&db_, "INSERT INTO activity VALUES ('m1', 'idle')")
+            .status();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    RecencyQueryPlan plan;
+    plan.parts.push_back(GuardedScanPart(
+        "SELECT mach_id FROM activity WHERE value = '" + guard_value + "'"));
+    plan.parts.push_back(FilteredPart("source_id < 'm3'"));
+    return plan;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Registry, GuardedWalkTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Indexed" : "Unindexed";
+                         });
+
+TEST_P(GuardedWalkTest, PassingGuardSkipsLaterParts) {
+  const RecencyQueryPlan plan = SetUpGuardedPlan("idle");
+  RecencyExecution exec = ExpectMatchesReference(plan);
+  ASSERT_EQ(exec.sources.size(), 10u);
+  // Indexed: the guard, then the walk, which runs no query; the filtered
+  // part is skipped. Unindexed: every part runs, the guarded scan as a
+  // planned query.
+  EXPECT_EQ(QueriesRun(plan), Indexed() ? 1 : 3);
+  EXPECT_EQ(exec.task_micros.size(), Indexed() ? 1u : 2u);
+  EXPECT_EQ(exec.premerge_rows, Indexed() ? 10u : 10u + 3);
+}
+
+TEST_P(GuardedWalkTest, FailingGuardRunsLaterParts) {
+  RecencyQueryPlan plan = SetUpGuardedPlan("busy");
+  // The search moves on to the next walk: the unguarded scan covers
+  // the last part.
+  plan.parts.push_back(ScanPart());
+  plan.parts.push_back(FilteredPart("source_id >= 'm8'"));
+  RecencyExecution exec = ExpectMatchesReference(plan);
+  ASSERT_EQ(exec.sources.size(), 10u);
+  // Indexed: the failing guard and the filtered part; the walk runs no
+  // query, and the last part is skipped. Unindexed: the failing guard,
+  // the filtered part, the planned scan and the last part.
+  EXPECT_EQ(QueriesRun(plan), Indexed() ? 2 : 4);
+  EXPECT_EQ(exec.task_micros.size(), Indexed() ? 3u : 4u);
+  EXPECT_EQ(exec.premerge_rows, Indexed() ? 3u + 10 : 3u + 10 + 2);
+
+  // With no walk to cover them, every part runs.
+  plan.parts.erase(plan.parts.begin() + 2);
+  exec = ExpectMatchesReference(plan);
+  EXPECT_EQ(exec.sources.size(), 5u);
+  EXPECT_EQ(QueriesRun(plan), 3);
+  EXPECT_EQ(exec.task_micros.size(), 3u);
+}
+
+TEST_P(RelevanceMergeTest, WalkAfterPlannedPartKeepsEarlierRecency) {
+  const Timestamp t = Ts("2006-03-15 14:20:05");
+  for (int i = 0; i < 10; ++i) {
+    Insert("m" + std::to_string(i), t + i * Timestamp::kMicrosPerSecond);
+  }
+  // A second, older m5 row from SQL: the walk keeps m5's first version.
+  const Status s = ExecuteStatement(&db_,
+                                    "INSERT INTO heartbeat VALUES ('m5', "
+                                    "'2006-03-15 13:20:05')")
+                       .status();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  RecencyQueryPlan plan;
+  plan.parts.push_back(FilteredPart(
+      "recency_timestamp < TIMESTAMP '2006-03-15 14:00:00'"));
+  plan.parts.push_back(ScanPart());
+  plan.parts.push_back(FilteredPart("source_id = 'm9'"));
+
+  RecencyExecution exec = ExpectMatchesReference(plan);
+  ASSERT_EQ(exec.sources.size(), 10u);
+  // The planned part comes first in task order, so its m5 row wins over
+  // the walk's.
+  EXPECT_EQ(exec.sources[5],
+            (SourceRecency{"m5", t - Timestamp::kMicrosPerHour}));
+  EXPECT_EQ(exec.sources[6],
+            (SourceRecency{"m6", t + 6 * Timestamp::kMicrosPerSecond}));
+  EXPECT_EQ(exec.task_micros.size(), Indexed() ? 2u : 3u);
+  EXPECT_EQ(exec.premerge_rows, Indexed() ? 1u + 10 : 1u + 11 + 1);
 }
 
 TEST_P(RelevanceMergeTest, EmptyResults) {
