@@ -15,7 +15,9 @@
 #      carry its merge/fanout split), and three short perfbench runs that
 #      must report "correct": true and "failed": 0,
 #   5. run the whole ctest suite (which re-runs the linters and their
-#      self-tests as test cases),
+#      self-tests as test cases), then the scenario and concurrency
+#      suites under TSan, the absint suites under UBSan, and the
+#      relevance merge, reporter and stats suites under ASan,
 #   6. with --tidy, run clang-tidy (.clang-tidy profile) over src/ —
 #      a hard failure when clang-tidy is not installed (the tidy CI job
 #      gates on it; use --tidy-only to run just this step),
@@ -209,6 +211,20 @@ cmake --build --preset ubsan -j"$(nproc)" \
   --target verify_verifier_determinism_test
 ctest --preset ubsan -R \
   'absint_absint_test|property_absint_property_test|verify_verifier_determinism_test' \
+  --output-on-failure
+
+echo "==> relevance merge, reporter and stats suites under ASan"
+# A registry walk's task owns its SourceRecency strings: a lone walk's
+# list is moved into the result, and a merge with planned parts views
+# those strings and the planned parts' result sets until it copies the
+# survivors out. AddressSanitizer (with UBSan) catches a view that
+# outlives its task slot.
+cmake --preset asan
+cmake --build --preset asan -j"$(nproc)" \
+  --target core_relevance_merge_test core_reporter_test \
+  --target core_recency_stats_test concurrency_parallel_relevance_test
+ctest --preset asan -R \
+  'core_relevance_merge_test|core_reporter_test|core_recency_stats_test|concurrency_parallel_relevance_test' \
   --output-on-failure
 
 echo "==> whole ctest suite with TRAC_DEBUG_INVARIANTS (debug preset)"

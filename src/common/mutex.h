@@ -38,7 +38,8 @@ constexpr int kCatalog = 20;
 constexpr int kTableRegistry = 30;
 /// Table::indexes_mu_ — per-table registry of secondary indexes.
 constexpr int kTableIndexes = 40;
-/// OrderedIndex::mu_ — innermost storage lock (scans capture under it).
+/// OrderedIndex::mu_ — innermost storage lock (probes capture under it;
+/// the key-order walk runs its lock-free callback under it).
 constexpr int kOrderedIndex = 50;
 /// ThreadPool::mu_ — task-queue leaf lock; tasks never run under it.
 constexpr int kThreadPool = 90;

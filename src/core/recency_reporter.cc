@@ -120,8 +120,12 @@ Result<RecencyReport> RecencyReporter::GenerateAndFinish(
   }
   generate_span.End();
   Snapshot snapshot = db_->LatestSnapshot();
-  return Finish(user_query, plan, snapshot, options, tel.clock() - t0,
-                std::move(root));
+  TRAC_ASSIGN_OR_RETURN(RecencyReport report,
+                        Finish(user_query, plan, snapshot, options,
+                               tel.clock() - t0, std::move(root)));
+  // The plan is this call's own, so its analysis moves into the report.
+  report.relevance.analysis = std::move(plan.analysis);
+  return report;
 }
 
 Result<RecencyReport> RecencyReporter::RunWithPlan(
@@ -131,8 +135,11 @@ Result<RecencyReport> RecencyReporter::RunWithPlan(
   TraceSpan root(tel.tracer, tel.clock, "report", tel.tracer->NextTraceId());
   // No generation cost: the plan is hardcoded.
   Snapshot snapshot = db_->LatestSnapshot();
-  return Finish(user_query, plan, snapshot, options, /*parse_generate=*/0,
-                std::move(root));
+  TRAC_ASSIGN_OR_RETURN(RecencyReport report,
+                        Finish(user_query, plan, snapshot, options,
+                               /*parse_generate=*/0, std::move(root)));
+  report.relevance.analysis = plan.analysis;
+  return report;
 }
 
 Result<RecencyReport> RecencyReporter::Finish(
@@ -222,13 +229,13 @@ Result<RecencyReport> RecencyReporter::Finish(
 
   report.relevance.minimal = plan.minimal;
   report.relevance.fallback_all = plan.fallback_all;
-  report.relevance.analysis = plan.analysis;
 
-  // 3. Exceptional-source detection + descriptive statistics. The stats
-  // copy what they keep, then the report takes the merged list itself.
+  // 3. Exceptional-source detection + descriptive statistics over the
+  // merged list, which is sorted by source. The stats copy what they
+  // keep, then the report takes the merged list itself.
   TraceSpan stats_span(tel.tracer, tel.clock, "stats", trace_id, root.id());
   t = tel.clock();
-  report.stats = ComputeRecencyStats(exec.sources, options.stats);
+  report.stats = ComputeSortedRecencyStats(exec.sources, options.stats);
   report.stats_micros = tel.clock() - t;
   stats_span.End();
   report.relevance.sources = std::move(exec.sources);

@@ -132,6 +132,8 @@ class RecencyReporter {
       int64_t t0, TraceSpan root);
   /// `root` is the report session's root trace span; Finish hangs the
   /// lifecycle child spans off it and ends it when the report is built.
+  /// Fills every field but `relevance.analysis`, which the caller sets
+  /// from `plan`: moved when the plan is its own, copied otherwise.
   [[nodiscard]] Result<RecencyReport> Finish(const BoundQuery& user_query,
                                const RecencyQueryPlan& plan,
                                Snapshot snapshot,

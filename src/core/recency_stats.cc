@@ -3,24 +3,35 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/dcheck.h"
+
 namespace trac {
+
+namespace {
+
+bool BySource(const SourceRecency& a, const SourceRecency& b) {
+  return a.source < b.source;
+}
+
+}  // namespace
 
 RecencyStats ComputeRecencyStats(const std::vector<SourceRecency>& input,
                                  const RecencyStatsOptions& options) {
-  RecencyStats stats;
-  if (input.empty()) return stats;
-
-  // The relevance merge already emits sources in order; sort a copy of
-  // only input that is not.
-  const auto by_source = [](const SourceRecency& a, const SourceRecency& b) {
-    return a.source < b.source;
-  };
-  std::vector<SourceRecency> sorted;
-  if (!std::is_sorted(input.begin(), input.end(), by_source)) {
-    sorted = input;
-    std::sort(sorted.begin(), sorted.end(), by_source);
+  if (std::is_sorted(input.begin(), input.end(), BySource)) {
+    return ComputeSortedRecencyStats(input, options);
   }
-  const std::vector<SourceRecency>& relevant = sorted.empty() ? input : sorted;
+  std::vector<SourceRecency> sorted = input;
+  std::sort(sorted.begin(), sorted.end(), BySource);
+  return ComputeSortedRecencyStats(sorted, options);
+}
+
+RecencyStats ComputeSortedRecencyStats(
+    const std::vector<SourceRecency>& relevant,
+    const RecencyStatsOptions& options) {
+  TRAC_DCHECK(std::is_sorted(relevant.begin(), relevant.end(), BySource),
+              "ComputeSortedRecencyStats got a list out of source order");
+  RecencyStats stats;
+  if (relevant.empty()) return stats;
 
   const double n = static_cast<double>(relevant.size());
   double mean = 0;
@@ -35,6 +46,10 @@ RecencyStats ComputeRecencyStats(const std::vector<SourceRecency>& input,
   stats.mean_micros = mean;
   stats.stddev_micros = std::sqrt(var);
 
+  // One pass splits the sources and finds the normal ones' extremes; the
+  // first of several equal extremes in source order wins.
+  const SourceRecency* least = nullptr;
+  const SourceRecency* most = nullptr;
   stats.normal.reserve(relevant.size());
   for (const SourceRecency& s : relevant) {
     bool exceptional = false;
@@ -44,12 +59,11 @@ RecencyStats ComputeRecencyStats(const std::vector<SourceRecency>& input,
           stats.stddev_micros;
       exceptional = std::fabs(z) > options.zscore_threshold;
     }
-    (exceptional ? stats.exceptional : stats.normal).push_back(s);
-  }
-
-  const SourceRecency* least = nullptr;
-  const SourceRecency* most = nullptr;
-  for (const SourceRecency& s : stats.normal) {
+    if (exceptional) {
+      stats.exceptional.push_back(s);
+      continue;
+    }
+    stats.normal.push_back(s);
     if (least == nullptr || s.recency < least->recency) least = &s;
     if (most == nullptr || s.recency > most->recency) most = &s;
   }

@@ -50,6 +50,13 @@ RecencyStats ComputeRecencyStats(
     const std::vector<SourceRecency>& relevant,
     const RecencyStatsOptions& options = RecencyStatsOptions());
 
+/// ComputeRecencyStats over a list already sorted by source, such as
+/// RecencyExecution::sources (the report path): skips the sortedness
+/// pass. Under TRAC_DEBUG_INVARIANTS a TRAC_DCHECK checks the order.
+RecencyStats ComputeSortedRecencyStats(
+    const std::vector<SourceRecency>& sorted,
+    const RecencyStatsOptions& options = RecencyStatsOptions());
+
 }  // namespace trac
 
 #endif  // TRAC_CORE_RECENCY_STATS_H_

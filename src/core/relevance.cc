@@ -8,7 +8,6 @@
 #include <optional>
 #include <string_view>
 
-#include "common/dcheck.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "telemetry/telemetry.h"
@@ -287,46 +286,52 @@ void SplitPartIntoGuards(const Database& db, RecencyQueryPlan::Part* part,
 
 namespace {
 
-/// Unmerged output of one execution task: (source, recency) pairs in
-/// emission order, duplicates allowed (the merge dedups). The sources
-/// are views, never copies: a walk task views the heartbeat table's
-/// row versions (immutable once published, stable addresses, kept
-/// until shutdown even if the table is dropped), a planned part views
-/// its own `result`. Both outlive the merge.
+/// Output of one execution task. A registry walk builds its final
+/// list in `walked`: one SourceRecency per source, strictly ascending by
+/// source, each string built once while its row version is in cache.
+/// A planned part leaves its unmerged rows in `rows`: (source, recency)
+/// pairs in emission order, duplicates allowed (the merge dedups), each
+/// source a view into the part's own `result`, which outlives the merge.
 struct RecencyTaskResult {
   Status status = Status::OK();
+  std::vector<SourceRecency> walked;
   std::vector<std::pair<std::string_view, Timestamp>> rows;
-  /// The rows are strictly ascending by source by construction (a walk).
-  bool ascending = false;
   /// Backing storage for a planned part's `rows`.
   ResultSet result;
   int64_t micros = 0;
   /// Per-operator profile under options.profile. One slot per task, so
   /// each strand writes only its own — race-free by construction.
   TaskProfile profile;
+
+  size_t num_rows() const { return walked.size() + rows.size(); }
 };
 
 /// A registry walk: a pure Heartbeat scan read through the registry's
-/// source_id index in key order. A key's versions come in version order,
-/// so the first one visible at `snapshot` is the source's first row in
-/// scan order, and the rest are skipped. The rows come out strictly
-/// ascending by source, one per source. NULL sources are never indexed.
+/// source_id index in key order, in place. A key's versions come in
+/// version order, so the first one visible at `snapshot` is the source's
+/// first row in scan order, and the rest are skipped. The list comes out
+/// strictly ascending by source, one entry per source. NULL sources are
+/// never indexed.
 void RunHeartbeatWalk(const Database& db, const RecencyQueryPlan::Part& part,
                       const OrderedIndex& index, Snapshot snapshot,
-                      RecencyTaskResult* out) {
+                      std::vector<SourceRecency>* out) {
   const Table* table = db.GetTable(part.query.relations[0].table_id);
   const size_t src_col = index.column();
   const size_t rec_col = part.query.outputs[1].ref.col;
+  // Every visible source has an index entry, so the list does not
+  // regrow mid-walk unless a writer inserts meanwhile.
+  out->reserve(index.num_entries());
+  // Runs under the index's shared lock: reads only immutable row
+  // versions and takes no lock.
   index.ScanInKeyOrder([&](size_t vidx) {
     const RowVersion& v = table->version(vidx);
     if (!table->Visible(v, snapshot)) return;
-    const std::string_view source = v.values[src_col].str_val();
-    if (!out->rows.empty() && out->rows.back().first == source) return;
+    const std::string& source = v.values[src_col].str_val();
+    if (!out->empty() && out->back().source == source) return;
     const Value& recency = v.values[rec_col];
-    out->rows.emplace_back(source,
-                           recency.is_null() ? Timestamp() : recency.ts_val());
+    out->emplace_back(
+        source, recency.is_null() ? Timestamp() : recency.ts_val());
   });
-  out->ascending = true;
 }
 
 /// Runs one part: guards first (any empty guard kills the part), then
@@ -355,7 +360,7 @@ bool RunPartTask(const Database& db, const RecencyQueryPlan::Part& part,
     if (guard->rows.empty()) return false;
   }
   if (planned.walk != nullptr) {
-    RunHeartbeatWalk(db, part, *planned.walk, snapshot, out);
+    RunHeartbeatWalk(db, part, *planned.walk, snapshot, &out->walked);
   } else {
     Result<ResultSet> rs =
         ExecutePlan(db, part.query, planned.main, snapshot, /*row_limit=*/0,
@@ -429,51 +434,20 @@ std::string SourceString(const MergeEntry& e) {
   return std::string(bytes, e.source.size());
 }
 
-/// Whether `results`' rows, in task order, are strictly ascending by
-/// source.
-bool StrictlyAscending(const std::vector<RecencyTaskResult>& results) {
-  const std::string_view* prev = nullptr;
-  for (const RecencyTaskResult& result : results) {
-    for (const auto& row : result.rows) {
-      if (prev != nullptr && !(*prev < row.first)) return false;
-      prev = &row.first;
-    }
-  }
-  return true;
-}
-
 /// The set union of `results`' rows in task order: one SourceRecency
 /// per distinct source, sorted by source, each carrying the recency of
-/// the source's first row in task order. Rows already strictly
-/// ascending are that union as they stand: a lone walk's rows are by
-/// construction, any other mix is checked in one pass. Rows that are
-/// not take one sort over fixed-width entries. Then one string copy per
-/// surviving source.
+/// the source's first row in task order. One sort over fixed-width
+/// entries that view each walk's strings and each planned part's rows,
+/// then one string copy per surviving source.
 std::vector<SourceRecency> MergeTaskRows(
     const std::vector<RecencyTaskResult>& results, size_t total_rows) {
-  size_t with_rows = 0;
-  bool lone_walk = false;
-  for (const RecencyTaskResult& result : results) {
-    if (result.rows.empty()) continue;
-    ++with_rows;
-    lone_walk = result.ascending;
-  }
-  lone_walk &= with_rows == 1;
-  TRAC_DCHECK(!lone_walk || StrictlyAscending(results),
-              "a registry walk emitted rows out of source order");
-  std::vector<SourceRecency> merged;
-  if (lone_walk || StrictlyAscending(results)) {
-    merged.reserve(total_rows);
-    for (const RecencyTaskResult& result : results) {
-      for (const auto& [source, ts] : result.rows) {
-        merged.push_back(SourceRecency{std::string(source), ts});
-      }
-    }
-    return merged;
-  }
   std::vector<MergeEntry> entries;
   entries.reserve(total_rows);
   for (const RecencyTaskResult& result : results) {
+    for (const SourceRecency& s : result.walked) {
+      entries.push_back(
+          MergeEntry{PrefixKey(s.source), entries.size(), s.recency, s.source});
+    }
     for (const auto& [source, ts] : result.rows) {
       entries.push_back(
           MergeEntry{PrefixKey(source), entries.size(), ts, source});
@@ -490,6 +464,7 @@ std::vector<SourceRecency> MergeTaskRows(
                               return CompareSources(a, b) == 0;
                             }),
                 entries.end());
+  std::vector<SourceRecency> merged;
   merged.reserve(entries.size());
   for (const MergeEntry& e : entries) {
     merged.push_back(SourceRecency{SourceString(e), e.recency});
@@ -633,7 +608,7 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
     const int64_t t1 = clock();
     out->micros = t1 - t0;
     out->profile.micros = out->micros;
-    out->profile.rows = out->rows.size();
+    out->profile.rows = out->num_rows();
     task_histogram->Observe(out->micros);
     if (tracer != nullptr) {
       // Built from the same t0/t1 as out->micros, so the span durations
@@ -679,13 +654,24 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
   RecencyExecution exec;
   exec.parallelism = parallelism;
   const int64_t merge_t0 = clock();
+  size_t with_rows = 0;
+  RecencyTaskResult* last_with_rows = nullptr;
   for (RecencyTaskResult& result : results) {
     TRAC_RETURN_IF_ERROR(result.status);
-    exec.premerge_rows += result.rows.size();
+    exec.premerge_rows += result.num_rows();
     exec.task_micros.push_back(result.micros);
     if (profiling) exec.task_profiles.push_back(std::move(result.profile));
+    if (result.num_rows() != 0) {
+      ++with_rows;
+      last_with_rows = &result;
+    }
   }
-  exec.sources = MergeTaskRows(results, exec.premerge_rows);
+  // A walk's list is already the union when no other task has rows.
+  if (with_rows == 1 && last_with_rows->rows.empty()) {
+    exec.sources = std::move(last_with_rows->walked);
+  } else {
+    exec.sources = MergeTaskRows(results, exec.premerge_rows);
+  }
   exec.merge_micros = clock() - merge_t0;
   return exec;
 }

@@ -139,8 +139,9 @@ struct SourceRecency {
 /// DISTINCT source, recency FROM heartbeat`: the Naive plan, or a
 /// conjunct with no source-column predicate), guarded or not, on a
 /// registry with a source_id index walks that index in key order behind
-/// its EXISTS `guards`; its main query is never planned. Its rows come
-/// out sorted and unique, so the merge keeps them as they are. Any other
+/// its EXISTS `guards`; its main query is never planned. The walk builds
+/// its SourceRecency list sorted and unique, so when no other part has
+/// rows that list is the result, moved, not merged. Any other
 /// part, including a pure scan of an unindexed registry, runs `main`
 /// behind its `guards`. The executor runs at most these, and the session
 /// IR lowers exactly these. Points into the Part it was built from.
@@ -197,6 +198,9 @@ PlanIr LowerReportSessionPlans(const Database& db, const BoundQuery& user_query,
 /// order: a walk part keeps each source's first visible version. Rows
 /// with a NULL source are skipped; a NULL recency reads as the epoch.
 struct RecencyExecution {
+  /// Strictly ascending by source. When a registry walk is the only task
+  /// with rows (the Naive plan, a Q2-style plan, a passing guarded walk
+  /// with nothing before it), this is the walk's own list, moved.
   std::vector<SourceRecency> sources;
   /// One entry per executed task: skipped parts have none.
   std::vector<int64_t> task_micros;
@@ -208,11 +212,10 @@ struct RecencyExecution {
   /// Rows the executed tasks fed into the set merge (pre-dedup); always
   /// counted.
   uint64_t premerge_rows = 0;
-  /// Wall time of the set merge, from the first task row read to the
-  /// last SourceRecency built (one linear check unless a lone walk
-  /// supplied every row, a sort over prefix-keyed row views only when the
-  /// rows are not already strictly ascending, then one string copy per
-  /// source); always measured.
+  /// Wall time of the set merge, from the first task result read to the
+  /// last SourceRecency built; always measured. A lone walk's list is
+  /// moved, so this is near 0. Otherwise it is one sort over prefix-keyed
+  /// views of every task's rows, then one string copy per source.
   int64_t merge_micros = 0;
 };
 /// PlanRecencyParts, then the overload below. With parallelism > 1 the

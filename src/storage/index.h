@@ -30,14 +30,24 @@ namespace trac {
 /// published; the caller's MVCC visibility check then rejects it, which
 /// is the same verdict a pre-insert reader would reach.
 ///
-/// Scans capture the matching entry set under the shared lock and invoke
-/// the callback only after releasing it. Entries are never removed, so a
-/// captured version index stays valid forever; holding no lock during
-/// callbacks lets them freely scan tables, other indexes, or re-enter
-/// this one (the executor's nested-loop joins do exactly that), with no
-/// lock-order constraints between indexes. `mu_` is the innermost
-/// storage rank (lock_rank::kOrderedIndex), and because callbacks run
-/// lock-free the rank is never held across foreign code.
+/// ScanEqual captures the matching entries under the shared lock and
+/// invokes its callback only after releasing it. Entries are never
+/// removed, so a captured version index stays valid forever; holding no
+/// lock during the callback lets it freely scan tables, other indexes,
+/// or re-enter this one (the executor's nested-loop joins do exactly
+/// that), with no lock-order constraints between indexes.
+/// ScanInKeyOrder is the one exception: it walks the map in place and
+/// runs its callback under the shared lock, so the whole index is read
+/// once, in order, with no copy. Its callback must take no lock and must
+/// not re-enter this index; the registry walk (core/relevance.cc) only
+/// reads immutable row versions. An Insert into the index therefore
+/// waits until no walk holds the shared lock, and a walk holds it for
+/// one pass over the index: with one reporting thread, a registry writer
+/// waits for at most one walk. Walks that keep overlapping on several
+/// threads can hold a writer off longer, because std::shared_mutex
+/// promises writers no preference. `mu_` is the innermost storage rank
+/// (lock_rank::kOrderedIndex), so no storage lock is ever taken under
+/// it.
 class OrderedIndex {
  public:
   explicit OrderedIndex(size_t column) : column_(column) {}
@@ -73,16 +83,12 @@ class OrderedIndex {
 
   /// Calls fn(version_index) for every entry, in ascending key order and,
   /// within a key, in ascending version index (see ScanEqual). The
-  /// registry walk (core/relevance.cc) relies on both orders.
+  /// registry walk (core/relevance.cc) relies on both orders. Runs `fn`
+  /// under the shared lock (see the class comment): `fn` takes no lock.
   template <typename Fn>
   void ScanInKeyOrder(Fn fn) const {
-    std::vector<size_t> matches;
-    {
-      ReaderMutexLock lock(&mu_);
-      matches.reserve(map_.size());
-      for (const auto& [key, vidx] : map_) matches.push_back(vidx);
-    }
-    for (size_t vidx : matches) fn(vidx);
+    ReaderMutexLock lock(&mu_);
+    for (const auto& entry : map_) fn(entry.second);
   }
 
   /// Number of entries equal to `key` (visibility not considered); the

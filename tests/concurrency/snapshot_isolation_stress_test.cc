@@ -23,6 +23,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,7 +145,9 @@ TEST(SnapshotIsolationStressTest, RecencyReportsUnderHeartbeatChurn) {
   // temp-table materialization on). Every report must be internally
   // consistent: it reflects ONE snapshot, so its source lists are sorted,
   // disjoint and complete, and the inconsistency bound matches its own
-  // extremes.
+  // extremes. The query names no source, so its one part is a registry
+  // walk, which reads the source_id index in place while the writers
+  // upsert it: every report's list must be the registry at its snapshot.
   Database db;
   TableSchema schema("activity",
                      {ColumnDef("mach_id", TypeId::kString),
@@ -219,6 +222,11 @@ TEST(SnapshotIsolationStressTest, RecencyReportsUnderHeartbeatChurn) {
           EXPECT_LT(report->relevance.sources[k - 1].source,
                     report->relevance.sources[k].source);
         }
+        std::vector<std::pair<std::string, Timestamp>> reported;
+        for (const SourceRecency& s : report->relevance.sources) {
+          reported.emplace_back(s.source, s.recency);
+        }
+        EXPECT_EQ(reported, heartbeat.GetAll(report->snapshot));
         if (report->stats.least_recent.has_value()) {
           EXPECT_EQ(report->stats.inconsistency_bound_micros,
                     report->stats.most_recent->recency -

@@ -1,5 +1,8 @@
 #include "core/recency_reporter.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -117,6 +120,57 @@ TEST(ReporterTest, NaiveMethodReportsAllSources) {
                    options));
   EXPECT_EQ(report.relevance.sources.size(), 11u);
   EXPECT_FALSE(report.relevance.minimal);
+}
+
+// The report computes its statistics over its merged list without the
+// public entry's sortedness pass, and finds least/most while it splits
+// the sources. Every field must still equal ComputeRecencyStats over
+// the report's own list: a lone registry walk (Naive, and a Focused
+// query without a source predicate) and a planned part merged with a
+// walk, each with an exceptional source and percentiles requested.
+TEST(ReporterTest, StatsEqualPublicComputationOverReportedSources) {
+  PaperExampleDb fixture;
+  Session session(&fixture.db);
+  RecencyReporter reporter(&fixture.db, &session);
+  struct Case {
+    RecencyMethod method;
+    const char* sql;
+    size_t tasks;
+  };
+  const Case cases[] = {
+      {RecencyMethod::kNaive,
+       "SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2')", 1},
+      {RecencyMethod::kFocused,
+       "SELECT mach_id FROM Activity WHERE value = 'idle'", 1},
+      {RecencyMethod::kFocused,
+       "SELECT mach_id FROM Activity WHERE mach_id > 'm1' OR value = 'idle'",
+       2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    RecencyReportOptions options;
+    options.method = c.method;
+    options.stats.percentiles = {0.25, 0.5, 0.9, 1.0};
+    TRAC_ASSERT_OK_AND_ASSIGN(RecencyReport report,
+                              reporter.Run(c.sql, options));
+    EXPECT_EQ(report.relevance_task_micros.size(), c.tasks);
+    EXPECT_EQ(report.relevance.sources.size(), 11u);
+    ASSERT_EQ(report.stats.exceptional.size(), 1u);
+    const RecencyStats want =
+        ComputeRecencyStats(report.relevance.sources, options.stats);
+    EXPECT_EQ(report.stats.normal, want.normal);
+    EXPECT_EQ(report.stats.exceptional, want.exceptional);
+    EXPECT_EQ(report.stats.least_recent, want.least_recent);
+    EXPECT_EQ(report.stats.most_recent, want.most_recent);
+    EXPECT_EQ(report.stats.inconsistency_bound_micros,
+              want.inconsistency_bound_micros);
+    EXPECT_EQ(std::bit_cast<uint64_t>(report.stats.mean_micros),
+              std::bit_cast<uint64_t>(want.mean_micros));
+    EXPECT_EQ(std::bit_cast<uint64_t>(report.stats.stddev_micros),
+              std::bit_cast<uint64_t>(want.stddev_micros));
+    EXPECT_EQ(report.stats.percentile_recencies.size(), 4u);
+    EXPECT_EQ(report.stats.percentile_recencies, want.percentile_recencies);
+  }
 }
 
 TEST(ReporterTest, HardcodedPlanSkipsGenerationCost) {
