@@ -36,6 +36,7 @@ Status Catalog::DropTable(std::string_view name) {
   WriterMutexLock lock(&mu_);
   TRAC_ASSIGN_OR_RETURN(TableId id, GetTableIdLocked(name));
   entries_[id].live = false;
+  stats_.erase(id);
   return Status::OK();
 }
 

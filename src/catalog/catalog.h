@@ -60,7 +60,8 @@ class Catalog {
     return entries_[id].schema;
   }
 
-  /// Drops `name`. The TableId becomes invalid. NotFound if absent.
+  /// Drops `name` and its cached statistics. The TableId becomes
+  /// invalid. NotFound if absent.
   [[nodiscard]] Status DropTable(std::string_view name);
 
   bool IsLive(TableId id) const {
@@ -77,19 +78,22 @@ class Catalog {
   /// Names of all live tables, in creation order.
   std::vector<std::string> TableNames() const;
 
-  /// Caches the planner's collected statistics for a table (unread; see
-  /// catalog/stats.h). Overwrites any previous entry. Const: the stats
-  /// cache is metadata about storage contents, not catalog identity, so
-  /// read-only planning paths may populate it.
+  /// Caches the statistics walk's result for a live table (unread; see
+  /// catalog/stats.h). Overwrites any previous entry; a dropped table
+  /// gets none, so a walk racing DropTable cannot bring one back. Const:
+  /// the stats cache is metadata about storage contents, not catalog
+  /// identity, so read-only query paths may populate it.
   void SetTableStats(TableId id, TableStats stats) const {
     WriterMutexLock lock(&mu_);
-    stats_[id] = std::move(stats);
+    if (id < entries_.size() && entries_[id].live) {
+      stats_[id] = std::move(stats);
+    }
   }
 
   /// Whether `id` has cached stats collected at `row_count` row
-  /// versions. A stale or missing entry makes the planner recollect,
-  /// which is what re-walks the indexes once after each write. Copies
-  /// nothing.
+  /// versions. A stale or missing entry makes the statistics walk
+  /// (CollectTableStats in exec/planner.h) re-read the table's indexes
+  /// once after each write. Copies nothing.
   bool TableStatsFresh(TableId id, uint64_t row_count) const {
     ReaderMutexLock lock(&mu_);
     auto it = stats_.find(id);
@@ -109,8 +113,8 @@ class Catalog {
   // Deque: schema references stay valid across CreateTable (Table objects
   // point at their catalog schema).
   std::deque<Entry> entries_ TRAC_GUARDED_BY(mu_);
-  /// Planner statistics cache, keyed by table id (catalog/stats.h).
-  /// Mutable: populated from read-only planning paths.
+  /// Statistics cache, keyed by live table id (catalog/stats.h).
+  /// Mutable: populated from read-only query paths.
   mutable std::map<TableId, TableStats> stats_ TRAC_GUARDED_BY(mu_);
 };
 

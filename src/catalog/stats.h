@@ -8,9 +8,12 @@
 namespace trac {
 
 /// Per-column statistics for one table, collected from its ordered
-/// indexes (storage/index.h) by the planner and cached in the Catalog.
-/// Nothing reads them: the planner collects them only for the walk's
-/// side effect on the indexes (CollectTableStats in exec/planner.cc).
+/// indexes (storage/index.h) by the statistics walk and cached in the
+/// Catalog until the table is written or dropped. Only a user query's
+/// planning runs the walk (CollectTableStats in exec/planner.h); a
+/// recency part or guard plan never does. Nothing reads the result: the
+/// walk runs only for its side effect, keeping the user tables' indexes
+/// cache-warm for ingest (DESIGN.md §4g).
 struct ColumnStats {
   size_t column = 0;  ///< Schema column index.
   /// Number of distinct non-NULL keys in the column's ordered index at

@@ -521,6 +521,9 @@ size_t PlannedHeartbeatShards(const Database&,
   hints.guarantee = &plan.analysis;
   TRAC_ASSIGN_OR_RETURN(session.user_plan,
                         PlanQuery(db, user_query, snapshot, hints));
+  // The statistics walk runs for the user query only: a part or guard
+  // plan over the registry would re-walk it after every heartbeat.
+  CollectTableStats(db, user_query, session.user_plan);
   TRAC_ASSIGN_OR_RETURN(session.parts,
                         PlanRecencyParts(db, plan, snapshot));
   return session;

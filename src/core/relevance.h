@@ -173,6 +173,7 @@ struct ReportSession {
 
 /// Plans `user_query` (hinted with `plan.analysis`) and every part and
 /// guard of `plan` once: the one place a report session is planned.
+/// Only the user plan runs the statistics walk (CollectTableStats).
 [[nodiscard]] Result<ReportSession> PlanReportSession(
     const Database& db, const BoundQuery& user_query,
     const RecencyQueryPlan& plan, Snapshot snapshot);

@@ -576,6 +576,7 @@ class Execution {
                                const PlanningHints& hints,
                                ExecProfile* profile, ClockFn clock) {
   TRAC_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(db, query, snapshot, hints));
+  CollectTableStats(db, query, plan);
   return ExecutePlan(db, query, plan, snapshot, /*row_limit=*/0, profile,
                      clock);
 }

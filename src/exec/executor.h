@@ -39,6 +39,7 @@ struct ResultSet {
 /// *same* snapshot, which yields the consistency guarantee of
 /// Section 3.2. `hints` forwards static-analysis results to the planner
 /// (a proven-unsatisfiable predicate short-circuits to an empty result).
+/// Runs the statistics walk (CollectTableStats) over the planned tables.
 ///
 /// `profile`, when non-null, receives per-operator row counters for the
 /// execution (telemetry/profile.h); `clock` additionally enables stage
@@ -52,8 +53,9 @@ struct ResultSet {
                                ClockFn clock = nullptr);
 
 /// Executes `plan`, PlanQuery's output for `query` at `snapshot`.
-/// ExecuteQuery and QueryHasResults are PlanQuery followed by this; the
-/// recency reporter calls it with the user plan PlanReportSession built.
+/// ExecuteQuery (with the statistics walk) and QueryHasResults are
+/// PlanQuery followed by this; the recency reporter calls it with the
+/// user plan PlanReportSession built.
 /// Stops once `row_limit` output rows (or counted tuples, for COUNT(*))
 /// have been produced (0 = unlimited; 1 powers EXISTS-style guards).
 /// `profile`/`clock` as above.

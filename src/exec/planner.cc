@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "catalog/stats.h"
+#include "telemetry/metrics.h"
 
 namespace trac {
 
@@ -249,10 +250,14 @@ std::vector<RelAccess> ComputeRelAccess(const Database& db,
 /// cache-warm for the next insert. Without it, `grid-live-2k`'s
 /// `ingest_p50_us` rose about 50% (DESIGN.md §4g). It goes together with
 /// the node-per-entry index (ROADMAP item 3).
-void CollectTableStats(const Database& db, TableId id) {
+void CollectOneTableStats(const Database& db, TableId id) {
+  static Counter* walks = MetricRegistry::Default().GetCounter(
+      "trac_planner_stats_walks_total",
+      "Statistics walks run for user-query plans (one per stale table)");
   const Table* table = db.GetTable(id);
   const uint64_t rows = table->num_versions();
   if (db.catalog().TableStatsFresh(id, rows)) return;
+  walks->Increment();
   TableStats stats;
   stats.row_count = rows;
   for (size_t col : table->IndexedColumns()) {
@@ -293,13 +298,15 @@ void CollectTableStats(const Database& db, TableId id) {
   const Status built =
       BuildJoinLevels(db, query, info, std::move(units), &plan);
   if (!built.ok()) return built;
-
-  if (!plan.provably_empty) {
-    for (const LevelPlan& level : plan.levels) {
-      CollectTableStats(db, query.relations[level.relation].table_id);
-    }
-  }
   return plan;
+}
+
+void CollectTableStats(const Database& db, const BoundQuery& query,
+                       const QueryPlan& plan) {
+  if (plan.provably_empty) return;
+  for (const LevelPlan& level : plan.levels) {
+    CollectOneTableStats(db, query.relations[level.relation].table_id);
+  }
 }
 
 }  // namespace trac

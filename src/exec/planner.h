@@ -77,14 +77,23 @@ struct PlanningHints {
 /// (ExecutePlan), and trac_verify and the property suites verify the
 /// report sessions.
 ///
-/// Unless the plan is provably empty, planning also refreshes each
-/// level's table statistics (catalog/stats.h), which nothing reads; see
-/// CollectTableStats in exec/planner.cc for why the walk stays.
-/// `snapshot` is unused: a plan reads only the schema, table and index
-/// sizes, and the hints.
+/// Planning reads only the schema, table and index sizes, and the hints,
+/// and writes nothing: it refreshes no statistics (CollectTableStats
+/// does). `snapshot` is unused.
 [[nodiscard]] Result<QueryPlan> PlanQuery(const Database& db, const BoundQuery& query,
                             Snapshot snapshot,
                             const PlanningHints& hints = PlanningHints());
+
+/// The statistics walk: unless `plan` is provably empty, re-reads the
+/// indexed columns' distinct keys of each table `plan` reads whose
+/// published version count moved since its last walk, and caches the
+/// counts in the catalog (catalog/stats.h), where nothing reads them.
+/// Each walk adds one to `trac_planner_stats_walks_total`. Only a user
+/// query's planning calls it (ExecuteQuery, PlanReportSession's user
+/// plan); a recency part or guard plan never does. See the walk in
+/// exec/planner.cc for why it stays.
+void CollectTableStats(const Database& db, const BoundQuery& query,
+                       const QueryPlan& plan);
 
 }  // namespace trac
 

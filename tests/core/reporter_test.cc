@@ -7,6 +7,7 @@
 
 #include "../test_util.h"
 #include "absint/absint.h"
+#include "exec/planner.h"
 #include "exec/statement.h"
 #include "ir/plan_ir.h"
 #include "telemetry/metrics.h"
@@ -465,6 +466,119 @@ TEST(ReporterTest, EmptyRegistryProfiledMergeIsProvenEmpty) {
     EXPECT_EQ(node.actual_rows, 0u);
   }
   EXPECT_EQ(merges, 1u);
+}
+
+int64_t StatsWalks() {
+  return MetricRegistry::Default()
+      .GetCounter(
+          "trac_planner_stats_walks_total",
+          "Statistics walks run for user-query plans (one per stale table)")
+      ->Value();
+}
+
+// Whether `table`'s cached statistics match its current version count.
+bool StatsFresh(const Database& db, const std::string& table) {
+  auto id = db.catalog().GetTableId(table);
+  EXPECT_TRUE(id.ok()) << table;
+  return id.ok() &&
+         db.catalog().TableStatsFresh(*id, db.GetTable(*id)->num_versions());
+}
+
+// An Activity row and a heartbeat: every table the reports below read
+// has been written since any walk.
+void WriteActivityAndHeartbeat(PaperExampleDb* fixture, const char* source) {
+  TRAC_ASSERT_OK(fixture->db.Insert(
+      "activity", {Value::Str(source), Value::Str("idle"),
+                   Value::Ts(Ts("2006-03-12 10:23:05"))}));
+  TRAC_ASSERT_OK(
+      fixture->heartbeat->SetRecency(source, Ts("2006-03-15 14:50:05")));
+}
+
+// Planning writes nothing: neither PlanQuery nor PlanRecencyParts runs
+// the statistics walk. ExecuteQuery walks the user query's tables.
+TEST(StatisticsWalkTest, OnlyUserQueryPlanningWalks) {
+  PaperExampleDb fixture;
+  WriteActivityAndHeartbeat(&fixture, "m4");
+  const char* q1 =
+      "SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2') AND "
+      "value = 'idle'";
+  TRAC_ASSERT_OK_AND_ASSIGN(BoundQuery query, BindSql(fixture.db, q1));
+  TRAC_ASSERT_OK_AND_ASSIGN(RecencyQueryPlan plan,
+                            GenerateRecencyQueries(fixture.db, query));
+  const Snapshot snapshot = fixture.db.LatestSnapshot();
+  const int64_t before = StatsWalks();
+  TRAC_ASSERT_OK(PlanQuery(fixture.db, query, snapshot).status());
+  TRAC_ASSERT_OK_AND_ASSIGN(std::vector<PlannedPart> parts,
+                            PlanRecencyParts(fixture.db, plan, snapshot));
+  EXPECT_FALSE(parts.empty());
+  EXPECT_EQ(StatsWalks(), before);
+  for (const std::string& table : fixture.db.catalog().TableNames()) {
+    EXPECT_FALSE(StatsFresh(fixture.db, table)) << table;
+  }
+
+  TRAC_ASSERT_OK(ExecuteQuery(fixture.db, query, snapshot).status());
+  EXPECT_EQ(StatsWalks(), before + 1);
+  EXPECT_TRUE(StatsFresh(fixture.db, "activity"));
+  EXPECT_FALSE(StatsFresh(fixture.db, "routing"));
+  EXPECT_FALSE(StatsFresh(fixture.db, "heartbeat"));
+}
+
+// A report walks each stale table its user query reads once, and never
+// the registry its recency parts read.
+TEST(StatisticsWalkTest, ReportWalksStaleUserTablesOnly) {
+  PaperExampleDb fixture;
+  Session session(&fixture.db);
+  RecencyReporter reporter(&fixture.db, &session);
+  const char* q1 =
+      "SELECT mach_id FROM Activity WHERE mach_id IN ('m1', 'm2') AND "
+      "value = 'idle'";
+  WriteActivityAndHeartbeat(&fixture, "m4");
+  int64_t before = StatsWalks();
+  TRAC_ASSERT_OK(reporter.Run(q1).status());
+  EXPECT_EQ(StatsWalks(), before + 1);
+  EXPECT_TRUE(StatsFresh(fixture.db, "activity"));
+  EXPECT_FALSE(StatsFresh(fixture.db, "heartbeat"));
+
+  // Nothing written since: no walk.
+  before = StatsWalks();
+  TRAC_ASSERT_OK(reporter.Run(q1).status());
+  EXPECT_EQ(StatsWalks(), before);
+
+  // A join over two written tables walks both.
+  WriteActivityAndHeartbeat(&fixture, "m5");
+  TRAC_ASSERT_OK(fixture.db.Insert(
+      "routing", {Value::Str("m5"), Value::Str("m1"),
+                  Value::Ts(Ts("2006-03-12 23:20:06"))}));
+  before = StatsWalks();
+  TRAC_ASSERT_OK(reporter
+                     .Run("SELECT A.mach_id FROM Routing R, Activity A "
+                          "WHERE R.mach_id = 'm1' AND A.value = 'idle' "
+                          "AND R.neighbor = A.mach_id")
+                     .status());
+  EXPECT_EQ(StatsWalks(), before + 2);
+  EXPECT_TRUE(StatsFresh(fixture.db, "activity"));
+  EXPECT_TRUE(StatsFresh(fixture.db, "routing"));
+  EXPECT_FALSE(StatsFresh(fixture.db, "heartbeat"));
+}
+
+// Dropping a table erases its cached statistics, so a session that
+// queries its temp tables does not grow the cache by one per drop.
+TEST(StatisticsWalkTest, DropTableErasesCachedStats) {
+  PaperExampleDb fixture;
+  Session session(&fixture.db);
+  RecencyReporter reporter(&fixture.db, &session);
+  TRAC_ASSERT_OK_AND_ASSIGN(
+      RecencyReport report,
+      reporter.Run("SELECT mach_id FROM Activity WHERE value = 'idle'"));
+  const std::string temp = report.normal_temp_table;
+  ASSERT_FALSE(temp.empty());
+  TRAC_ASSERT_OK(ExecuteSql(fixture.db, "SELECT * FROM " + temp).status());
+  ASSERT_TRUE(StatsFresh(fixture.db, temp));
+  TRAC_ASSERT_OK_AND_ASSIGN(TableId id, fixture.db.catalog().GetTableId(temp));
+  const uint64_t rows = fixture.db.GetTable(id)->num_versions();
+
+  TRAC_ASSERT_OK(session.DropTempTable(temp));
+  EXPECT_FALSE(fixture.db.catalog().TableStatsFresh(id, rows));
 }
 
 }  // namespace

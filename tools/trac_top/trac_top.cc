@@ -248,7 +248,8 @@ int main(int argc, char** argv) {
     out += "\n-- counters --\n";
     for (const char* name :
          {"trac_reports_total", "trac_report_exceptional_sources_total",
-          "trac_queries_executed_total"}) {
+          "trac_queries_executed_total",
+          "trac_planner_stats_walks_total"}) {
       out += "  " + std::string(name) + " " +
              std::to_string(
                  telemetry.metrics->GetCounter(name, "")->Value()) +
